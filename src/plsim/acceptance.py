@@ -17,11 +17,12 @@ import numpy as np
 from .checks import (
     abs_set_envelope,
     ep_lyapunov,
+    mass_balance_residual,
     mass_decay_envelope,
     reservoir_bounds,
+    reservoir_sq_bound,
 )
-from .diagnostics import DiagnosticsSeries
-from .grid import Field, bracket, hs_norm, make_grid, random_band_limited
+from .grid import Field, bracket, gaussian, hs_norm, make_grid, random_band_limited
 from .integrators import CgpeState, EpState, integrate, strang_step_ep
 from .models import (
     CgpeParams,
@@ -53,29 +54,14 @@ class CriterionResult:
     detail: str
 
 
-def _gaussian(grid, amplitude, width=0.5):
-    x = grid.x - grid.length / 2.0
-    return Field(grid, (amplitude * np.exp(-(x**2) / (2.0 * width**2))).astype(complex))
-
-
-def _subsample(d: DiagnosticsSeries, k: int) -> DiagnosticsSeries:
-    return DiagnosticsSeries(times=d.times[::k], mass=d.mass[::k], l4_fourth=d.l4_fourth[::k])
-
-
-def _sup_residual(d: DiagnosticsSeries, p: CgpeParams) -> float:
-    h = d.times[1] - d.times[0]
-    dm = np.gradient(d.mass, h, edge_order=2)
-    return float(np.max(np.abs(dm - 2.0 * p.xi * d.mass + 2.0 * p.sigma * d.l4_fourth)))
-
-
 def criterion_1_mass_balance() -> CriterionResult:
     """Mass-balance residual contracts >= 3.4x when the sampling interval halves."""
     start = time.perf_counter()
     grid = make_grid(256, TWO_PI)
     p = CgpeParams(1.0, 1.0)
-    traj = integrate(CgpeState(u=_gaussian(grid, 0.8)), 1e-3, 5.0, sample_every=1, params=p)
-    coarse = _sup_residual(_subsample(traj.diagnostics, 4), p)
-    fine = _sup_residual(_subsample(traj.diagnostics, 2), p)
+    traj = integrate(CgpeState(u=gaussian(grid, 0.8)), 1e-3, 5.0, sample_every=1, params=p)
+    coarse = float(np.max(np.abs(mass_balance_residual(traj.diagnostics, p, stride=4))))
+    fine = float(np.max(np.abs(mass_balance_residual(traj.diagnostics, p, stride=2))))
     elapsed = time.perf_counter() - start
     ratio = coarse / fine
     passed = ratio >= 3.4 and elapsed < 10.0
@@ -91,7 +77,7 @@ def criterion_2_absorbing_set() -> CriterionResult:
     grid = make_grid(256, TWO_PI)
     p = CgpeParams(1.0, 1.0)
     radius = 2.0 * p.xi / p.sigma * TWO_PI  # = 4 pi
-    u0 = _gaussian(grid, 1.0)
+    u0 = gaussian(grid, 1.0)
     scale = np.sqrt(10.0 * radius / (np.sum(np.abs(u0.values) ** 2) * grid.dx))
     traj = integrate(CgpeState(u=u0.with_values(scale * u0.values)), 1e-3, 6.0, sample_every=5, params=p)
     d = traj.diagnostics
@@ -174,50 +160,27 @@ def criterion_4_reservoir_positivity() -> CriterionResult:
     )
 
 
-def _lyapunov_and_moment_margins():
+def criterion_5_6_reservoir_envelopes() -> tuple[CriterionResult, CriterionResult]:
+    """Lyapunov and reservoir second-moment margins over the same seeded runs."""
     lyap, moment = np.inf, np.inf
     for seed in range(10):
         d, p = _seeded_ep_run(100 + seed)
-        tau = d.times - d.times[0]
-        gamma = min(2.0 * p.alpha, p.beta)
-        source = float(np.sum(p.pump_values) * p.pump.grid.dx)
-        values = 0.5 * d.mass + d.n_integral
-        envelope = np.exp(-gamma * tau) * (values[0] - source / gamma) + source / gamma
-        lyap = min(lyap, float(np.min(envelope - values)))
-        pump_sq = float(np.sum(p.pump_values**2) * p.pump.grid.dx)
-        bound = np.exp(-p.beta * tau) * d.n_sq_integral[0] + (
-            1.0 - np.exp(-p.beta * tau)
-        ) * pump_sq / p.beta**2
-        moment = min(moment, float(np.min(bound - d.n_sq_integral)))
+        lyapunov = ep_lyapunov(d, p)
         # the packaged checks must agree
-        if not (ep_lyapunov(d, p).passed and reservoir_bounds(d, p).passed):
-            return -np.inf, -np.inf
-    return lyap, moment
-
-
-_MARGIN_CACHE: dict = {}
-
-
-def criterion_5_lyapunov_decay() -> CriterionResult:
-    if "margins" not in _MARGIN_CACHE:
-        _MARGIN_CACHE["margins"] = _lyapunov_and_moment_margins()
-    lyap, _ = _MARGIN_CACHE["margins"]
-    passed = lyap >= -1e-8
-    return CriterionResult(
-        5, "lyapunov decay envelope", passed, False,
+        if not (lyapunov.passed and reservoir_bounds(d, p).passed):
+            lyap = moment = -np.inf
+            break
+        lyap = min(lyap, lyapunov.worst_margin)
+        moment = min(moment, float(np.min(reservoir_sq_bound(d, p) - d.n_sq_integral)))
+    lyapunov_result = CriterionResult(
+        5, "lyapunov decay envelope", lyap >= -1e-8, False,
         f"min envelope margin over 10 seeded runs = {lyap:.3e} (>= -1e-8)",
     )
-
-
-def criterion_6_reservoir_second_moment() -> CriterionResult:
-    if "margins" not in _MARGIN_CACHE:
-        _MARGIN_CACHE["margins"] = _lyapunov_and_moment_margins()
-    _, moment = _MARGIN_CACHE["margins"]
-    passed = moment >= -1e-8
-    return CriterionResult(
-        6, "reservoir second moment", passed, False,
+    moment_result = CriterionResult(
+        6, "reservoir second moment", moment >= -1e-8, False,
         f"min second-moment margin over the same runs = {moment:.3e} (>= -1e-8)",
     )
+    return lyapunov_result, moment_result
 
 
 def criterion_7_picard_contraction() -> CriterionResult:
@@ -341,7 +304,7 @@ def criterion_11_order_of_accuracy() -> CriterionResult:
 
     def ratio_cgpe() -> float:
         p = CgpeParams(1.0, 1.0)
-        u0 = _gaussian(grid, 0.8, 0.7)
+        u0 = gaussian(grid, 0.8, 0.7)
 
         def final(dt):
             return integrate(CgpeState(u=u0), dt, 1.0, sample_every=10**9, params=p).states[-1].u.values
@@ -352,7 +315,7 @@ def criterion_11_order_of_accuracy() -> CriterionResult:
     def ratio_ep() -> float:
         p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3,
                      pump=Field(grid, np.full(64, 1.2, dtype=complex)))
-        u0 = _gaussian(grid, 0.7, 0.8)
+        u0 = gaussian(grid, 0.7, 0.8)
         n0 = Field(grid, np.full(64, 0.4, dtype=complex))
 
         def final(dt):
@@ -375,8 +338,7 @@ CRITERIA = (
     criterion_2_absorbing_set,
     criterion_3_exact_oracles,
     criterion_4_reservoir_positivity,
-    criterion_5_lyapunov_decay,
-    criterion_6_reservoir_second_moment,
+    criterion_5_6_reservoir_envelopes,
     criterion_7_picard_contraction,
     criterion_8_quartic_ratio_stability,
     criterion_9_trilinear,
@@ -387,7 +349,6 @@ CRITERIA = (
 
 def run_all() -> list[CriterionResult]:
     """Run every acceptance experiment, returning one result per check."""
-    _MARGIN_CACHE.clear()
     results: list[CriterionResult] = []
     for criterion in CRITERIA:
         outcome = criterion()

@@ -36,6 +36,7 @@ from .models import CgpeParams, EpParams
 
 __all__ = [
     "CheckReport",
+    "mass_balance_residual",
     "f1_residual",
     "abs_set_envelope",
     "ep_lyapunov",
@@ -43,6 +44,7 @@ __all__ = [
     "mass_decay_envelope",
     "lyapunov_envelope",
     "reservoir_sq_envelope",
+    "reservoir_sq_bound",
     "CHECK_NAMES",
     "run_check",
 ]
@@ -78,6 +80,24 @@ def reservoir_sq_envelope(tau, nsq0: float, pump_sq_integral: float, beta: float
     return decay * nsq0 + (1.0 - decay) * pump_sq_integral / beta**2
 
 
+def reservoir_sq_bound(d: DiagnosticsSeries, p: EpParams) -> np.ndarray:
+    """Second-moment envelope of the recorded run at each of its samples."""
+    tau = d.times - d.times[0]
+    pump_sq = float(np.sum(p.pump_values**2) * p.pump.grid.dx)
+    return reservoir_sq_envelope(tau, float(d.n_sq_integral[0]), pump_sq, p.beta)
+
+
+def mass_balance_residual(d: DiagnosticsSeries, p: CgpeParams, stride: int = 1) -> np.ndarray:
+    """d/dt mass - 2 xi mass + 2 sigma (quartic integral) on every stride-th sample.
+
+    The time derivative uses second-order centered differences with
+    one-sided second-order stencils at the endpoints.
+    """
+    times, mass = d.times[::stride], d.mass[::stride]
+    dm = np.gradient(mass, times[1] - times[0], edge_order=2)
+    return dm - 2.0 * p.xi * mass + 2.0 * p.sigma * d.l4_fourth[::stride]
+
+
 def _report(name, margins, tolerances, times, tolerance_scale):
     tolerances = tolerance_scale * np.asarray(tolerances, dtype=float)
     margins = np.asarray(margins, dtype=float)
@@ -97,12 +117,10 @@ def f1_residual(
 ) -> CheckReport:
     """Discrete residual of the mass-balance identity.
 
-    The time derivative uses second-order centered differences with
-    one-sided second-order stencils at the endpoints, so the residual of
-    an exact trajectory scales with the sampling interval squared.  The
-    tolerance is calibrated from the residual of the half-rate subsampled
-    series (a Richardson estimate): tol = sup|residual_coarse| / 2 plus a
-    rounding floor.
+    The residual (mass_balance_residual) of an exact trajectory scales
+    with the sampling interval squared.  The tolerance is calibrated from
+    the residual of the half-rate subsampled series (a Richardson
+    estimate): tol = sup|residual_coarse| / 2 plus a rounding floor.
     """
     if len(d) < 3:
         raise ValueError("need at least 3 samples for a time derivative")
@@ -111,14 +129,10 @@ def f1_residual(
     if not np.allclose(spacing, h, rtol=1e-8):
         raise ValueError("mass-balance residual requires uniform sampling")
 
-    def residual(times, mass, quartic):
-        dm = np.gradient(mass, times[1] - times[0], edge_order=2)
-        return dm - 2.0 * p.xi * mass + 2.0 * p.sigma * quartic
-
-    res = residual(d.times, d.mass, d.l4_fourth)
+    res = mass_balance_residual(d, p)
     floor = 1e-9 * (1.0 + float(np.max(d.mass)))
     if len(d) >= 7:
-        coarse = residual(d.times[::2], d.mass[::2], d.l4_fourth[::2])
+        coarse = mass_balance_residual(d, p, stride=2)
         tol = 0.5 * float(np.max(np.abs(coarse))) + floor
     else:
         tol = floor
@@ -173,9 +187,7 @@ def reservoir_bounds(
     """
     if d.n_min is None or d.n_sq_integral is None:
         raise ValueError("reservoir check needs n_min and n_sq_integral diagnostics")
-    tau = d.times - d.times[0]
-    pump_sq = float(np.sum(p.pump_values**2) * p.pump.grid.dx)
-    bound = reservoir_sq_envelope(tau, float(d.n_sq_integral[0]), pump_sq, p.beta)
+    bound = reservoir_sq_bound(d, p)
 
     pos_margins = d.n_min.copy()
     pos_tol = np.full(len(d), 1e-12)

@@ -37,7 +37,6 @@ from .config import (
     config_hash,
     load_config,
 )
-from .diagnostics import DiagnosticsSeries
 from .grid import hs_norm, make_grid
 from .integrators import BlowUpError, CgpeState, EpState, integrate
 from .picard import (
@@ -63,6 +62,7 @@ from .storage import (
     read_checkpoint,
     read_diagnostics_csv,
     write_checkpoint,
+    write_csv,
     write_diagnostics_csv,
     write_json,
 )
@@ -73,19 +73,19 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _write_csv(path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_cell(value) for value in row) + "\n")
+def _run_checks(names, diagnostics, params, domain_measure: float, out_dir: str) -> bool:
+    """Run the named checks, print one line each, write reports.json.
 
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    Returns True when every check passed.
+    """
+    reports = []
+    for name in names:
+        report = run_check(name, diagnostics, params, domain_measure=domain_measure)
+        reports.append(report.to_dict())
+        print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
+              f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
+    write_json(os.path.join(out_dir, "reports.json"), reports)
+    return all(r["passed"] for r in reports)
 
 
 def cmd_run(args) -> int:
@@ -112,28 +112,8 @@ def cmd_run(args) -> int:
             trajectory = err.trajectory
             print(f"blow-up at t = {err.time:.6g}; partial outputs retained", file=sys.stderr)
 
-        diagnostics = trajectory.diagnostics
-        if config.fault_injection:
-            # self-test hook: corrupt the quartic series by a unit residual
-            sigma = getattr(params, "sigma", 1.0)
-            diagnostics = DiagnosticsSeries(
-                times=diagnostics.times,
-                mass=diagnostics.mass,
-                l4_fourth=diagnostics.l4_fourth + 1.0 / (2.0 * sigma),
-                n_integral=diagnostics.n_integral,
-                n_sq_integral=diagnostics.n_sq_integral,
-                n_min=diagnostics.n_min,
-            )
-
-        write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diagnostics)
-
-        reports = []
-        for name in config.checks:
-            report = run_check(name, diagnostics, params, domain_measure=grid.length)
-            reports.append(report.to_dict())
-            print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
-                  f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
-        write_json(os.path.join(out_dir, "reports.json"), reports)
+        write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), trajectory.diagnostics)
+        passed = _run_checks(config.checks, trajectory.diagnostics, params, grid.length, out_dir)
 
         digest = config_hash(config)
         ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -163,8 +143,7 @@ def cmd_run(args) -> int:
             },
         )
 
-    failed = any(not r["passed"] for r in reports)
-    return 1 if (failed or blow_up is not None) else 0
+    return 0 if (passed and blow_up is None) else 1
 
 
 def cmd_picard(args) -> int:
@@ -219,7 +198,7 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         u, n, header = read_checkpoint(path)
         loaded.append((path, u, header))
         rows.append((os.path.basename(path), header["time"], hs_norm(u, args.s)))
-    _write_csv(os.path.join(out_dir, "spatial_norms.csv"), ["file", "t", "hs_norm"], rows)
+    write_csv(os.path.join(out_dir, "spatial_norms.csv"), ["file", "t", "hs_norm"], rows)
     print(f"wrote spatial norms for {len(rows)} checkpoints")
 
     if len(loaded) >= 8:
@@ -244,7 +223,7 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
             l4_strichartz_ratio(f),
             "windowed_surrogate",
         )
-        _write_csv(
+        write_csv(
             os.path.join(out_dir, "spacetime_norms.csv"),
             ["n_time", "t_span", "s", "b", "dispersion", "xsb_norm", "ys_norm", "l4_ratio", "norm_kind"],
             [row],
@@ -269,7 +248,7 @@ def _norms_l4_scan(args, out_dir: str) -> int:
             )
             best = max(best, l4_strichartz_ratio(f))
         rows.append((n_points, n_time, args.samples, args.seed, best))
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "l4_scan.csv"),
         ["n_points", "n_time", "samples", "seed", "max_ratio"],
         rows,
@@ -282,7 +261,7 @@ def _norms_trilinear(args, out_dir: str) -> int:
     params = default_trilinear_params(args.eps)
     sizes = [int(s) for s in args.trilinear_scan.split(",")]
     rows = trilinear_ratio_scan(params, sizes, args.samples, args.seed)
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "trilinear_scan.csv"),
         ["size", "seed", "ratio", "admissible_flag"],
         [(r.size, r.seed, r.ratio, r.admissible) for r in rows],
@@ -315,15 +294,9 @@ def cmd_check(args) -> int:
     diagnostics = read_diagnostics_csv(args.csv)
     grid = build_grid(config)
     params = build_params(config, grid)
-    reports = []
     with output_lock(out_dir):
-        for name in config.checks:
-            report = run_check(name, diagnostics, params, domain_measure=grid.length)
-            reports.append(report.to_dict())
-            print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
-                  f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
-        write_json(os.path.join(out_dir, "reports.json"), reports)
-    return 1 if any(not r["passed"] for r in reports) else 0
+        passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir)
+    return 0 if passed else 1
 
 
 def cmd_selftest(args) -> int:
@@ -356,11 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate a configured trajectory")
-    run_p.add_argument("--config", required=True, help="config path or builtin:<name>")
+    run_p.add_argument("--config", required=True, help="config path")
     run_p.add_argument("--seed", type=int, default=None, help="override the initial-data seed")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--assert", dest="assert_", action="store_true",
-                       help="nonzero exit on failed soft checks")
     run_p.set_defaults(func=cmd_run)
 
     pic_p = sub.add_parser("picard", help="fixed-point iteration on the integral form")
@@ -398,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--csv", required=True)
     check_p.add_argument("--config", required=True)
     check_p.add_argument("--out", default=None)
-    check_p.add_argument("--assert", dest="assert_", action="store_true")
     check_p.set_defaults(func=cmd_check)
 
     self_p = sub.add_parser("selftest", help="run the acceptance experiments")

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid1D, make_grid, random_band_limited
+from .grid import Field, Grid1D, gaussian, make_grid, random_band_limited, smooth_bump
+from .integrators import step_count
 from .models import CgpeParams, EpParams
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "build_params",
     "build_initial_u",
     "build_initial_n",
-    "BUILTIN_CONFIGS",
 ]
 
 DEFAULTS = {
@@ -78,7 +78,6 @@ class RunConfig:
     checkpoint_every: int
     checks: tuple
     output: str | None
-    fault_injection: bool = False
     warnings: tuple = field(default_factory=tuple)
 
     def normalized(self) -> dict:
@@ -95,7 +94,6 @@ class RunConfig:
             "sample_every": self.sample_every,
             "checkpoint_every": self.checkpoint_every,
             "checks": list(self.checks),
-            "fault_injection": self.fault_injection,
         }
 
 
@@ -193,7 +191,6 @@ def _validate_profile(val, where, kinds, v: _Validator) -> dict | None:
 _TOP_KEYS = {
     "schema_version", "model", "grid", "params", "pump", "initial",
     "dt", "t_end", "sample_every", "checkpoint_every", "checks", "output",
-    "fault_injection",
 }
 
 
@@ -287,8 +284,14 @@ def parse_config(text: str) -> RunConfig:
 
     dt = v.number(doc, "document", "dt", default=DEFAULTS["dt"], positive=True)
     t_end = v.number(doc, "document", "t_end", default=DEFAULTS["t_end"], positive=True)
-    if dt is not None and t_end is not None and not dt < t_end:
-        v.fail(f"dt: must be smaller than t_end, got dt={dt}, t_end={t_end}")
+    if dt is not None and t_end is not None:
+        if not dt < t_end:
+            v.fail(f"dt: must be smaller than t_end, got dt={dt}, t_end={t_end}")
+        else:
+            try:
+                step_count(dt, t_end)
+            except ValueError as err:
+                v.fail(f"t_end: {err}")
     sample_every = v.integer(doc, "document", "sample_every", default=DEFAULTS["sample_every"], minimum=1)
     checkpoint_every = v.integer(
         doc, "document", "checkpoint_every", default=DEFAULTS["checkpoint_every"], minimum=0
@@ -310,11 +313,6 @@ def parse_config(text: str) -> RunConfig:
     if output is not None and not isinstance(output, str):
         v.fail(f"output: expected a path string, got {output!r}")
 
-    fault = doc.get("fault_injection", False)
-    if not isinstance(fault, bool):
-        v.fail("fault_injection: expected a boolean")
-        fault = False
-
     if v.violations:
         raise ConfigError(v.violations)
     return RunConfig(
@@ -331,47 +329,18 @@ def parse_config(text: str) -> RunConfig:
         checkpoint_every=int(checkpoint_every),
         checks=tuple(checks),
         output=output,
-        fault_injection=fault,
         warnings=tuple(v.warnings),
     )
 
 
-BUILTIN_CONFIGS = {
-    # short run whose quartic diagnostic is deliberately corrupted before
-    # checking; exercises the nonzero-exit path end to end
-    "builtin:fault-injection": {
-        "model": "cgpe",
-        "grid": {"n_points": 64, "length": 2.0 * np.pi},
-        "params": {"xi": 1.0, "sigma": 1.0},
-        "initial": {"u": {"kind": "flat", "rho": 0.5, "theta": 0.0}},
-        "dt": 1e-3,
-        "t_end": 0.2,
-        "sample_every": 10,
-        "checks": ["f1_residual"],
-        "fault_injection": True,
-    },
-}
-
-
-def load_config(path_or_name: str) -> RunConfig:
-    """Load a configuration from a file path or a builtin: name."""
-    if path_or_name in BUILTIN_CONFIGS:
-        return parse_config(json.dumps(BUILTIN_CONFIGS[path_or_name]))
-    with open(path_or_name, "r", encoding="utf-8") as handle:
+def load_config(path: str) -> RunConfig:
+    """Load and validate a configuration file."""
+    with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
 
 
 def build_grid(config: RunConfig) -> Grid1D:
     return make_grid(config.n_points, config.length)
-
-
-def _bump_values(grid: Grid1D, center: float, width: float, height: float) -> np.ndarray:
-    r = (grid.x - center) / width
-    values = np.zeros(grid.n_points)
-    inside = np.abs(r) < 1.0
-    with np.errstate(divide="ignore"):
-        values[inside] = height * np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-    return values
 
 
 def _profile_values(spec: dict, grid: Grid1D) -> np.ndarray:
@@ -380,7 +349,7 @@ def _profile_values(spec: dict, grid: Grid1D) -> np.ndarray:
     if spec["kind"] == "constant":
         return np.full(grid.n_points, spec["level"])
     if spec["kind"] == "bump":
-        return _bump_values(grid, spec["center"], spec["width"], spec["height"])
+        return spec["height"] * smooth_bump((grid.x - spec["center"]) / spec["width"])
     raise ValueError(f"unsupported profile kind {spec['kind']!r}")
 
 
@@ -404,9 +373,7 @@ def build_initial_u(config: RunConfig, grid: Grid1D, seed_override: int | None =
         value = spec["rho"] * np.exp(1j * spec["theta"])
         return Field(grid, np.full(grid.n_points, value))
     if spec["kind"] == "gaussian":
-        x = grid.x - grid.length / 2.0
-        values = spec["amplitude"] * np.exp(-(x**2) / (2.0 * spec["width"] ** 2))
-        return Field(grid, values.astype(complex))
+        return gaussian(grid, spec["amplitude"], spec["width"])
     if spec["kind"] == "random":
         seed = spec["seed"] if seed_override is None else seed_override
         return random_band_limited(grid, spec["band"], np.random.default_rng(seed))

@@ -26,6 +26,11 @@ __all__ = [
     "dealias",
     "dealias_mask",
     "hs_norm",
+    "hs_norm_rows",
+    "dealiased_cubic",
+    "free_propagator",
+    "smooth_bump",
+    "gaussian",
     "lp_norm",
     "laplacian",
     "random_band_limited",
@@ -148,13 +153,46 @@ def hs_norm(field: Field, s: float) -> float:
 
     The c_k are Fourier-series amplitudes, so s = 0 reproduces the
     continuum L^2 norm of the sampled function.  Accepts either
-    representation and transforms internally.
+    representation.
     """
-    spec = to_spectral(field)
-    grid = field.grid
-    amps = spec.values / np.sqrt(grid.n_points)
+    return float(hs_norm_rows(to_physical(field).values, field.grid, s))
+
+
+def hs_norm_rows(rows: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
+    """Sobolev norm of each row of a physical array whose last axis is the grid."""
+    amps = np.fft.fft(rows, axis=-1)
+    # two divisions by sqrt(N), not one by N: the rounding of the unitary transform
+    amps /= np.sqrt(grid.n_points)
+    amps /= np.sqrt(grid.n_points)
     weights = bracket(grid.wavenumbers) ** (2.0 * s)
-    return float(np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2)))
+    return np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2, axis=-1))
+
+
+def dealiased_cubic(rows: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """|u|^2 u of each physical row with the top third of the spectrum removed."""
+    hat = np.fft.fft(np.abs(rows) ** 2 * rows, axis=-1)
+    return np.fft.ifft(np.where(dealias_mask(grid), hat, 0.0), axis=-1)
+
+
+def free_propagator(times, grid: Grid1D) -> np.ndarray:
+    """Spectral multipliers exp(-i k^2 t) of the free Schrodinger flow, one row per time."""
+    return np.exp(-1j * np.outer(times, grid.wavenumbers**2))
+
+
+def smooth_bump(r) -> np.ndarray:
+    """exp(1 - 1/(1 - r^2)) for |r| < 1 and 0 elsewhere: 1 at r = 0, C^infinity."""
+    r = np.asarray(r, dtype=float)
+    values = np.zeros(r.shape)
+    inside = np.abs(r) < 1.0
+    with np.errstate(divide="ignore"):
+        values[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
+    return values
+
+
+def gaussian(grid: Grid1D, amplitude: float, width: float = 0.5) -> Field:
+    """Real gaussian of the given amplitude and width, centered in the box."""
+    x = grid.x - grid.length / 2.0
+    return Field(grid, (amplitude * np.exp(-(x**2) / (2.0 * width**2))).astype(complex))
 
 
 def lp_norm(field: Field, p: float) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "strang_step_cgpe",
     "reservoir_exact_update",
     "strang_step_ep",
+    "step_count",
     "integrate",
 ]
 
@@ -192,6 +193,18 @@ def _build_diagnostics(rows: list[tuple], with_reservoir: bool) -> DiagnosticsSe
     return DiagnosticsSeries(times=data[:, 0], mass=data[:, 1], l4_fourth=data[:, 2])
 
 
+def step_count(dt: float, t_end: float) -> int:
+    """Number of steps of size dt that end exactly at t_end.
+
+    t_end must be a whole multiple of dt; the relative tolerance 1e-9
+    absorbs rounding in t_end / dt (0.15 / 1e-3 is 149.99999999999997).
+    """
+    steps = t_end / dt
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"t_end must be a whole multiple of dt, got dt={dt}, t_end={t_end}")
+    return max(1, int(round(steps)))
+
+
 def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:
     """Advance a state with fixed steps, recording diagnostics at samples.
 
@@ -215,7 +228,7 @@ def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Tr
     else:
         raise TypeError(f"unsupported state type {type(initial).__name__}")
 
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = step_count(dt, t_end)
     mass0 = _mass(initial.u)
     mass_cap = BLOWUP_MASS_FACTOR * mass0 if mass0 > 0 else np.inf
     states = [initial]

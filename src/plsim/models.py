@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dealias_mask, laplacian
+from .grid import Field, dealiased_cubic, laplacian
 
 __all__ = [
     "CgpeParams",
@@ -87,19 +87,11 @@ class EpParams:
         return self.pump.values.real
 
 
-def _dealiased_cubic(u: Field) -> np.ndarray:
-    """|u|^2 u with the top third of the spectrum removed."""
-    product = np.abs(u.values) ** 2 * u.values
-    hat = np.fft.fft(product)
-    hat[~dealias_mask(u.grid)] = 0.0
-    return np.fft.ifft(hat)
-
-
 def cgpe_rhs(u: Field, p: CgpeParams) -> Field:
     """du/dt = i u_xx + xi u - (sigma + i) |u|^2 u, cubic term dealiased."""
     if u.representation != "physical":
         raise ValueError("cgpe_rhs expects a physical field")
-    cubic = _dealiased_cubic(u)
+    cubic = dealiased_cubic(u.values, u.grid)
     values = 1j * laplacian(u).values + p.xi * u.values - (p.sigma + 1j) * cubic
     return u.with_values(values)
 
@@ -114,7 +106,7 @@ def ep_rhs(u: Field, n: Field, p: EpParams) -> tuple[Field, Field]:
         raise ValueError("u and n must share a grid")
     if u.representation != "physical" or n.representation != "physical":
         raise ValueError("ep_rhs expects physical fields")
-    cubic = _dealiased_cubic(u)
+    cubic = dealiased_cubic(u.values, u.grid)
     nv = n.values
     du = (
         1j * laplacian(u).values

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .grid import Field, bracket, dealias_mask
+from .grid import Field, dealiased_cubic, free_propagator, hs_norm, hs_norm_rows
 from .models import CgpeParams, EpParams
 
 __all__ = [
@@ -82,16 +82,9 @@ class ContractionReport:
     final_residual: float
 
 
-def _hs_norm_rows(rows: np.ndarray, grid, s: float) -> np.ndarray:
-    """Sobolev norm of each row of a (n_nodes, n_points) physical array."""
-    amps = np.fft.fft(rows, axis=-1) / grid.n_points
-    weights = bracket(grid.wavenumbers) ** (2.0 * s)
-    return np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2, axis=-1))
-
-
-def _dealiased_cubic_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    hat = np.fft.fft(np.abs(rows) ** 2 * rows, axis=-1)
-    return np.fft.ifft(np.where(mask, hat, 0.0), axis=-1)
+def _tolerance(initial_norm: float) -> float:
+    """Iterate distance below which the iteration counts as converged."""
+    return 1e-10 * (1.0 + initial_norm)
 
 
 def _diverging(diffs: list[float]) -> bool:
@@ -101,6 +94,45 @@ def _diverging(diffs: list[float]) -> bool:
         return False
     a, b, c, d = diffs[-4:]
     return d > c > b > a
+
+
+def _duhamel(prop: np.ndarray, u0_hat: np.ndarray, rhs: np.ndarray, spacing: float) -> np.ndarray:
+    """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node.
+
+    The forcing is unwound into the interaction picture, integrated with
+    trapezoidal weights, and propagated back.
+    """
+    unwound = np.conj(prop) * np.fft.fft(rhs, axis=-1)
+    integral = cumulative_trapezoid(unwound, dx=spacing, axis=0, initial=0.0)
+    return np.fft.ifft(prop * (u0_hat[None, :] + integral), axis=-1)
+
+
+def _iterate(
+    first, sweep, distance, initial_norm: float, s: float, max_iter: int
+) -> IterateHistory:
+    """Apply ``sweep`` from ``first`` until converged, diverging, or out of budget.
+
+    Converged means the distance between successive iterates dropped to
+    the tolerance after at least two sweeps, so the history is always
+    reportable; diverging means non-finite or four growing distances.
+    """
+    if max_iter < 2:
+        raise ValueError("max_iter must be >= 2")
+    tol = _tolerance(initial_norm)
+    history = IterateHistory(iterates=[first], diffs=[], initial_norm=initial_norm, s=s)
+    current = first
+    for _ in range(max_iter):
+        new = sweep(current)
+        diff = distance(new, current)
+        history.iterates.append(new)
+        history.diffs.append(diff)
+        current = new
+        if diff <= tol and len(history.diffs) >= 2:
+            break
+        if _diverging(history.diffs):
+            history.diverged = True
+            break
+    return history
 
 
 def picard_cgpe(
@@ -113,38 +145,19 @@ def picard_cgpe(
     iterates drops below 1e-10 (1 + ||u0||), the iteration budget runs out,
     or the distances grow for several consecutive sweeps (divergence).
     """
-    if max_iter < 2:
-        raise ValueError("max_iter must be >= 2")
     grid = u0.grid
-    times = mesh.nodes
-    mask = dealias_mask(grid)
-    k2 = grid.wavenumbers**2
-    # S(t_j) as spectral phases; conj gives the interaction-picture unwind
-    prop = np.exp(-1j * np.outer(times, k2))
+    prop = free_propagator(mesh.nodes, grid)
     u0_hat = np.fft.fft(u0.values)
+
+    def sweep(current):
+        rhs = p.xi * current - (p.sigma + 1j) * dealiased_cubic(current, grid)
+        return _duhamel(prop, u0_hat, rhs, mesh.spacing)
+
+    def distance(new, current):
+        return float(np.max(hs_norm_rows(new - current, grid, s)))
+
     free = np.fft.ifft(prop * u0_hat[None, :], axis=-1)
-
-    initial_norm = float(_hs_norm_rows(u0.values[None, :], grid, s)[0])
-    tol = 1e-10 * (1.0 + initial_norm)
-    current = free
-    history = IterateHistory(iterates=[free], diffs=[], initial_norm=initial_norm, s=s)
-
-    for _ in range(max_iter):
-        rhs = p.xi * current - (p.sigma + 1j) * _dealiased_cubic_rows(current, mask)
-        unwound = np.conj(prop) * np.fft.fft(rhs, axis=-1)
-        integral = cumulative_trapezoid(unwound, dx=mesh.spacing, axis=0, initial=0.0)
-        new = np.fft.ifft(prop * (u0_hat[None, :] + integral), axis=-1)
-        diff = float(np.max(_hs_norm_rows(new - current, grid, s)))
-        history.iterates.append(new)
-        history.diffs.append(diff)
-        current = new
-        # at least two sweeps, so the history is always reportable
-        if diff <= tol and len(history.diffs) >= 2:
-            break
-        if _diverging(history.diffs):
-            history.diverged = True
-            break
-    return history
+    return _iterate(free, sweep, distance, hs_norm(u0, s), s, max_iter)
 
 
 def picard_ep(
@@ -156,54 +169,34 @@ def picard_ep(
     reservoir equation is a plain time integral.  Distances are the sum of
     the two sup-node L^2 distances.
     """
-    if max_iter < 2:
-        raise ValueError("max_iter must be >= 2")
     if u0.grid != n0.grid:
         raise ValueError("u0 and n0 must share a grid")
     grid = u0.grid
-    times = mesh.nodes
-    mask = dealias_mask(grid)
-    k2 = grid.wavenumbers**2
-    prop = np.exp(-1j * np.outer(times, k2))
+    prop = free_propagator(mesh.nodes, grid)
     u0_hat = np.fft.fft(u0.values)
-    free_u = np.fft.ifft(prop * u0_hat[None, :], axis=-1)
     n0_row = n0.values.real
-    flat_n = np.tile(n0_row, (mesh.n_nodes, 1))
     pump = p.pump_values[None, :]
 
-    initial_norm = float(
-        _hs_norm_rows(u0.values[None, :], grid, 0.0)[0]
-        + _hs_norm_rows(n0_row[None, :].astype(complex), grid, 0.0)[0]
-    )
-    tol = 1e-10 * (1.0 + initial_norm)
-    cur_u, cur_n = free_u, flat_n
-    history = IterateHistory(iterates=[(free_u, flat_n)], diffs=[], initial_norm=initial_norm, s=0.0)
-
-    for _ in range(max_iter):
+    def sweep(current):
+        cur_u, cur_n = current
         rhs_u = (
-            -1j * p.g * _dealiased_cubic_rows(cur_u, mask)
+            -1j * p.g * dealiased_cubic(cur_u, grid)
             + ((p.R - 1j * p.lam) * cur_n - p.alpha) * cur_u
         )
-        unwound = np.conj(prop) * np.fft.fft(rhs_u, axis=-1)
-        integral = cumulative_trapezoid(unwound, dx=mesh.spacing, axis=0, initial=0.0)
-        new_u = np.fft.ifft(prop * (u0_hat[None, :] + integral), axis=-1)
-
+        new_u = _duhamel(prop, u0_hat, rhs_u, mesh.spacing)
         rhs_n = pump - (p.R * np.abs(cur_u) ** 2 + p.beta) * cur_n
         new_n = n0_row[None, :] + cumulative_trapezoid(rhs_n, dx=mesh.spacing, axis=0, initial=0.0)
+        return new_u, new_n
 
-        diff = float(
-            np.max(_hs_norm_rows(new_u - cur_u, grid, 0.0))
-            + np.max(_hs_norm_rows((new_n - cur_n).astype(complex), grid, 0.0))
+    def distance(new, current):
+        return float(
+            np.max(hs_norm_rows(new[0] - current[0], grid, 0.0))
+            + np.max(hs_norm_rows((new[1] - current[1]).astype(complex), grid, 0.0))
         )
-        history.iterates.append((new_u, new_n))
-        history.diffs.append(diff)
-        cur_u, cur_n = new_u, new_n
-        if diff <= tol and len(history.diffs) >= 2:
-            break
-        if _diverging(history.diffs):
-            history.diverged = True
-            break
-    return history
+
+    free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0_row, (mesh.n_nodes, 1)))
+    initial_norm = hs_norm(u0, 0.0) + float(hs_norm_rows(n0_row.astype(complex), grid, 0.0))
+    return _iterate(free, sweep, distance, initial_norm, 0.0, max_iter)
 
 
 def contraction_report(history: IterateHistory) -> ContractionReport:
@@ -214,7 +207,7 @@ def contraction_report(history: IterateHistory) -> ContractionReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = diffs[1:] / diffs[:-1]
     ratios = np.where(np.isfinite(ratios), ratios, 0.0)
-    tol = 1e-10 * (1.0 + history.initial_norm)
+    tol = _tolerance(history.initial_norm)
     converged = bool(len(diffs) > 0 and diffs[-1] <= tol and not history.diverged)
     final = float(diffs[-1]) if len(diffs) else 0.0
     return ContractionReport(ratios=ratios, converged=converged, final_residual=final)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import convolve as signal_convolve
 
-from .grid import Field, Grid1D, bracket
+from .grid import Field, Grid1D, bracket, free_propagator, smooth_bump
 
 __all__ = [
     "SpaceTimeField",
@@ -98,11 +98,7 @@ def time_window_profile(n_time: int) -> np.ndarray:
     right = u > 0.75
     r[left] = (0.25 - u[left]) / 0.25
     r[right] = (u[right] - 0.75) / 0.25
-    profile = np.zeros(n_time)
-    inside = r < 1.0
-    with np.errstate(divide="ignore"):
-        profile[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-    return profile
+    return smooth_bump(r)
 
 
 def apply_window(f: SpaceTimeField) -> SpaceTimeField:
@@ -185,9 +181,8 @@ def l4_strichartz_ratio(f: SpaceTimeField) -> float:
 def free_evolution(u0: Field, n_time: int, t_span: float) -> SpaceTimeField:
     """Samples of the free Schrodinger flow of u0, unwindowed."""
     times = np.arange(n_time) * (t_span / n_time)
-    k2 = u0.grid.wavenumbers**2
     hat = np.fft.fft(u0.values)
-    rows = np.fft.ifft(np.exp(-1j * np.outer(times, k2)) * hat[None, :], axis=-1)
+    rows = np.fft.ifft(free_propagator(times, u0.grid) * hat[None, :], axis=-1)
     return SpaceTimeField(u0.grid, t_span, rows, window="none")
 
 

@@ -13,6 +13,7 @@ files (floats are serialized with shortest round-trip repr).
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -26,6 +27,7 @@ __all__ = [
     "CheckpointError",
     "write_checkpoint",
     "read_checkpoint",
+    "write_csv",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
     "write_json",
@@ -76,8 +78,7 @@ def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
             header = json.loads(handle.read(int(header_len)).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise CheckpointError(f"{path}: corrupt header ({err})") from None
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+        _check_header(path, header)
         n_points = header["n_points"]
         expected = 2 * n_points + (n_points if header["has_reservoir"] else 0)
         payload = np.frombuffer(handle.read(), dtype="<f8")
@@ -93,15 +94,56 @@ def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
     return u, n, header
 
 
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _check_header(path, header) -> None:
+    """Reject a header of another format version or with unusable fields."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+    n_points, length = header.get("n_points"), header.get("length")
+    has_reservoir, time = header.get("has_reservoir"), header.get("time")
+    if not (_finite_number(n_points) and isinstance(n_points, int)
+            and n_points >= 4 and n_points % 2 == 0):
+        raise CheckpointError(f"{path}: n_points must be an even integer >= 4, got {n_points!r}")
+    if not (_finite_number(length) and length > 0):
+        raise CheckpointError(f"{path}: length must be a positive number, got {length!r}")
+    if not isinstance(has_reservoir, bool):
+        raise CheckpointError(f"{path}: has_reservoir must be a boolean, got {has_reservoir!r}")
+    if not _finite_number(time):
+        raise CheckpointError(f"{path}: time must be a finite number, got {time!r}")
+
+
+def write_csv(path, header, rows) -> None:
+    """Comma-separated table; floats as shortest round-trip repr, bools lowercase."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_cell(value) for value in row) + "\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
     columns = _CSV_COLUMNS[:3] + (_CSV_COLUMNS[3:] if d.has_reservoir else ())
     series = [d.times, d.mass, d.l4_fourth]
     if d.has_reservoir:
         series += [d.n_integral, d.n_sq_integral, d.n_min]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in zip(*series):
-            handle.write(",".join(repr(float(value)) for value in row) + "\n")
+    write_csv(path, columns, zip(*series))
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
@@ -110,6 +152,8 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
         rows = [line.strip().split(",") for line in handle if line.strip()]
     if header[:3] != list(_CSV_COLUMNS[:3]):
         raise ValueError(f"{path}: unexpected columns {header}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")

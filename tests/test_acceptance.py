@@ -11,8 +11,7 @@ from plsim.acceptance import (
     criterion_2_absorbing_set,
     criterion_3_exact_oracles,
     criterion_4_reservoir_positivity,
-    criterion_5_lyapunov_decay,
-    criterion_6_reservoir_second_moment,
+    criterion_5_6_reservoir_envelopes,
     criterion_7_picard_contraction,
     criterion_8_quartic_ratio_stability,
     criterion_9_trilinear,
@@ -26,6 +25,11 @@ def report(result):
     soft = " (soft)" if result.soft else ""
     print(f"\n[criterion {result.number:2d}] {status}{soft} {result.name}: {result.detail}")
     return result
+
+
+@pytest.fixture(scope="module")
+def envelope_results():
+    return criterion_5_6_reservoir_envelopes()
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +53,14 @@ def test_criterion_4_reservoir_positivity():
     assert report(criterion_4_reservoir_positivity()).passed
 
 
-def test_criterion_5_lyapunov_decay():
-    assert report(criterion_5_lyapunov_decay()).passed
+def test_criterion_5_lyapunov_decay(envelope_results):
+    lyapunov, _ = envelope_results
+    assert report(lyapunov).passed
 
 
-def test_criterion_6_reservoir_second_moment():
-    assert report(criterion_6_reservoir_second_moment()).passed
+def test_criterion_6_reservoir_second_moment(envelope_results):
+    _, moment = envelope_results
+    assert report(moment).passed
 
 
 def test_criterion_7_picard_contraction():

@@ -1,14 +1,20 @@
 """Command-line surface: run, picard, norms, check; determinism and exits."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import plsim.cli
 from plsim.cli import main
-from plsim.storage import read_checkpoint, read_diagnostics_csv
+from plsim.diagnostics import DiagnosticsSeries
+from plsim.grid import Field, make_grid
+from plsim.integrators import integrate
+from plsim.storage import CHECKPOINT_MAGIC, read_checkpoint, read_diagnostics_csv, write_checkpoint
 
 TWO_PI = 2.0 * np.pi
+MISSING = object()
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -95,12 +101,26 @@ class TestRun:
         b = read_diagnostics_csv(out2 / "diagnostics.csv")
         assert np.max(np.abs(a.mass - b.mass)) > 0
 
-    def test_builtin_fault_injection_fails(self, tmp_path):
+    def test_failed_check_exits_1(self, tmp_path, monkeypatch):
+        def corrupted(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            d = traj.diagnostics
+            bad = DiagnosticsSeries(times=d.times, mass=d.mass, l4_fourth=d.l4_fourth + 0.5)
+            return dataclasses.replace(traj, diagnostics=bad)
+
+        monkeypatch.setattr(plsim.cli, "integrate", corrupted)
+        config = write_config(tmp_path, cgpe_doc(checks=["f1_residual"]))
         out = tmp_path / "fault"
-        code = main(["run", "--config", "builtin:fault-injection", "--out", str(out)])
-        assert code == 1
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
         reports = json.loads((out / "reports.json").read_text())
-        assert not reports[0]["passed"]
+        assert [(r["name"], r["passed"]) for r in reports] == [("f1_residual", False)]
+
+    @pytest.mark.parametrize("argv", [["run"], ["check", "--csv", "x.csv"]], ids=["run", "check"])
+    def test_assert_flag_rejected(self, tmp_path, argv):
+        config = write_config(tmp_path, cgpe_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--config", config, "--assert"])
+        assert excinfo.value.code == 2
 
     def test_checkpoint_cadence(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc(checkpoint_every=10, checks=[]))
@@ -234,6 +254,34 @@ class TestNorms:
         code = main(["norms", "--checkpoints", str(bad), "--out", str(tmp_path / "n")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_points", MISSING),
+            ("n_points", "8"),
+            ("n_points", 7),
+            ("length", 0.0),
+            ("has_reservoir", 1),
+            ("time", "0.5"),
+        ],
+    )
+    def test_malformed_checkpoint_header_rejected(self, tmp_path, key, value):
+        good = tmp_path / "good.ckpt"
+        write_checkpoint(good, Field(make_grid(8, TWO_PI), np.ones(8)), None, 0.5, "abc")
+        raw = good.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        end = start + int(np.frombuffer(raw[len(CHECKPOINT_MAGIC):start], dtype="<u4")[0])
+        header = json.loads(raw[start:end])
+        if value is MISSING:
+            del header[key]
+        else:
+            header[key] = value
+        text = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CHECKPOINT_MAGIC + np.array(len(text), dtype="<u4").tobytes() + text + raw[end:])
+        code = main(["norms", "--checkpoints", str(bad), "--out", str(tmp_path / "n")])
+        assert code == 2
+
 
 class TestCheck:
     def test_recheck_stored_csv(self, tmp_path):
@@ -265,3 +313,12 @@ class TestCheck:
             "--out", str(tmp_path / "r2"),
         ])
         assert code == 1
+
+    def test_header_only_csv_exits_2(self, tmp_path):
+        config = write_config(tmp_path, cgpe_doc())
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,mass,l4_fourth\n")
+        code = main([
+            "check", "--csv", str(empty), "--config", config, "--out", str(tmp_path / "r"),
+        ])
+        assert code == 2

@@ -67,6 +67,16 @@ class TestViolations:
         with pytest.raises(ConfigError, match="t_end"):
             parse({"model": "cgpe", "dt": 1.0, "t_end": 0.5})
 
+    def test_t_end_must_be_whole_multiple_of_dt(self):
+        with pytest.raises(ConfigError, match="whole multiple"):
+            parse({"model": "cgpe", "dt": 0.3, "t_end": 1.0})
+        # rounding in t_end / dt (149.99999999999997 here) is not a violation
+        assert parse({"model": "cgpe", "dt": 1e-3, "t_end": 0.15}).t_end == 0.15
+
+    def test_fault_injection_is_unknown_key(self):
+        with pytest.raises(ConfigError, match="fault_injection"):
+            parse({"model": "cgpe", "fault_injection": True})
+
     def test_unknown_check_name(self):
         with pytest.raises(ConfigError, match="not a known check"):
             parse({"model": "cgpe", "checks": ["ep_lyapunov"]})
@@ -175,8 +185,3 @@ class TestLoad:
         path.write_text(json.dumps({"model": "cgpe", "t_end": 0.5}))
         config = load_config(str(path))
         assert config.t_end == 0.5
-
-    def test_builtin_fault_injection(self):
-        config = load_config("builtin:fault-injection")
-        assert config.fault_injection
-        assert "f1_residual" in config.checks

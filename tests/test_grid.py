@@ -9,7 +9,10 @@ from plsim.grid import (
     Field,
     dealias,
     dealias_mask,
+    dealiased_cubic,
+    free_propagator,
     hs_norm,
+    hs_norm_rows,
     laplacian,
     lp_norm,
     make_grid,
@@ -18,6 +21,8 @@ from plsim.grid import (
     to_spectral,
     transform,
 )
+from plsim.models import CgpeParams, cgpe_rhs
+from plsim.spacetime import free_evolution
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,6 +142,13 @@ class TestDealias:
         with pytest.raises(ValueError):
             dealias(Field(grid, np.ones(8), "physical"))
 
+    def test_dealiased_cubic_is_dealiased_product(self):
+        grid = make_grid(32, TWO_PI)
+        u = random_band_limited(grid, 6, np.random.default_rng(5)).values
+        # |u|^2 u reaches |m| = 18, above the 2/3 cutoff of 10
+        expected = to_physical(dealias(to_spectral(Field(grid, np.abs(u) ** 2 * u)))).values
+        np.testing.assert_allclose(dealiased_cubic(u, grid), expected, rtol=0, atol=1e-12)
+
 
 class TestNorms:
     def test_hs_constant(self):
@@ -213,3 +225,31 @@ class TestRandomBandLimited:
     def test_band_must_fit(self):
         with pytest.raises(ValueError):
             random_band_limited(make_grid(8, 1.0), band=4, rng=np.random.default_rng(0))
+
+
+def _cubic_of_rhs(f):
+    # with xi = sigma = 0, cgpe_rhs is i u_xx - i (dealiased |u|^2 u)
+    return 1j * (cgpe_rhs(f, CgpeParams(0.0, 0.0)).values - 1j * laplacian(f).values)
+
+
+def _propagate_rows(rows, grid):
+    return np.fft.ifft(free_propagator([0.3], grid) * np.fft.fft(rows, axis=-1), axis=-1)
+
+
+ROW_KERNELS = {
+    "hs_norm": (lambda rows, grid: hs_norm_rows(rows, grid, 1.0), lambda f: hs_norm(f, 1.0)),
+    "dealiased_cubic": (dealiased_cubic, _cubic_of_rhs),
+    "free_propagator": (_propagate_rows, lambda f: free_evolution(f, 8, 2.4).values[1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+def test_row_kernel_matches_per_row_field_function(name):
+    rows_kernel, per_row = ROW_KERNELS[name]
+    grid = make_grid(32, TWO_PI)
+    rows = np.stack([
+        0.5 * random_band_limited(grid, 3, np.random.default_rng(seed)).values for seed in range(5)
+    ])
+    batched = rows_kernel(rows, grid)
+    for b, row in enumerate(rows):
+        np.testing.assert_allclose(batched[b], per_row(Field(grid, row)), rtol=0, atol=1e-14)

@@ -214,6 +214,14 @@ class TestStrangEp:
 
 
 class TestIntegrate:
+    def test_t_end_not_multiple_of_dt_rejected(self):
+        grid = make_grid(16, TWO_PI)
+        with pytest.raises(ValueError, match="whole multiple"):
+            integrate(
+                CgpeState(u=constant_field(grid, 0.5)), dt=0.3, t_end=1.0, sample_every=1,
+                params=CgpeParams(1.0, 1.0),
+            )
+
     def test_minimal_run_has_two_samples(self):
         grid = make_grid(16, TWO_PI)
         traj = integrate(
