@@ -98,8 +98,8 @@ def mass_balance_residual(d: DiagnosticsSeries, p: CgpeParams, stride: int = 1) 
     return dm - 2.0 * p.xi * mass + 2.0 * p.sigma * d.l4_fourth[::stride]
 
 
-def _report(name, margins, tolerances, times, tolerance_scale):
-    tolerances = tolerance_scale * np.asarray(tolerances, dtype=float)
+def _report(name, margins, tolerances, times):
+    tolerances = np.asarray(tolerances, dtype=float)
     margins = np.asarray(margins, dtype=float)
     worst = int(np.argmin(margins))
     passed = bool(np.all(margins >= -tolerances))
@@ -112,9 +112,7 @@ def _report(name, margins, tolerances, times, tolerance_scale):
     )
 
 
-def f1_residual(
-    d: DiagnosticsSeries, p: CgpeParams, tolerance_scale: float = 1.0
-) -> CheckReport:
+def f1_residual(d: DiagnosticsSeries, p: CgpeParams) -> CheckReport:
     """Discrete residual of the mass-balance identity.
 
     The residual (mass_balance_residual) of an exact trajectory scales
@@ -137,26 +135,19 @@ def f1_residual(
     else:
         tol = floor
     margins = -np.abs(res)
-    return _report("f1_residual", margins, np.full(len(d), tol), d.times, tolerance_scale)
+    return _report("f1_residual", margins, np.full(len(d), tol), d.times)
 
 
-def abs_set_envelope(
-    d: DiagnosticsSeries,
-    p: CgpeParams,
-    domain_measure: float,
-    tolerance_scale: float = 1.0,
-) -> CheckReport:
+def abs_set_envelope(d: DiagnosticsSeries, p: CgpeParams, domain_measure: float) -> CheckReport:
     """Mass under the exponential decay envelope at every sample."""
     tau = d.times - d.times[0]
     envelope = mass_decay_envelope(tau, float(d.mass[0]), p, domain_measure)
     margins = envelope - d.mass
     tolerances = 1e-8 * (1.0 + envelope)
-    return _report("abs_set", margins, tolerances, d.times, tolerance_scale)
+    return _report("abs_set", margins, tolerances, d.times)
 
 
-def ep_lyapunov(
-    d: DiagnosticsSeries, p: EpParams, tolerance_scale: float = 1.0
-) -> CheckReport:
+def ep_lyapunov(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
     """Half-mass plus reservoir integral under its decay envelope.
 
     Requires nonnegative initial reservoir density; a negative initial
@@ -173,12 +164,10 @@ def ep_lyapunov(
     envelope = lyapunov_envelope(tau, float(values[0]), source, gamma)
     margins = envelope - values
     tolerances = 1e-8 * (1.0 + np.abs(envelope))
-    return _report("ep_lyapunov", margins, tolerances, d.times, tolerance_scale)
+    return _report("ep_lyapunov", margins, tolerances, d.times)
 
 
-def reservoir_bounds(
-    d: DiagnosticsSeries, p: EpParams, tolerance_scale: float = 1.0
-) -> CheckReport:
+def reservoir_bounds(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
     """Reservoir nonnegativity and the integrated second-moment bound.
 
     Two sub-checks share one report: the reported margin and tolerance
@@ -197,14 +186,13 @@ def reservoir_bounds(
     margins = np.concatenate([pos_margins, mom_margins])
     tolerances = np.concatenate([pos_tol, mom_tol])
     times = np.concatenate([d.times, d.times])
-    scaled = tolerance_scale * tolerances
-    binding = int(np.argmin(margins / scaled))
+    binding = int(np.argmin(margins / tolerances))
     return CheckReport(
         name="reservoir_bounds",
-        passed=bool(np.all(margins >= -scaled)),
+        passed=bool(np.all(margins >= -tolerances)),
         worst_margin=float(margins[binding]),
         location=float(times[binding]),
-        tolerance=float(scaled[binding]),
+        tolerance=float(tolerances[binding]),
     )
 
 
@@ -212,21 +200,17 @@ CHECK_NAMES = ("f1_residual", "abs_set", "ep_lyapunov", "reservoir_bounds")
 
 
 def run_check(
-    name: str,
-    d: DiagnosticsSeries,
-    params,
-    domain_measure: float | None = None,
-    tolerance_scale: float = 1.0,
+    name: str, d: DiagnosticsSeries, params, domain_measure: float | None = None
 ) -> CheckReport:
     """Dispatch a named check against a diagnostics series."""
     if name == "f1_residual":
-        return f1_residual(d, params, tolerance_scale)
+        return f1_residual(d, params)
     if name == "abs_set":
         if domain_measure is None:
             raise ValueError("abs_set needs the domain measure")
-        return abs_set_envelope(d, params, domain_measure, tolerance_scale)
+        return abs_set_envelope(d, params, domain_measure)
     if name == "ep_lyapunov":
-        return ep_lyapunov(d, params, tolerance_scale)
+        return ep_lyapunov(d, params)
     if name == "reservoir_bounds":
-        return reservoir_bounds(d, params, tolerance_scale)
+        return reservoir_bounds(d, params)
     raise ValueError(f"unknown check {name!r}, expected one of {CHECK_NAMES}")

@@ -73,14 +73,25 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _run_checks(names, diagnostics, params, domain_measure: float, out_dir: str) -> bool:
+def _run_checks(
+    names, diagnostics, params, domain_measure: float, out_dir: str, partial: bool = False
+) -> bool:
     """Run the named checks, print one line each, write reports.json.
 
-    Returns True when every check passed.
+    On a partial series (a run that blew up) a check that cannot be
+    evaluated is recorded as failed with its reason; otherwise that is an
+    input error and raises.  Returns True when every check passed.
     """
     reports = []
     for name in names:
-        report = run_check(name, diagnostics, params, domain_measure=domain_measure)
+        try:
+            report = run_check(name, diagnostics, params, domain_measure=domain_measure)
+        except ValueError as err:
+            if not partial:
+                raise
+            reports.append({"name": name, "passed": False, "reason": str(err)})
+            print(f"check {name}: FAIL (not evaluable on the partial series: {err})")
+            continue
         reports.append(report.to_dict())
         print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
               f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
@@ -113,7 +124,10 @@ def cmd_run(args) -> int:
             print(f"blow-up at t = {err.time:.6g}; partial outputs retained", file=sys.stderr)
 
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), trajectory.diagnostics)
-        passed = _run_checks(config.checks, trajectory.diagnostics, params, grid.length, out_dir)
+        passed = _run_checks(
+            config.checks, trajectory.diagnostics, params, grid.length, out_dir,
+            partial=blow_up is not None,
+        )
 
         digest = config_hash(config)
         ckpt_dir = os.path.join(out_dir, "checkpoints")

@@ -1,29 +1,22 @@
-"""Periodic 1-D spectral lattice: transforms, dealiasing, and discrete norms.
+"""Periodic 1-D spectral lattice: fields, dealiasing, propagator, and discrete norms.
 
-All fields live on a uniform grid over [0, L) with periodic boundary
-conditions.  Spectral coefficients use the unitary DFT convention, so a
-forward followed by an inverse transform is an exact round trip up to
-rounding.  Discrete norms are scaled so that they converge to the
-corresponding continuum integrals as the resolution grows.
+All fields are physical samples on a uniform grid over [0, L) with
+periodic boundary conditions.  Spectral kernels transform with numpy's
+DFT and label its output with ``Grid1D.wavenumbers``.  Discrete norms are
+scaled so that they converge to the corresponding continuum integrals as
+the resolution grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-
-Representation = Literal["physical", "spectral"]
 
 __all__ = [
     "Grid1D",
     "Field",
     "make_grid",
-    "transform",
-    "to_physical",
-    "to_spectral",
-    "dealias",
     "dealias_mask",
     "hs_norm",
     "hs_norm_rows",
@@ -82,11 +75,10 @@ def make_grid(n_points: int, length: float) -> Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex samples of a function on a Grid1D, physical or spectral."""
+    """Complex samples of a function at the sites of a Grid1D."""
 
     grid: Grid1D
     values: np.ndarray
-    representation: Representation = "physical"
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -95,40 +87,10 @@ class Field:
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.n_points},)"
             )
-        if self.representation not in ("physical", "spectral"):
-            raise ValueError(f"unknown representation {self.representation!r}")
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray, representation: Representation | None = None) -> "Field":
-        rep = self.representation if representation is None else representation
-        return Field(self.grid, values, rep)
-
-
-def transform(field: Field, direction: Literal["forward", "inverse"]) -> Field:
-    """Unitary DFT between physical and spectral representations.
-
-    ``forward`` expects a physical field and returns its spectral
-    coefficients; ``inverse`` does the opposite.  A representation
-    mismatch is an error.
-    """
-    n = field.grid.n_points
-    if direction == "forward":
-        if field.representation != "physical":
-            raise ValueError("forward transform expects a physical field")
-        return Field(field.grid, np.fft.fft(field.values) / np.sqrt(n), "spectral")
-    if direction == "inverse":
-        if field.representation != "spectral":
-            raise ValueError("inverse transform expects a spectral field")
-        return Field(field.grid, np.fft.ifft(field.values) * np.sqrt(n), "physical")
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def to_spectral(field: Field) -> Field:
-    return field if field.representation == "spectral" else transform(field, "forward")
-
-
-def to_physical(field: Field) -> Field:
-    return field if field.representation == "physical" else transform(field, "inverse")
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, values)
 
 
 def dealias_mask(grid: Grid1D) -> np.ndarray:
@@ -138,30 +100,19 @@ def dealias_mask(grid: Grid1D) -> np.ndarray:
     return np.abs(k) <= cutoff
 
 
-def dealias(field: Field) -> Field:
-    """Zero every coefficient above the 2/3 cutoff; idempotent.
-
-    Controls aliasing of cubic products formed in physical space.
-    """
-    if field.representation != "spectral":
-        raise ValueError("dealias expects a spectral field")
-    return field.with_values(np.where(dealias_mask(field.grid), field.values, 0.0))
-
-
 def hs_norm(field: Field, s: float) -> float:
     """Discrete Sobolev norm (L * sum_k <k>^(2s) |c_k|^2)^(1/2).
 
     The c_k are Fourier-series amplitudes, so s = 0 reproduces the
-    continuum L^2 norm of the sampled function.  Accepts either
-    representation.
+    continuum L^2 norm of the sampled function.
     """
-    return float(hs_norm_rows(to_physical(field).values, field.grid, s))
+    return float(hs_norm_rows(field.values, field.grid, s))
 
 
 def hs_norm_rows(rows: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
     """Sobolev norm of each row of a physical array whose last axis is the grid."""
     amps = np.fft.fft(rows, axis=-1)
-    # two divisions by sqrt(N), not one by N: the rounding of the unitary transform
+    # two divisions by sqrt(N), not one by N: one would change the norms' last bits
     amps /= np.sqrt(grid.n_points)
     amps /= np.sqrt(grid.n_points)
     weights = bracket(grid.wavenumbers) ** (2.0 * s)
@@ -175,8 +126,11 @@ def dealiased_cubic(rows: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def free_propagator(times, grid: Grid1D) -> np.ndarray:
-    """Spectral multipliers exp(-i k^2 t) of the free Schrodinger flow, one row per time."""
-    return np.exp(-1j * np.outer(times, grid.wavenumbers**2))
+    """Spectral multipliers exp(-i k^2 t) of the free Schrodinger flow.
+
+    One row per entry of an array of times; a scalar time gives one row.
+    """
+    return np.exp(-1j * np.multiply.outer(times, grid.wavenumbers**2))
 
 
 def smooth_bump(r) -> np.ndarray:
@@ -199,15 +153,11 @@ def lp_norm(field: Field, p: float) -> float:
     """Lebesgue norm (sum_j |u_j|^p dx)^(1/p) for p in {2, 4}."""
     if p not in (2, 4):
         raise ValueError(f"unsupported exponent p={p}, expected 2 or 4")
-    if field.representation != "physical":
-        raise ValueError("lp_norm expects a physical field")
     return float(np.sum(np.abs(field.values) ** p) * field.grid.dx) ** (1.0 / p)
 
 
 def laplacian(field: Field) -> Field:
-    """Second spatial derivative, applied spectrally; physical in, physical out."""
-    if field.representation != "physical":
-        raise ValueError("laplacian expects a physical field")
+    """Second spatial derivative, applied spectrally."""
     k = field.grid.wavenumbers
     hat = np.fft.fft(field.values)
     return field.with_values(np.fft.ifft(-(k**2) * hat))
@@ -230,4 +180,4 @@ def random_band_limited(grid: Grid1D, band: int, rng: np.random.Generator) -> Fi
         re, im = rng.standard_normal(2)
         amps[m] = (re + 1j * im) / np.sqrt(2.0)
     values = np.fft.ifft(amps) * grid.n_points
-    return Field(grid, values, "physical")
+    return Field(grid, values)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
-from .grid import Field
+from .grid import Field, free_propagator
 from .models import CgpeParams, EpParams, _local_flow_factors
 
 __all__ = [
@@ -84,22 +84,16 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
     """Free flow over dt/2: multiply mode k by exp(-i k^2 dt / 2).
 
     Unitary, so the discrete L^2 norm is preserved exactly.  Negative dt
-    gives the adjoint step.  Preserves the input representation.
+    gives the adjoint step.
     """
     if dt == 0.0:
         return f
-    k = f.grid.wavenumbers
-    multiplier = np.exp(-0.5j * k**2 * dt)
-    if f.representation == "spectral":
-        return f.with_values(multiplier * f.values)
     hat = np.fft.fft(f.values)
-    return f.with_values(np.fft.ifft(multiplier * hat))
+    return f.with_values(np.fft.ifft(free_propagator(0.5 * dt, f.grid) * hat))
 
 
 def cgpe_local_step(u: Field, dt: float, p: CgpeParams) -> Field:
     """Exact pointwise flow of du/dt = -i|u|^2 u + (xi - sigma|u|^2) u."""
-    if u.representation != "physical":
-        raise ValueError("local step expects a physical field")
     amplitude, phase = _local_flow_factors(np.abs(u.values) ** 2, dt, p.xi, p.sigma)
     return u.with_values(u.values * amplitude * np.exp(1j * phase))
 

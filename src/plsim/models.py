@@ -57,7 +57,7 @@ class EpParams:
     """Condensate-reservoir constants and the pump profile P(x).
 
     All rate constants are strictly positive; the pump is a real,
-    nonnegative, bounded physical-space field.
+    nonnegative, bounded field.
     """
 
     g: float
@@ -72,8 +72,6 @@ class EpParams:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.pump.representation != "physical":
-            raise ValueError("pump must be a physical-space field")
         values = self.pump.values
         if np.any(values.imag != 0):
             raise ValueError("pump must be real-valued")
@@ -89,8 +87,6 @@ class EpParams:
 
 def cgpe_rhs(u: Field, p: CgpeParams) -> Field:
     """du/dt = i u_xx + xi u - (sigma + i) |u|^2 u, cubic term dealiased."""
-    if u.representation != "physical":
-        raise ValueError("cgpe_rhs expects a physical field")
     cubic = dealiased_cubic(u.values, u.grid)
     values = 1j * laplacian(u).values + p.xi * u.values - (p.sigma + 1j) * cubic
     return u.with_values(values)
@@ -104,8 +100,6 @@ def ep_rhs(u: Field, n: Field, p: EpParams) -> tuple[Field, Field]:
     """
     if u.grid != n.grid:
         raise ValueError("u and n must share a grid")
-    if u.representation != "physical" or n.representation != "physical":
-        raise ValueError("ep_rhs expects physical fields")
     cubic = dealiased_cubic(u.values, u.grid)
     nv = n.values
     du = (

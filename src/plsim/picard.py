@@ -33,6 +33,9 @@ __all__ = [
     "existence_time_bracket",
 ]
 
+# existence_time_bracket gives up after this many doublings (or halvings)
+BRACKET_DOUBLINGS = 12
+
 
 @dataclass(frozen=True)
 class TimeMesh:
@@ -213,33 +216,30 @@ def contraction_report(history: IterateHistory) -> ContractionReport:
     return ContractionReport(ratios=ratios, converged=converged, final_residual=final)
 
 
-def measured_contraction_rate(history: IterateHistory, skip_first: int = 1) -> float:
+def measured_contraction_rate(history: IterateHistory) -> float:
     """Largest ratio of successive distances, ignoring the noise floor.
 
-    Ratios whose denominator has already collapsed to rounding level carry
-    no contraction information and are excluded; returns 0.0 when nothing
-    meaningful remains.
+    The first ratio, taken against the distance from the free evolution
+    that starts the iteration, is skipped.  Ratios whose denominator has
+    already collapsed to rounding level carry no contraction information
+    and are excluded; returns 0.0 when nothing meaningful remains.
     """
     diffs = history.diffs
     floor = 1e-12 * (1.0 + history.initial_norm)
     rates = [
         diffs[m + 1] / diffs[m]
-        for m in range(skip_first, len(diffs) - 1)
+        for m in range(1, len(diffs) - 1)
         if diffs[m] > floor and diffs[m + 1] > floor
     ]
     return max(rates) if rates else 0.0
 
 
-def existence_time_bracket(
-    run,
-    delta0: float,
-    max_doublings: int = 12,
-) -> tuple[float, float]:
+def existence_time_bracket(run, delta0: float) -> tuple[float, float]:
     """Bracket the largest interval half-width on which the iteration converges.
 
     ``run(delta)`` must return an IterateHistory.  Doubles (or halves) delta
-    until the convergence verdict flips, returning (delta_ok, delta_fail)
-    with delta_fail / delta_ok == 2.
+    until the convergence verdict flips, at most BRACKET_DOUBLINGS times,
+    returning (delta_ok, delta_fail) with delta_fail / delta_ok == 2.
     """
 
     def ok(delta: float) -> bool:
@@ -248,12 +248,12 @@ def existence_time_bracket(
 
     delta = delta0
     if ok(delta):
-        for _ in range(max_doublings):
+        for _ in range(BRACKET_DOUBLINGS):
             if not ok(2.0 * delta):
                 return delta, 2.0 * delta
             delta *= 2.0
         raise RuntimeError(f"no divergence found up to delta = {delta}")
-    for _ in range(max_doublings):
+    for _ in range(BRACKET_DOUBLINGS):
         if ok(0.5 * delta):
             return 0.5 * delta, delta
         delta *= 0.5

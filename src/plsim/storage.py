@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -73,19 +74,24 @@ def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
         magic = handle.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (header_len,) = np.frombuffer(handle.read(4), dtype="<u4")
+        length_field = handle.read(4)
+        if len(length_field) != 4:
+            raise CheckpointError(f"{path}: truncated before the header length")
+        header_len = int.from_bytes(length_field, "little")
         try:
-            header = json.loads(handle.read(int(header_len)).decode("utf-8"))
+            header = json.loads(handle.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise CheckpointError(f"{path}: corrupt header ({err})") from None
         _check_header(path, header)
         n_points = header["n_points"]
         expected = 2 * n_points + (n_points if header["has_reservoir"] else 0)
-        payload = np.frombuffer(handle.read(), dtype="<f8")
-        if payload.size != expected:
+        data = handle.read()
+        if len(data) != 8 * expected:
             raise CheckpointError(
-                f"{path}: payload length {payload.size} does not match header ({expected})"
+                f"{path}: payload of {len(data)} bytes does not match header "
+                f"({expected} float64 values)"
             )
+        payload = np.frombuffer(data, dtype="<f8")
     grid = make_grid(n_points, header["length"])
     u = Field(grid, payload[0 : 2 * n_points : 2] + 1j * payload[1 : 2 * n_points : 2])
     n = None
@@ -175,18 +181,48 @@ def write_json(path, obj) -> None:
         handle.write("\n")
 
 
+def _stale_lock_owner(lock_path) -> int | None:
+    """Pid recorded in the lock file when that process is no longer running."""
+    try:
+        with open(lock_path, "r", encoding="utf-8") as handle:
+            pid = int(handle.read().strip())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, not yet written, or alive under another user: held
+    return None
+
+
 @contextmanager
 def output_lock(directory):
-    """Exclusive advisory lock on an output directory (single writer)."""
+    """Exclusive advisory lock on an output directory (single writer).
+
+    The lock file records the owner's pid.  A lock whose owner is no
+    longer running is taken over, with a warning on stderr.
+    """
     os.makedirs(directory, exist_ok=True)
     lock_path = os.path.join(directory, ".plsim.lock")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise RuntimeError(
-            f"output directory {directory} is locked by another run "
-            f"(remove {lock_path} if stale)"
-        ) from None
+        fd = None
+        stale = _stale_lock_owner(lock_path)
+        if stale is not None:
+            print(f"warning: taking over {lock_path} from pid {stale}, which is not running",
+                  file=sys.stderr)
+            try:
+                os.remove(lock_path)
+                fd = os.open(lock_path, flags)
+            except OSError:  # another run took the lock over first
+                pass
+        if fd is None:
+            raise RuntimeError(
+                f"output directory {directory} is locked by another run "
+                f"(remove {lock_path} if stale)"
+            ) from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)

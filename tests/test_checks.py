@@ -304,13 +304,6 @@ class TestReservoirBounds:
 
 
 class TestReportStructure:
-    def test_monotone_in_tolerance(self):
-        p = CgpeParams(1.0, 1.0)
-        times = np.linspace(0.0, 2.0, 101)
-        d = flat_logistic_series(p, 0.7, times)
-        for scale in (1.0, 2.0, 10.0, 1e6):
-            assert f1_residual(d, p, tolerance_scale=scale).passed
-
     def test_purity(self):
         p = CgpeParams(1.0, 1.0)
         times = np.linspace(0.0, 2.0, 101)

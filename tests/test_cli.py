@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,18 +132,36 @@ class TestRun:
         assert len(meta["checkpoints"]) == 6  # samples 0,10,20,30,40 + final
 
     def test_blow_up_exits_nonzero_with_partial_outputs(self, tmp_path):
-        doc = cgpe_doc(
-            params={"xi": 30.0, "sigma": 1e-12},
-            initial={"u": {"kind": "flat", "rho": 1e-3, "theta": 0.0}},
-            dt=0.05, t_end=5.0, checks=[],
-        )
-        config = write_config(tmp_path, doc)
-        out = tmp_path / "boom"
-        assert main(["run", "--config", config, "--out", str(out)]) == 1
-        meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["blow_up_time"] is not None
-        d = read_diagnostics_csv(out / "diagnostics.csv")
-        assert len(d) >= 2  # partial trajectory retained
+        cases = {
+            "no_checks": cgpe_doc(
+                params={"xi": 30.0, "sigma": 1e-12},
+                initial={"u": {"kind": "flat", "rho": 1e-3, "theta": 0.0}},
+                dt=0.05, t_end=5.0, checks=[],
+            ),
+            # blows up at step 7, off the every-3rd-step sampling, so the
+            # residual check cannot be evaluated on the partial series
+            "unevaluable_check": cgpe_doc(
+                params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3,
+            ),
+        }
+        for name, doc in cases.items():
+            config = write_config(tmp_path, doc, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["run", "--config", config, "--out", str(out)]) == 1, name
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["blow_up_time"] is not None
+            d = read_diagnostics_csv(out / "diagnostics.csv")
+            assert len(d) >= 2  # partial trajectory retained
+            assert meta["checkpoints"]
+            for checkpoint in meta["checkpoints"]:
+                read_checkpoint(out / "checkpoints" / checkpoint)
+            reports = json.loads((out / "reports.json").read_text())
+            assert [r["name"] for r in reports] == doc["checks"]
+        assert reports[0] == {
+            "name": "f1_residual",
+            "passed": False,
+            "reason": "mass-balance residual requires uniform sampling",
+        }
 
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, {"model": "cgpe", "params": {"sigma": -1}})
@@ -153,6 +173,17 @@ class TestRun:
         out.mkdir()
         (out / ".plsim.lock").write_text("1")
         assert main(["run", "--config", config, "--out", str(out)]) == 2
+
+    def test_lock_of_exited_process_taken_over(self, tmp_path, capsys):
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True, timeout=60)
+        config = write_config(tmp_path, cgpe_doc())
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".plsim.lock").write_text(child.stdout.strip())
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert f"from pid {child.stdout.strip()}, which is not running" in capsys.readouterr().err
+        assert not (out / ".plsim.lock").exists()
 
 
 class TestPicard:

@@ -1,13 +1,10 @@
-"""Spectral lattice: transforms, dealiasing, and discrete norms."""
+"""Spectral lattice: wavenumber layout, dealiasing, propagator, and discrete norms."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from plsim.grid import (
     Field,
-    dealias,
     dealias_mask,
     dealiased_cubic,
     free_propagator,
@@ -17,9 +14,6 @@ from plsim.grid import (
     lp_norm,
     make_grid,
     random_band_limited,
-    to_physical,
-    to_spectral,
-    transform,
 )
 from plsim.models import CgpeParams, cgpe_rhs
 from plsim.spacetime import free_evolution
@@ -30,7 +24,7 @@ TWO_PI = 2.0 * np.pi
 def random_field(grid, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    return Field(grid, values, "physical")
+    return Field(grid, values)
 
 
 class TestMakeGrid:
@@ -66,88 +60,60 @@ class TestMakeGrid:
 
 
 class TestTransform:
+    """Kernels transform with np.fft and label its output by grid.wavenumbers."""
+
     def test_constant_field_concentrates_at_zero_mode(self):
         grid = make_grid(16, TWO_PI)
         c = 2.0 - 0.5j
-        spec = transform(Field(grid, np.full(16, c)), "forward")
-        assert abs(spec.values[0]) == pytest.approx(abs(c) * np.sqrt(16))
-        assert np.max(np.abs(spec.values[1:])) <= 1e-14 * abs(c)
+        hat = np.fft.fft(Field(grid, np.full(16, c)).values)
+        assert grid.wavenumbers[0] == 0.0
+        assert abs(hat[0]) == pytest.approx(abs(c) * 16)
+        assert np.max(np.abs(hat[1:])) <= 1e-14 * abs(c) * 16
 
     def test_single_mode(self):
         grid = make_grid(8, TWO_PI)
-        spec = transform(Field(grid, np.exp(1j * grid.x)), "forward")
-        nonzero = np.flatnonzero(np.abs(spec.values) > 1e-12)
+        hat = np.fft.fft(Field(grid, np.exp(1j * grid.x)).values)
+        nonzero = np.flatnonzero(np.abs(hat) > 1e-12)
         assert list(nonzero) == [1]
         assert grid.wavenumbers[1] == pytest.approx(1.0)
 
-    def test_round_trip_random(self):
-        grid = make_grid(64, 5.0)
-        f = random_field(grid, seed=0)
-        back = transform(transform(f, "forward"), "inverse")
-        err = np.max(np.abs(back.values - f.values))
-        assert err <= 1e-12 * np.max(np.abs(f.values))
 
-    def test_representation_mismatch_rejected(self):
-        grid = make_grid(8, 1.0)
-        f = Field(grid, np.ones(8), "physical")
-        with pytest.raises(ValueError):
-            transform(f, "inverse")
-        with pytest.raises(ValueError):
-            transform(to_spectral(f), "forward")
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n_exp=st.integers(min_value=2, max_value=7),
-        length=st.floats(min_value=0.1, max_value=50.0),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_round_trip_property(self, n_exp, length, seed):
-        grid = make_grid(2**n_exp, length)
-        f = random_field(grid, seed)
-        back = to_physical(to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+def _cubic(u):
+    return np.abs(u) ** 2 * u
 
 
 class TestDealias:
     def test_n8_zeroes_indices_3_4_5(self):
-        grid = make_grid(8, TWO_PI)
-        spec = Field(grid, np.ones(8), "spectral")
-        out = dealias(spec)
-        np.testing.assert_array_equal(out.values, [1, 1, 1, 0, 0, 0, 1, 1])
+        mask = dealias_mask(make_grid(8, TWO_PI))
+        np.testing.assert_array_equal(mask, [1, 1, 1, 0, 0, 0, 1, 1])
 
     def test_band_limited_unchanged(self):
-        grid = make_grid(16, TWO_PI)
-        values = np.zeros(16, dtype=complex)
-        values[[0, 1, 2, -1, -2]] = 1.0 + 1.0j
-        out = dealias(Field(grid, values, "spectral"))
-        np.testing.assert_array_equal(out.values, values)
+        # |u|^2 u reaches |m| = 9, under the 2/3 cutoff of 10
+        grid = make_grid(32, TWO_PI)
+        u = random_band_limited(grid, 3, np.random.default_rng(2)).values
+        np.testing.assert_allclose(dealiased_cubic(u, grid), _cubic(u), rtol=0, atol=1e-12)
 
     def test_retained_band_energy_unchanged(self):
         grid = make_grid(64, 3.0)
-        spec = to_spectral(random_field(grid, seed=3))
+        u = random_field(grid, seed=3).values
         mask = dealias_mask(grid)
-        before = np.sum(np.abs(spec.values[mask]) ** 2)
-        after = np.sum(np.abs(dealias(spec).values[mask]) ** 2)
-        assert after == pytest.approx(before, rel=1e-15)
+        before = np.sum(np.abs(np.fft.fft(_cubic(u))[mask]) ** 2)
+        after = np.sum(np.abs(np.fft.fft(dealiased_cubic(u, grid))[mask]) ** 2)
+        assert after == pytest.approx(before, rel=1e-13)
 
     def test_idempotent(self):
+        # the output has no modes above the cutoff, so dealiasing it again changes nothing
         grid = make_grid(32, 1.0)
-        spec = to_spectral(random_field(grid, seed=4))
-        once = dealias(spec)
-        twice = dealias(once)
-        np.testing.assert_array_equal(once.values, twice.values)
-
-    def test_rejects_physical(self):
-        grid = make_grid(8, 1.0)
-        with pytest.raises(ValueError):
-            dealias(Field(grid, np.ones(8), "physical"))
+        hat = np.fft.fft(dealiased_cubic(random_field(grid, seed=4).values, grid))
+        assert np.max(np.abs(hat[~dealias_mask(grid)])) <= 1e-12 * np.max(np.abs(hat))
 
     def test_dealiased_cubic_is_dealiased_product(self):
         grid = make_grid(32, TWO_PI)
         u = random_band_limited(grid, 6, np.random.default_rng(5)).values
         # |u|^2 u reaches |m| = 18, above the 2/3 cutoff of 10
-        expected = to_physical(dealias(to_spectral(Field(grid, np.abs(u) ** 2 * u)))).values
+        expected = np.fft.ifft(np.where(dealias_mask(grid), np.fft.fft(_cubic(u)), 0.0))
         np.testing.assert_allclose(dealiased_cubic(u, grid), expected, rtol=0, atol=1e-12)
+        assert np.max(np.abs(expected - _cubic(u))) > 1e-3
 
 
 class TestNorms:
@@ -208,13 +174,29 @@ class TestLaplacian:
             np.testing.assert_allclose(out.values, -(m**2) * f.values, atol=1e-10)
 
 
+class TestFreePropagator:
+    def test_scalar_time_is_row_of_array_times(self):
+        grid = make_grid(32, 3.0)
+        times = np.array([-0.25, 0.0, 1e-3, 0.7])
+        rows = free_propagator(times, grid)
+        assert rows.shape == (4, 32)
+        for t, row in zip(times, rows):
+            np.testing.assert_array_equal(free_propagator(t, grid), row)
+
+    def test_matches_outer_product_form(self):
+        grid = make_grid(16, TWO_PI)
+        times = np.linspace(0.0, 0.4, 5)
+        expected = np.exp(-1j * np.outer(times, grid.wavenumbers**2))
+        np.testing.assert_array_equal(free_propagator(times, grid), expected)
+
+
 class TestRandomBandLimited:
     def test_band_respected(self):
         grid = make_grid(64, TWO_PI)
         f = random_band_limited(grid, band=5, rng=np.random.default_rng(1))
-        spec = to_spectral(f)
+        amps = np.fft.fft(f.values) / 64
         modes = np.fft.fftfreq(64, d=1.0 / 64)
-        assert np.all(np.abs(spec.values[np.abs(modes) > 5]) < 1e-12)
+        assert np.all(np.abs(amps[np.abs(modes) > 5]) < 1e-12)
 
     def test_resolution_independent_for_fixed_seed(self):
         coarse = random_band_limited(make_grid(32, TWO_PI), 4, np.random.default_rng(9))

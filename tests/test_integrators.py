@@ -65,6 +65,16 @@ class TestDispersionHalfStep:
         back = dispersion_half_step(dispersion_half_step(f, 0.81), -0.81)
         assert np.max(np.abs(back.values - f.values)) < 1e-14 * np.max(np.abs(f.values))
 
+    @pytest.mark.parametrize("n_points, length", [(8, 1.0), (64, TWO_PI), (256, 37.5)])
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, -0.05])
+    def test_bit_identical_to_direct_multiplier(self, n_points, length, dt):
+        grid = make_grid(n_points, length)
+        rng = np.random.default_rng(n_points)
+        u = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+        k = grid.wavenumbers
+        expected = np.fft.ifft(np.exp(-0.5j * k**2 * dt) * np.fft.fft(u))
+        np.testing.assert_array_equal(dispersion_half_step(Field(grid, u), dt).values, expected)
+
 
 class TestCgpeLocalStep:
     def test_zero_field(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
@@ -68,6 +70,43 @@ class TestCheckpoints:
         path.write_bytes(data[:-8])
         with pytest.raises(CheckpointError, match="payload"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [len(CHECKPOINT_MAGIC), len(CHECKPOINT_MAGIC) + 2])
+    def test_truncated_length_field_rejected(self, tmp_path, keep):
+        path = tmp_path / "t.ckpt"
+        write_checkpoint(path, random_field(make_grid(8, 1.0), 5), None, 0.0, "h")
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CheckpointError, match="header length"):
+            read_checkpoint(path)
+
+    def test_partial_float_in_payload_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_checkpoint(path, random_field(make_grid(8, 1.0), 5), None, 0.0, "h")
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CheckpointError, match=str(path)):
+            read_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_checkpoint_reads_or_raises_checkpoint_error(self, tmp_path, data):
+        grid = make_grid(8, 2.0)
+        path = tmp_path / "d.ckpt"
+        n = Field(grid, np.linspace(0.0, 1.0, 8).astype(complex))
+        write_checkpoint(path, random_field(grid, 6), n, 0.25, "h")
+        original = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = original[: data.draw(st.integers(0, len(original) - 1), label="keep")]
+        else:
+            damaged = bytearray(original)
+            for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+                index = data.draw(st.integers(0, len(original) - 1), label="index")
+                damaged[index] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(damaged))
+        try:
+            read_checkpoint(path)
+        except CheckpointError as err:
+            assert str(path) in str(err)
 
     def test_magic_is_fixed(self):
         assert CHECKPOINT_MAGIC == b"PLSIM1"
