@@ -199,7 +199,7 @@ def criterion_7_picard_contraction() -> CriterionResult:
         halved = picard_cgpe(u0, TimeMesh(0.025, 65), p, s=1.0, max_iter=30)
         if measured_contraction_rate(halved) > measured_contraction_rate(history) * (1 + 1e-9):
             monotone = False
-        final = history.iterates[-1]
+        final = history.final
         traj = integrate(CgpeState(u=u0), 0.05 / 256, 0.05, sample_every=4, params=p)
         for node, state in enumerate(traj.states):
             rel = np.linalg.norm(final[node] - state.u.values) / np.linalg.norm(state.u.values)

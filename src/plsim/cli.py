@@ -48,6 +48,7 @@ from .picard import (
     picard_ep,
 )
 from .spacetime import (
+    DISPERSIONS,
     SpaceTimeField,
     default_trilinear_params,
     l4_strichartz_ratio,
@@ -162,6 +163,8 @@ def cmd_run(args) -> int:
 
 def cmd_picard(args) -> int:
     config = load_config(args.config)
+    if config.model == "ep" and args.s != 0.0:
+        return _fail("--s applies to the cgpe model only; ep distances are plain L2")
     out_dir = args.out or config.output or "plsim-out"
     grid = build_grid(config)
     params = build_params(config, grid)
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     pic_p.add_argument("--n-nodes", type=int, default=33)
     pic_p.add_argument("--max-iter", type=int, default=25)
     pic_p.add_argument("--s", type=float, default=0.0,
-                       help="Sobolev index for distances (cgpe; the two-field model uses L2)")
+                       help="Sobolev index for distances (cgpe only; the two-field model uses L2)")
     pic_p.add_argument("--bisect", action="store_true",
                        help="bracket the largest converging interval")
     pic_p.add_argument("--seed", type=int, default=None)
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated lattice sizes for the trilinear scan")
     norms_p.add_argument("--s", type=float, default=0.0)
     norms_p.add_argument("--b", type=float, default=0.375)
-    norms_p.add_argument("--dispersion", choices=["schroedinger", "none"], default="schroedinger")
+    norms_p.add_argument("--dispersion", choices=DISPERSIONS, default="schroedinger")
     norms_p.add_argument("--samples", type=int, default=50)
     norms_p.add_argument("--seed", type=int, default=0)
     norms_p.add_argument("--eps", type=float, default=0.05)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import CHECKS_BY_MODEL
 from .grid import Field, Grid1D, gaussian, make_grid, random_band_limited, smooth_bump
 from .integrators import step_count
 from .models import CgpeParams, EpParams
@@ -48,11 +49,6 @@ DEFAULTS = {
 
 _CGPE_PARAM_DEFAULTS = {"xi": 1.0, "sigma": 1.0}
 _EP_PARAM_DEFAULTS = {"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.0}
-
-_CHECKS_BY_MODEL = {
-    "cgpe": ("f1_residual", "abs_set"),
-    "ep": ("ep_lyapunov", "reservoir_bounds"),
-}
 
 
 class ConfigError(ValueError):
@@ -284,12 +280,13 @@ def parse_config(text: str) -> RunConfig:
 
     dt = v.number(doc, "document", "dt", default=DEFAULTS["dt"], positive=True)
     t_end = v.number(doc, "document", "t_end", default=DEFAULTS["t_end"], positive=True)
+    n_steps = None
     if dt is not None and t_end is not None:
         if not dt < t_end:
             v.fail(f"dt: must be smaller than t_end, got dt={dt}, t_end={t_end}")
         else:
             try:
-                step_count(dt, t_end)
+                n_steps = step_count(dt, t_end)
             except ValueError as err:
                 v.fail(f"t_end: {err}")
     sample_every = v.integer(doc, "document", "sample_every", default=DEFAULTS["sample_every"], minimum=1)
@@ -302,12 +299,17 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(checks_doc, list):
         v.fail("checks: expected a list of check names")
     else:
-        allowed = _CHECKS_BY_MODEL[model]
+        allowed = CHECKS_BY_MODEL[model]
         for name in checks_doc:
             if name not in allowed:
                 v.fail(f"checks: {name!r} is not a known check for model {model} {sorted(allowed)}")
             else:
                 checks.append(name)
+    # the residual check differentiates in time, so every sample interval,
+    # the last one included, must be the same
+    if "f1_residual" in checks and n_steps and sample_every and n_steps % sample_every:
+        v.fail(f"sample_every: f1_residual needs uniform sampling, so sample_every must "
+               f"divide the {n_steps} steps, got {sample_every}")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):

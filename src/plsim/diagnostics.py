@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["DiagnosticsSeries"]
+__all__ = ["COLUMNS", "DiagnosticsSeries"]
+
+# Table layout of a series: the first three columns always, the reservoir
+# columns only for the condensate-reservoir model.
+COLUMNS = ("t", "mass", "l4_fourth", "n_integral", "n_sq_integral", "n_min")
 
 
 @dataclass(frozen=True)
@@ -25,27 +29,38 @@ class DiagnosticsSeries:
     n_min: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
-        object.__setattr__(self, "l4_fourth", np.asarray(self.l4_fourth, dtype=float))
-        for name in ("n_integral", "n_sq_integral", "n_min"):
-            value = getattr(self, name)
+        present = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
-        n = len(times)
-        for name in ("mass", "l4_fourth", "n_integral", "n_sq_integral", "n_min"):
-            series = getattr(self, name)
-            if series is not None and len(series) != n:
+                present[f.name] = np.asarray(value, dtype=float)
+                object.__setattr__(self, f.name, present[f.name])
+        n = len(self.times)
+        for name, series in present.items():
+            if len(series) != n:
                 raise ValueError(f"{name} has length {len(series)}, expected {n}")
-        if n > 1 and not np.all(np.diff(times) > 0):
+        if n > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        for name in ("times", "mass", "l4_fourth", "n_integral", "n_sq_integral", "n_min"):
-            series = getattr(self, name)
-            if series is not None and not np.all(np.isfinite(series)):
+        for name, series in present.items():
+            if not np.all(np.isfinite(series)):
                 raise ValueError(f"{name} contains non-finite entries")
         if np.any(self.mass < 0):
             raise ValueError("mass must be nonnegative")
+
+    @classmethod
+    def from_rows(cls, rows) -> DiagnosticsSeries:
+        """Series from rows in COLUMNS order, of 3 or of all 6 columns."""
+        data = np.asarray(rows, dtype=float)
+        if data.ndim != 2 or data.shape[1] not in (3, len(COLUMNS)):
+            raise ValueError(f"rows must have 3 or {len(COLUMNS)} columns, got shape {data.shape}")
+        return cls(*data.T)
+
+    def columns(self) -> list[np.ndarray]:
+        """The series in COLUMNS order; the reservoir ones only when present."""
+        series = [self.times, self.mass, self.l4_fourth]
+        if self.has_reservoir:
+            series += [self.n_integral, self.n_sq_integral, self.n_min]
+        return series
 
     @property
     def has_reservoir(self) -> bool:

@@ -13,7 +13,7 @@ and the pump is nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,20 +173,6 @@ def _diagnostics_row(state) -> tuple:
     return (state.t, mass, l4)
 
 
-def _build_diagnostics(rows: list[tuple], with_reservoir: bool) -> DiagnosticsSeries:
-    data = np.asarray(rows, dtype=float)
-    if with_reservoir:
-        return DiagnosticsSeries(
-            times=data[:, 0],
-            mass=data[:, 1],
-            l4_fourth=data[:, 2],
-            n_integral=data[:, 3],
-            n_sq_integral=data[:, 4],
-            n_min=data[:, 5],
-        )
-    return DiagnosticsSeries(times=data[:, 0], mass=data[:, 1], l4_fourth=data[:, 2])
-
-
 def step_count(dt: float, t_end: float) -> int:
     """Number of steps of size dt that end exactly at t_end.
 
@@ -212,8 +198,7 @@ def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Tr
         raise ValueError("t_end must be at least dt")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    is_ep = isinstance(initial, EpState)
-    if is_ep:
+    if isinstance(initial, EpState):
         def step(s):
             return strang_step_ep(s, dt, params)
     elif isinstance(initial, CgpeState):
@@ -231,7 +216,7 @@ def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Tr
     completed = 0
 
     def partial() -> Trajectory:
-        return Trajectory(states=states, diagnostics=_build_diagnostics(rows, is_ep), dt=dt, steps=completed)
+        return Trajectory(states=states, diagnostics=DiagnosticsSeries.from_rows(rows), dt=dt, steps=completed)
 
     for i in range(1, n_steps + 1):
         try:
@@ -239,7 +224,8 @@ def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Tr
         except BlowUpError as err:
             raise BlowUpError(err.time, partial()) from None
         completed = i
-        state = _retimed(state, i * dt)
+        # timestamps are exact multiples of dt, not accumulated sums
+        state = replace(state, t=i * dt)
         if _mass(state.u) > mass_cap:
             states.append(state)
             rows.append(_diagnostics_row(state))
@@ -247,11 +233,5 @@ def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Tr
         if i % sample_every == 0 or i == n_steps:
             states.append(state)
             rows.append(_diagnostics_row(state))
-    return Trajectory(states=states, diagnostics=_build_diagnostics(rows, is_ep), dt=dt, steps=n_steps)
+    return Trajectory(states=states, diagnostics=DiagnosticsSeries.from_rows(rows), dt=dt, steps=n_steps)
 
-
-def _retimed(state, t: float):
-    # keep timestamps as exact multiples of dt instead of accumulated sums
-    if isinstance(state, EpState):
-        return EpState(u=state.u, n=state.n, t=t)
-    return CgpeState(u=state.u, t=t)

@@ -59,23 +59,22 @@ class TimeMesh:
         return self.delta / (self.n_nodes - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterateHistory:
-    """Successive iterates (node-sampled space-time arrays) and their distances.
+    """The last iterate (node-sampled space-time array), the distances
+    between successive iterates, and the verdict of the iteration.
 
-    ``diffs[m]`` is the sup-over-nodes distance between iterates m and m+1,
-    measured in the Sobolev index ``s`` (plain L^2 for the two-field model).
+    ``diffs[m]`` is the sup-over-nodes distance between iterates m and m+1
+    (an H^s norm for the gain-saturated model, plain L^2 for the two-field
+    model).  ``converged`` and ``diverged`` say why the iteration stopped;
+    neither is set when it ran out of budget.
     """
 
-    iterates: list
+    final: object
     diffs: list[float]
     initial_norm: float
-    s: float
-    diverged: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.diffs) != len(self.iterates) - 1:
-            raise ValueError("diffs length must be len(iterates) - 1")
+    converged: bool
+    diverged: bool
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,6 @@ class ContractionReport:
     ratios: np.ndarray
     converged: bool
     final_residual: float
-
-
-def _tolerance(initial_norm: float) -> float:
-    """Iterate distance below which the iteration counts as converged."""
-    return 1e-10 * (1.0 + initial_norm)
 
 
 def _diverging(diffs: list[float]) -> bool:
@@ -110,32 +104,30 @@ def _duhamel(prop: np.ndarray, u0_hat: np.ndarray, rhs: np.ndarray, spacing: flo
     return np.fft.ifft(prop * (u0_hat[None, :] + integral), axis=-1)
 
 
-def _iterate(
-    first, sweep, distance, initial_norm: float, s: float, max_iter: int
-) -> IterateHistory:
-    """Apply ``sweep`` from ``first`` until converged, diverging, or out of budget.
+def _iterate(current, sweep, distance, initial_norm: float, max_iter: int) -> IterateHistory:
+    """Apply ``sweep`` from ``current`` until converged, diverging, or out of budget.
 
     Converged means the distance between successive iterates dropped to
-    the tolerance after at least two sweeps, so the history is always
-    reportable; diverging means non-finite or four growing distances.
+    1e-10 (1 + initial_norm) after at least two sweeps, so the history is
+    always reportable; diverging means non-finite or four growing
+    distances.  Only the iterate the next sweep reads is kept.
     """
     if max_iter < 2:
         raise ValueError("max_iter must be >= 2")
-    tol = _tolerance(initial_norm)
-    history = IterateHistory(iterates=[first], diffs=[], initial_norm=initial_norm, s=s)
-    current = first
+    tol = 1e-10 * (1.0 + initial_norm)
+    diffs: list[float] = []
+    converged = diverged = False
     for _ in range(max_iter):
         new = sweep(current)
-        diff = distance(new, current)
-        history.iterates.append(new)
-        history.diffs.append(diff)
+        diffs.append(distance(new, current))
         current = new
-        if diff <= tol and len(history.diffs) >= 2:
+        if diffs[-1] <= tol and len(diffs) >= 2:
+            converged = True
             break
-        if _diverging(history.diffs):
-            history.diverged = True
+        if _diverging(diffs):
+            diverged = True
             break
-    return history
+    return IterateHistory(current, diffs, initial_norm, converged, diverged)
 
 
 def picard_cgpe(
@@ -160,7 +152,7 @@ def picard_cgpe(
         return float(np.max(hs_norm_rows(new - current, grid, s)))
 
     free = np.fft.ifft(prop * u0_hat[None, :], axis=-1)
-    return _iterate(free, sweep, distance, hs_norm(u0, s), s, max_iter)
+    return _iterate(free, sweep, distance, hs_norm(u0, s), max_iter)
 
 
 def picard_ep(
@@ -199,21 +191,20 @@ def picard_ep(
 
     free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0_row, (mesh.n_nodes, 1)))
     initial_norm = hs_norm(u0, 0.0) + float(hs_norm_rows(n0_row.astype(complex), grid, 0.0))
-    return _iterate(free, sweep, distance, initial_norm, 0.0, max_iter)
+    return _iterate(free, sweep, distance, initial_norm, max_iter)
 
 
 def contraction_report(history: IterateHistory) -> ContractionReport:
     """Ratios of successive iterate distances and the convergence verdict."""
-    if len(history.iterates) < 3:
-        raise ValueError("need at least 3 iterates to report contraction")
+    if len(history.diffs) < 2:
+        raise ValueError("need at least 2 iterate distances to report contraction")
     diffs = np.asarray(history.diffs, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = diffs[1:] / diffs[:-1]
     ratios = np.where(np.isfinite(ratios), ratios, 0.0)
-    tol = _tolerance(history.initial_norm)
-    converged = bool(len(diffs) > 0 and diffs[-1] <= tol and not history.diverged)
-    final = float(diffs[-1]) if len(diffs) else 0.0
-    return ContractionReport(ratios=ratios, converged=converged, final_residual=final)
+    return ContractionReport(
+        ratios=ratios, converged=history.converged, final_residual=float(diffs[-1])
+    )
 
 
 def measured_contraction_rate(history: IterateHistory) -> float:

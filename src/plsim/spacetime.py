@@ -18,7 +18,6 @@ two-bracket line integral J used to control its kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,11 +27,10 @@ from .grid import Field, Grid1D, bracket, free_propagator, smooth_bump
 
 __all__ = [
     "SpaceTimeField",
-    "DispersionKind",
+    "DISPERSIONS",
     "TrilinearParams",
     "ScanRow",
     "time_window_profile",
-    "apply_window",
     "tau_values",
     "spacetime_transform",
     "xsb_norm",
@@ -47,9 +45,8 @@ __all__ = [
     "bracket_pair_integral",
 ]
 
-DispersionKind = Literal["schroedinger", "none"]
-
-_DISPERSIONS = ("schroedinger", "none")
+# dispersion relations phi(k) of the modulation weight <tau + phi(k)>
+DISPERSIONS = ("schroedinger", "none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +54,12 @@ class SpaceTimeField:
     """Complex samples on a (time x space) lattice spanning [0, t_span).
 
     ``values[m, j]`` is the sample at time m * t_span / n_time and site j.
-    ``window`` records whether the smooth bump has already been applied;
-    transforms of unwindowed fields window them first.
+    The samples are raw; every norm windows them in time on the way in.
     """
 
     grid: Grid1D
     t_span: float
     values: np.ndarray
-    window: Literal["none", "smooth_bump"] = "none"
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -76,8 +71,6 @@ class SpaceTimeField:
             raise ValueError(f"need at least 8 time samples, got {values.shape[0]}")
         if not self.t_span > 0:
             raise ValueError(f"t_span must be positive, got {self.t_span}")
-        if self.window not in ("none", "smooth_bump"):
-            raise ValueError(f"unknown window {self.window!r}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -101,12 +94,9 @@ def time_window_profile(n_time: int) -> np.ndarray:
     return smooth_bump(r)
 
 
-def apply_window(f: SpaceTimeField) -> SpaceTimeField:
-    """Multiply by the fixed time bump; a no-op if already windowed."""
-    if f.window == "smooth_bump":
-        return f
-    profile = time_window_profile(f.n_time)
-    return SpaceTimeField(f.grid, f.t_span, profile[:, None] * f.values, window="smooth_bump")
+def _windowed(f: SpaceTimeField) -> np.ndarray:
+    """The samples multiplied by the fixed time bump."""
+    return time_window_profile(f.n_time)[:, None] * f.values
 
 
 def tau_values(f: SpaceTimeField) -> np.ndarray:
@@ -118,11 +108,10 @@ def spacetime_transform(f: SpaceTimeField) -> np.ndarray:
     """Space-time Fourier coefficients, indexed [k, tau].
 
     Scaled so that sum |F|^2 dk dtau equals sum |f|^2 dx dt (the windowed
-    samples' squared L^2).  An unwindowed field is windowed first.
+    samples' squared L^2).
     """
-    f = apply_window(f)
     scale = f.grid.dx * f.dt / (2.0 * np.pi)
-    return (np.fft.fft2(f.values) * scale).T
+    return (np.fft.fft2(_windowed(f)) * scale).T
 
 
 def _phi(kind: str, k: np.ndarray) -> np.ndarray:
@@ -130,14 +119,14 @@ def _phi(kind: str, k: np.ndarray) -> np.ndarray:
         return k**2
     if kind == "none":
         return np.zeros_like(k)
-    raise ValueError(f"unknown dispersion kind {kind!r}, expected one of {_DISPERSIONS}")
+    raise ValueError(f"unknown dispersion kind {kind!r}, expected one of {DISPERSIONS}")
 
 
 def _lattice_measures(f: SpaceTimeField) -> tuple[float, float]:
     return 2.0 * np.pi / f.grid.length, 2.0 * np.pi / f.t_span
 
 
-def xsb_norm(f: SpaceTimeField, s: float, b: float, dispersion: DispersionKind = "schroedinger") -> float:
+def xsb_norm(f: SpaceTimeField, s: float, b: float, dispersion: str = "schroedinger") -> float:
     """Restricted-norm surrogate: weighted l^2 over the (k, tau) lattice.
 
     The weight is <k>^(2s) <tau + phi(k)>^(2b); at s = b = 0 this is the
@@ -152,7 +141,7 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float, dispersion: DispersionKind =
     return float(np.sqrt(np.sum(weight * np.abs(coeff) ** 2) * dk * dtau))
 
 
-def ys_norm(f: SpaceTimeField, s: float, dispersion: DispersionKind = "schroedinger") -> float:
+def ys_norm(f: SpaceTimeField, s: float, dispersion: str = "schroedinger") -> float:
     """l^1 in the modulation variable inside, weighted l^2 over k outside."""
     coeff = spacetime_transform(f)
     k = f.grid.wavenumbers
@@ -170,20 +159,19 @@ def l4_strichartz_ratio(f: SpaceTimeField) -> float:
     Both norms are taken of the same windowed samples, so the ratio is
     invariant under rescaling and lattice translation.
     """
-    f = apply_window(f)
     denominator = xsb_norm(f, 0.0, 0.375, "schroedinger")
     if denominator == 0.0:
         raise ValueError("zero field has no quartic ratio")
-    quartic = float(np.sum(np.abs(f.values) ** 4) * f.grid.dx * f.dt) ** 0.25
+    quartic = float(np.sum(np.abs(_windowed(f)) ** 4) * f.grid.dx * f.dt) ** 0.25
     return quartic / denominator
 
 
 def free_evolution(u0: Field, n_time: int, t_span: float) -> SpaceTimeField:
-    """Samples of the free Schrodinger flow of u0, unwindowed."""
+    """Samples of the free Schrodinger flow of u0 over [0, t_span)."""
     times = np.arange(n_time) * (t_span / n_time)
     hat = np.fft.fft(u0.values)
     rows = np.fft.ifft(free_propagator(times, u0.grid) * hat[None, :], axis=-1)
-    return SpaceTimeField(u0.grid, t_span, rows, window="none")
+    return SpaceTimeField(u0.grid, t_span, rows)
 
 
 def random_spacetime_field(
@@ -203,7 +191,7 @@ def random_spacetime_field(
     )
     coeffs = np.where(mask, draw, 0.0)
     values = np.fft.ifft2(coeffs) * np.sqrt(n_time * grid.n_points)
-    return SpaceTimeField(grid, t_span, values, window="none")
+    return SpaceTimeField(grid, t_span, values)
 
 
 # -- constrained trilinear lattice sum ------------------------------------

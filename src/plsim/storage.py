@@ -4,7 +4,7 @@ Checkpoint layout: the magic bytes ``PLSIM1``, a little-endian uint32
 header length, a UTF-8 JSON header (format version, producing config hash,
 time, grid geometry), then the payload as little-endian float64: one
 (re, im) pair per grid point for the condensate, followed by one float per
-point for the reservoir when present.
+point for the reservoir when present.  Every payload value is finite.
 
 All writers are deterministic: identical inputs produce byte-identical
 files (floats are serialized with shortest round-trip repr).
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries
+from .diagnostics import COLUMNS, DiagnosticsSeries
 from .grid import Field, make_grid
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"PLSIM1"
 CHECKPOINT_VERSION = 1
-
-_CSV_COLUMNS = ("t", "mass", "l4_fourth", "n_integral", "n_sq_integral", "n_min")
 
 
 class CheckpointError(ValueError):
@@ -92,6 +90,8 @@ def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
                 f"({expected} float64 values)"
             )
         payload = np.frombuffer(data, dtype="<f8")
+    if not np.all(np.isfinite(payload)):
+        raise CheckpointError(f"{path}: payload holds non-finite values")
     grid = make_grid(n_points, header["length"])
     u = Field(grid, payload[0 : 2 * n_points : 2] + 1j * payload[1 : 2 * n_points : 2])
     n = None
@@ -145,34 +145,22 @@ def _cell(value) -> str:
 
 
 def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
-    columns = _CSV_COLUMNS[:3] + (_CSV_COLUMNS[3:] if d.has_reservoir else ())
-    series = [d.times, d.mass, d.l4_fourth]
-    if d.has_reservoir:
-        series += [d.n_integral, d.n_sq_integral, d.n_min]
-    write_csv(path, columns, zip(*series))
+    series = d.columns()
+    write_csv(path, COLUMNS[: len(series)], zip(*series))
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
         rows = [line.strip().split(",") for line in handle if line.strip()]
-    if header[:3] != list(_CSV_COLUMNS[:3]):
+    if header not in (list(COLUMNS[:3]), list(COLUMNS)):
         raise ValueError(f"{path}: unexpected columns {header}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")
-    kwargs = {}
-    if len(header) > 3:
-        if header != list(_CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected columns {header}")
-        kwargs = {
-            "n_integral": data[:, 3],
-            "n_sq_integral": data[:, 4],
-            "n_min": data[:, 5],
-        }
-    return DiagnosticsSeries(times=data[:, 0], mass=data[:, 1], l4_fourth=data[:, 2], **kwargs)
+    return DiagnosticsSeries.from_rows(data)
 
 
 def write_json(path, obj) -> None:

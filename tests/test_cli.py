@@ -85,11 +85,19 @@ class TestRun:
         assert np.min(d.n_min) >= 0.0
 
     def test_identical_runs_byte_identical_csv(self, tmp_path):
-        config = write_config(tmp_path, cgpe_doc())
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["run", "--config", config, "--out", str(out1)]) == 0
-        assert main(["run", "--config", config, "--out", str(out2)]) == 0
-        assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
+        # every file of run, and the picard report, repeats byte for byte
+        config = write_config(tmp_path, cgpe_doc(checkpoint_every=10))
+        outputs = []
+        for name in ("o1", "o2"):
+            out = tmp_path / name
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+            assert main(["picard", "--config", config, "--out", str(out / "pic"),
+                         "--n-nodes", "17", "--s", "1.0"]) == 0
+            outputs.append({str(path.relative_to(out)): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()})
+        assert outputs[0] == outputs[1]
+        assert {"diagnostics.csv", "reports.json", "run_meta.json",
+                "checkpoints/state_0000050.ckpt", "pic/picard_report.json"} <= set(outputs[0])
 
     def test_seed_override_recorded_and_changes_data(self, tmp_path):
         doc = cgpe_doc(initial={"u": {"kind": "random", "seed": 1, "band": 3}}, checks=[])
@@ -141,7 +149,7 @@ class TestRun:
             # blows up at step 7, off the every-3rd-step sampling, so the
             # residual check cannot be evaluated on the partial series
             "unevaluable_check": cgpe_doc(
-                params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3,
+                params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3, t_end=0.051,
             ),
         }
         for name, doc in cases.items():
@@ -212,6 +220,13 @@ class TestPicard:
             "--delta", "4.0", "--n-nodes", "17", "--assert",
         ])
         assert code == 1
+
+    def test_sobolev_index_for_ep_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, ep_doc(checks=[]))
+        out = tmp_path / "pic-ep"
+        assert main(["picard", "--config", config, "--out", str(out), "--s", "1.0"]) == 2
+        assert "--s applies to the cgpe model only" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bisect_writes_bracket(self, tmp_path):
         doc = cgpe_doc(checks=[])

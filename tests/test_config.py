@@ -73,6 +73,13 @@ class TestViolations:
         # rounding in t_end / dt (149.99999999999997 here) is not a violation
         assert parse({"model": "cgpe", "dt": 1e-3, "t_end": 0.15}).t_end == 0.15
 
+    def test_residual_check_needs_sample_every_to_divide_steps(self):
+        doc = {"model": "cgpe", "dt": 1e-3, "t_end": 0.05, "sample_every": 3}
+        with pytest.raises(ConfigError, match="sample_every must divide the 50 steps"):
+            parse({**doc, "checks": ["f1_residual"]})
+        assert parse({**doc, "checks": ["abs_set"]}).sample_every == 3
+        assert parse({**doc, "t_end": 0.051, "checks": ["f1_residual"]}).sample_every == 3
+
     def test_fault_injection_is_unknown_key(self):
         with pytest.raises(ConfigError, match="fault_injection"):
             parse({"model": "cgpe", "fault_injection": True})

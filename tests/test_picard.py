@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plsim.grid import Field, hs_norm, make_grid, random_band_limited
+from plsim.grid import Field, hs_norm, hs_norm_rows, make_grid, random_band_limited
 from plsim.integrators import CgpeState, EpState, integrate
 from plsim.models import (
     CgpeParams,
@@ -52,8 +52,7 @@ class TestPicardCgpe:
         grid = make_grid(32, TWO_PI)
         history = picard_cgpe(constant_field(grid, 0.0), TimeMesh(0.1, 9), CgpeParams(1, 1), s=0.0)
         assert all(d == 0.0 for d in history.diffs)
-        for it in history.iterates:
-            assert np.max(np.abs(it)) == 0.0
+        assert np.max(np.abs(history.final)) == 0.0
         report = contraction_report(history)
         assert report.converged
         assert np.all(report.ratios == 0.0)
@@ -67,7 +66,7 @@ class TestPicardCgpe:
             mesh = TimeMesh(0.05, n_nodes)
             history = picard_cgpe(constant_field(grid, rho0), mesh, p, s=0.0, max_iter=30)
             assert contraction_report(history).converged
-            final = history.iterates[-1]
+            final = history.final
             exact = np.array(
                 [cgpe_flat_closed_form(rho0, 0.0, t, p) for t in mesh.nodes]
             )
@@ -112,9 +111,10 @@ class TestPicardEp:
         pump = constant_field(grid, 0.0)
         p = EpParams(g=1, lam=1, R=1, alpha=0.5, beta=1.0, pump=pump)
         history = picard_ep(constant_field(grid, 0.0), constant_field(grid, 0.0), TimeMesh(0.1, 9), p)
-        for u_it, n_it in history.iterates:
-            assert np.max(np.abs(u_it)) == 0.0
-            assert np.max(np.abs(n_it)) == 0.0
+        assert all(d == 0.0 for d in history.diffs)
+        u_final, n_final = history.final
+        assert np.max(np.abs(u_final)) == 0.0
+        assert np.max(np.abs(n_final)) == 0.0
         assert contraction_report(history).converged
 
     def test_fixed_point_data_reproduces_rotating_solution(self):
@@ -128,7 +128,7 @@ class TestPicardEp:
         )
         report = contraction_report(history)
         assert report.converged
-        u_final, n_final = history.iterates[-1]
+        u_final, n_final = history.final
         exact = np.sqrt(fp.density) * np.exp(-1j * fp.omega * mesh.nodes)
         assert np.max(np.abs(u_final - exact[:, None])) < 1e-6
         assert np.max(np.abs(n_final - fp.n_star)) < 1e-6
@@ -151,7 +151,7 @@ class TestPicardEp:
 class TestContractionReport:
     def test_synthetic_geometric_diffs(self):
         history = IterateHistory(
-            iterates=[None, None, None, None], diffs=[1.0, 0.5, 0.25], initial_norm=1.0, s=0.0
+            final=None, diffs=[1.0, 0.5, 0.25], initial_norm=1.0, converged=False, diverged=False
         )
         report = contraction_report(history)
         np.testing.assert_allclose(report.ratios, [0.5, 0.5])
@@ -159,9 +159,27 @@ class TestContractionReport:
         assert report.final_residual == 0.25
 
     def test_requires_three_iterates(self):
-        history = IterateHistory(iterates=[None, None], diffs=[1.0], initial_norm=1.0, s=0.0)
+        history = IterateHistory(
+            final=None, diffs=[1.0], initial_norm=1.0, converged=False, diverged=False
+        )
         with pytest.raises(ValueError):
             contraction_report(history)
+
+
+class TestIterateHistory:
+    def test_final_is_last_sweep_and_budget_is_not_convergence(self):
+        grid = make_grid(32, TWO_PI)
+        p = CgpeParams(1.0, 1.0)
+        u0 = h1_normalized(grid, 5)
+        mesh = TimeMesh(0.05, 17)
+        short = picard_cgpe(u0, mesh, p, s=1.0, max_iter=2)
+        longer = picard_cgpe(u0, mesh, p, s=1.0, max_iter=3)
+        assert not short.converged and not short.diverged
+        assert not contraction_report(short).converged
+        assert longer.diffs[:2] == short.diffs
+        # one more sweep from short.final is exactly longer.final
+        step = float(np.max(hs_norm_rows(longer.final - short.final, grid, 1.0)))
+        assert step == longer.diffs[-1]
 
 
 class TestConsistencyWithStrang:
@@ -175,7 +193,7 @@ class TestConsistencyWithStrang:
             mesh = TimeMesh(delta, n_nodes)
             history = picard_cgpe(u0, mesh, p, s=1.0, max_iter=30)
             assert contraction_report(history).converged
-            final = history.iterates[-1]
+            final = history.final
             traj = integrate(CgpeState(u=u0), dt, delta, sample_every=4, params=p)
             assert len(traj.states) == n_nodes
             for node, state in zip(range(n_nodes), traj.states):
@@ -195,7 +213,7 @@ class TestConsistencyWithStrang:
             n0 = constant_field(grid, 0.3)
             history = picard_ep(u0, n0, TimeMesh(delta, n_nodes), p, max_iter=30)
             assert contraction_report(history).converged
-            u_final, n_final = history.iterates[-1]
+            u_final, n_final = history.final
             traj = integrate(EpState(u=u0, n=n0), dt, delta, sample_every=4, params=p)
             for node, state in zip(range(n_nodes), traj.states):
                 rel_u = np.linalg.norm(u_final[node] - state.u.values) / np.linalg.norm(state.u.values)
@@ -214,7 +232,7 @@ class TestDivergenceAndBracket:
         u0 = u0.with_values(5.0 * u0.values)
         history = picard_cgpe(u0, TimeMesh(4.0, 33), p, s=1.0, max_iter=40)
         assert history.diverged
-        assert len(history.iterates) >= 4
+        assert len(history.diffs) >= 3
         assert not contraction_report(history).converged
 
     def test_bracket_by_doubling(self):

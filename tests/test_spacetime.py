@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+import plsim.spacetime
 from plsim.grid import Field, bracket, lp_norm, make_grid, random_band_limited
 from plsim.spacetime import (
     SpaceTimeField,
     TrilinearParams,
-    apply_window,
     bracket_pair_integral,
     default_trilinear_params,
     free_evolution,
@@ -25,12 +25,21 @@ from plsim.spacetime import (
 TWO_PI = 2.0 * np.pi
 
 
-def windowed_lattice_mode(grid, n_time, k0, tau0, amplitude=1.0):
-    """Pure lattice exponential, flagged as already windowed so the
-    transform sees exactly one (k, tau) mode."""
+@pytest.fixture
+def no_window(monkeypatch):
+    """Replace the time bump by ones, so a lattice mode stays one (k, tau) mode."""
+    monkeypatch.setattr(plsim.spacetime, "time_window_profile", np.ones)
+
+
+def windowed(f):
+    return time_window_profile(f.n_time)[:, None] * f.values
+
+
+def lattice_mode(grid, n_time, k0, tau0, amplitude=1.0):
+    """Pure lattice exponential exp(i (k0 x + tau0 t)) over [0, 2 pi)."""
     t = np.arange(n_time) * (TWO_PI / n_time)
     values = amplitude * np.exp(1j * (k0 * grid.x[None, :] + tau0 * t[:, None]))
-    return SpaceTimeField(grid, TWO_PI, values, window="smooth_bump")
+    return SpaceTimeField(grid, TWO_PI, values)
 
 
 def brute_force_trilinear(v, v1, v2, p):
@@ -65,19 +74,13 @@ class TestWindow:
         assert np.all(psi >= 0.0) and np.all(psi <= 1.0)
         np.testing.assert_allclose(psi[1:], psi[:0:-1], atol=1e-15)  # even about center
 
-    def test_apply_window_idempotent(self):
-        grid = make_grid(16, TWO_PI)
-        rng = np.random.default_rng(0)
-        f = SpaceTimeField(grid, 1.0, rng.standard_normal((32, 16)).astype(complex))
-        once = apply_window(f)
-        twice = apply_window(once)
-        assert twice is once
-
     def test_transform_windows_unwindowed_input(self):
+        # exactly once: the transform of the once-windowed samples, bit for bit
         grid = make_grid(16, TWO_PI)
         rng = np.random.default_rng(1)
         f = SpaceTimeField(grid, 2.0, rng.standard_normal((16, 16)).astype(complex))
-        np.testing.assert_array_equal(spacetime_transform(f), spacetime_transform(apply_window(f)))
+        scale = grid.dx * f.dt / TWO_PI
+        np.testing.assert_array_equal(spacetime_transform(f), (np.fft.fft2(windowed(f)) * scale).T)
 
 
 class TestSpacetimeTransform:
@@ -89,12 +92,10 @@ class TestSpacetimeTransform:
     def test_parseval(self):
         grid = make_grid(32, 3.0)
         rng = np.random.default_rng(2)
-        f = apply_window(
-            SpaceTimeField(grid, 1.7, rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32)))
-        )
+        f = SpaceTimeField(grid, 1.7, rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32)))
         coeff = spacetime_transform(f)
         dk, dtau = TWO_PI / grid.length, TWO_PI / f.t_span
-        lhs = np.sum(np.abs(f.values) ** 2) * grid.dx * f.dt
+        lhs = np.sum(np.abs(windowed(f)) ** 2) * grid.dx * f.dt
         rhs = np.sum(np.abs(coeff) ** 2) * dk * dtau
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
@@ -125,10 +126,10 @@ class TestSpacetimeTransform:
 
 
 class TestXsbNorm:
-    def test_single_lattice_mode_value(self):
+    def test_single_lattice_mode_value(self, no_window):
         grid = make_grid(16, TWO_PI)
         amplitude, k0, tau0 = 0.7, 2, -3
-        f = windowed_lattice_mode(grid, 16, k0, tau0, amplitude)
+        f = lattice_mode(grid, 16, k0, tau0, amplitude)
         for s, b in ((0.0, 0.0), (1.0, 0.375), (-0.5, 2.0)):
             expected = (
                 amplitude
@@ -141,10 +142,8 @@ class TestXsbNorm:
     def test_s0_b0_is_spacetime_l2(self):
         grid = make_grid(32, TWO_PI)
         rng = np.random.default_rng(3)
-        f = apply_window(
-            SpaceTimeField(grid, TWO_PI, rng.standard_normal((32, 32)).astype(complex))
-        )
-        l2 = np.sqrt(np.sum(np.abs(f.values) ** 2) * grid.dx * f.dt)
+        f = SpaceTimeField(grid, TWO_PI, rng.standard_normal((32, 32)).astype(complex))
+        l2 = np.sqrt(np.sum(np.abs(windowed(f)) ** 2) * grid.dx * f.dt)
         assert xsb_norm(f, 0.0, 0.0) == pytest.approx(l2, rel=1e-12)
 
     def test_dispersion_independent_at_zero_weights(self):
@@ -180,10 +179,10 @@ class TestYsNorm:
         f = SpaceTimeField(grid, 1.0, np.zeros((8, 16)))
         assert ys_norm(f, 1.0) == 0.0
 
-    def test_single_mode_value(self):
+    def test_single_mode_value(self, no_window):
         grid = make_grid(16, TWO_PI)
         amplitude, k0, tau0 = 1.3, 1, 2
-        f = windowed_lattice_mode(grid, 16, k0, tau0, amplitude)
+        f = lattice_mode(grid, 16, k0, tau0, amplitude)
         s = 0.5
         expected = (
             amplitude
@@ -221,13 +220,13 @@ class TestL4Ratio:
     def test_scaling_invariance(self):
         grid = make_grid(16, TWO_PI)
         f = random_spacetime_field(grid, 16, TWO_PI, 3, 4, np.random.default_rng(7))
-        doubled = SpaceTimeField(grid, f.t_span, 2.0 * f.values, window=f.window)
+        doubled = SpaceTimeField(grid, f.t_span, 2.0 * f.values)
         assert l4_strichartz_ratio(doubled) == pytest.approx(l4_strichartz_ratio(f), rel=1e-13)
 
     def test_translation_invariance(self):
         grid = make_grid(16, TWO_PI)
         f = random_spacetime_field(grid, 16, TWO_PI, 3, 4, np.random.default_rng(8))
-        shifted = SpaceTimeField(grid, f.t_span, np.roll(f.values, 5, axis=1), window=f.window)
+        shifted = SpaceTimeField(grid, f.t_span, np.roll(f.values, 5, axis=1))
         assert l4_strichartz_ratio(shifted) == pytest.approx(l4_strichartz_ratio(f), rel=1e-12)
 
     def test_zero_rejected(self):

@@ -86,6 +86,22 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=str(path)):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["u", "n"])
+    def test_non_finite_payload_rejected(self, tmp_path, part, value):
+        grid = make_grid(8, 2.0)
+        path = tmp_path / "nf.ckpt"
+        n = Field(grid, np.linspace(0.0, 1.0, 8).astype(complex))
+        write_checkpoint(path, random_field(grid, 7), n, 0.25, "h")
+        raw = bytearray(path.read_bytes())
+        # payload: 2N floats of u, then N floats of n; damage the first of either
+        offset = len(raw) - 8 * 3 * grid.n_points + (8 * 2 * grid.n_points if part == "n" else 0)
+        raw[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="non-finite") as excinfo:
+            read_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -104,9 +120,12 @@ class TestCheckpoints:
                 damaged[index] = data.draw(st.integers(0, 255), label="byte")
         path.write_bytes(bytes(damaged))
         try:
-            read_checkpoint(path)
+            u, n, _ = read_checkpoint(path)
         except CheckpointError as err:
             assert str(path) in str(err)
+        else:
+            assert np.all(np.isfinite(u.values))
+            assert n is None or np.all(np.isfinite(n.values))
 
     def test_magic_is_fixed(self):
         assert CHECKPOINT_MAGIC == b"PLSIM1"
