@@ -150,17 +150,32 @@ def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
+    """Series stored by write_diagnostics_csv; ValueError naming path (and line) if malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
+            lines = [(number, line.strip()) for number, line in enumerate(handle, start=2)]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
     if header not in (list(COLUMNS[:3]), list(COLUMNS)):
         raise ValueError(f"{path}: unexpected columns {header}")
+    rows = []
+    for number, line in lines:
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, expected {len(header)}")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as err:  # names the cell: could not convert string to float: 'x'
+            raise ValueError(f"{path}: line {number}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
-    return DiagnosticsSeries.from_rows(data)
+    try:
+        return DiagnosticsSeries.from_rows(rows)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_json(path, obj) -> None:

@@ -360,6 +360,20 @@ class TestCheck:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("second_row, message", [
+        ("0.001,1.0", "line 3 has 2 cells, expected 3"),
+        ("0.001,x,1.0", "line 3: could not convert string to float: 'x'"),
+    ])
+    def test_malformed_csv_row_exits_2_naming_file(self, tmp_path, capsys, second_row, message):
+        config = write_config(tmp_path, cgpe_doc())
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,mass,l4_fourth\n0.0,1.0,1.0\n{second_row}\n")
+        code = main(["check", "--csv", str(bad), "--config", config, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}: {message}" in err
+
     def test_header_only_csv_exits_2(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())
         empty = tmp_path / "empty.csv"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from plsim.grid import Field, lp_norm, make_grid
+from plsim.grid import Field, free_propagator, lp_norm, make_grid
 from plsim.integrators import (
+    HALF_STEP_CACHE_SIZE,
     BlowUpError,
     CgpeState,
     EpState,
@@ -14,6 +15,8 @@ from plsim.integrators import (
     reservoir_exact_update,
     strang_step_cgpe,
     strang_step_ep,
+    _ep_local_u_update,
+    _half_step_multiplier,
 )
 from plsim.models import (
     CgpeParams,
@@ -74,6 +77,71 @@ class TestDispersionHalfStep:
         k = grid.wavenumbers
         expected = np.fft.ifft(np.exp(-0.5j * k**2 * dt) * np.fft.fft(u))
         np.testing.assert_array_equal(dispersion_half_step(Field(grid, u), dt).values, expected)
+
+
+def uncached_half_step(values, grid, dt):
+    return np.fft.ifft(free_propagator(0.5 * dt, grid) * np.fft.fft(values))
+
+
+class TestHalfStepMultiplierCache:
+    def test_shared_multiplier_is_read_only(self):
+        multiplier = _half_step_multiplier(make_grid(16, TWO_PI), 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            multiplier[0] = 0.0
+
+    def test_equal_n_different_length_get_different_entries(self):
+        short, wide = make_grid(64, 1.0), make_grid(64, 2.0)
+        a, b = _half_step_multiplier(short, 0.1), _half_step_multiplier(wide, 0.1)
+        np.testing.assert_array_equal(a, free_propagator(0.05, short))
+        np.testing.assert_array_equal(b, free_propagator(0.05, wide))
+        assert not np.array_equal(a, b)
+
+    def test_opposite_dt_get_different_entries(self):
+        grid = make_grid(64, TWO_PI)
+        forward, backward = _half_step_multiplier(grid, 0.3), _half_step_multiplier(grid, -0.3)
+        np.testing.assert_array_equal(forward, free_propagator(0.15, grid))
+        np.testing.assert_array_equal(backward, free_propagator(-0.15, grid))
+        assert not np.array_equal(forward, backward)
+
+    def test_entry_count_bounded(self):
+        grid = make_grid(16, TWO_PI)
+        f = gaussian_field(grid)
+        for j in range(HALF_STEP_CACHE_SIZE + 3):
+            f = dispersion_half_step(f, 1e-3 * (j + 1))
+            assert _half_step_multiplier.cache_info().currsize <= HALF_STEP_CACHE_SIZE
+
+    def test_interleaved_grids_and_dts_match_uncached_loop(self):
+        # equal N on both grids: a key that ignored the length would collide
+        grids = [make_grid(64, TWO_PI), make_grid(64, 5.0)]
+        dts = [1e-3, 2e-3]
+        cgpe = CgpeParams(1.0, 1.0)
+        runs = []
+        for grid in grids:
+            ep = make_ep_params(grid, p0=1.2)
+            u0 = gaussian_field(grid, amplitude=0.7, width=0.8)
+            n0 = constant_field(grid, 0.4)
+            for dt in dts:
+                runs.append(("cgpe", grid, dt, cgpe, CgpeState(u=u0), u0.values))
+                runs.append(("ep", grid, dt, ep, EpState(u=u0, n=n0), (u0.values, n0)))
+        for _ in range(5):
+            for j, (model, grid, dt, p, state, ref) in enumerate(runs):
+                if model == "cgpe":
+                    state = strang_step_cgpe(state, dt, p)
+                    u = uncached_half_step(ref, grid, dt)
+                    u = cgpe_local_step(Field(grid, u), dt, p)
+                    ref = uncached_half_step(u.values, grid, dt)
+                    np.testing.assert_array_equal(state.u.values, ref)
+                else:
+                    state = strang_step_ep(state, dt, p)
+                    u_values, n = ref
+                    u = Field(grid, uncached_half_step(u_values, grid, dt))
+                    n = reservoir_exact_update(n, u, 0.5 * dt, p)
+                    u = _ep_local_u_update(u, n, dt, p)
+                    n = reservoir_exact_update(n, u, 0.5 * dt, p)
+                    ref = (uncached_half_step(u.values, grid, dt), n)
+                    np.testing.assert_array_equal(state.u.values, ref[0])
+                    np.testing.assert_array_equal(state.n.values, n.values)
+                runs[j] = (model, grid, dt, p, state, ref)
 
 
 class TestCgpeLocalStep:
@@ -264,6 +332,15 @@ class TestIntegrate:
         d = traj.diagnostics
         for series in (d.mass, d.l4_fourth, d.n_integral, d.n_sq_integral, d.n_min):
             assert np.max(np.abs(series - series[0])) < 1e-9 * max(1.0, abs(series[0]))
+
+    def test_sampled_mass_is_mass_of_sampled_state(self):
+        grid = make_grid(32, TWO_PI)
+        traj = integrate(
+            CgpeState(u=gaussian_field(grid, 0.8)), dt=1e-2, t_end=0.5, sample_every=7,
+            params=CgpeParams(1.0, 1.0),
+        )
+        expected = [float(np.sum(np.abs(s.u.values) ** 2) * grid.dx) for s in traj.states]
+        np.testing.assert_array_equal(traj.diagnostics.mass, expected)
 
     def test_reservoir_positivity_along_pumped_run(self):
         grid = make_grid(64, TWO_PI)

@@ -171,6 +171,31 @@ class TestDiagnosticsCsv:
         write_diagnostics_csv(b, read_diagnostics_csv(a))
         assert a.read_bytes() == b.read_bytes()
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_csv_reads_or_raises_naming_file(self, tmp_path, data):
+        d = DiagnosticsSeries(
+            times=np.linspace(0, 1, 5), mass=np.linspace(1, 2, 5), l4_fourth=np.linspace(3, 4, 5),
+            n_integral=np.linspace(0, 1, 5), n_sq_integral=np.linspace(0, 2, 5),
+            n_min=np.linspace(0, 0.5, 5),
+        )
+        path = tmp_path / "d.csv"
+        write_diagnostics_csv(path, d)
+        original = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = original[: data.draw(st.integers(0, len(original) - 1), label="keep")]
+        else:
+            damaged = bytearray(original)
+            for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+                index = data.draw(st.integers(0, len(original) - 1), label="index")
+                damaged[index] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(damaged))
+        try:
+            read_diagnostics_csv(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
