@@ -37,6 +37,7 @@ from .config import (
     config_hash,
     load_config,
 )
+from .diagnostics import DiagnosticsSeries
 from .grid import hs_norm, make_grid
 from .integrators import BlowUpError, CgpeState, EpState, integrate
 from .picard import (
@@ -125,9 +126,14 @@ def cmd_run(args) -> int:
             print(f"blow-up at t = {err.time:.6g}; partial outputs retained", file=sys.stderr)
 
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), trajectory.diagnostics)
+        checked = trajectory.diagnostics
+        if blow_up is not None:
+            # a state over the mass cap is recorded off the sampling
+            # cadence; the checks read the uniformly sampled rows before it
+            uniform = 1 + trajectory.steps // config.sample_every
+            checked = DiagnosticsSeries(*(column[:uniform] for column in checked.columns()))
         passed = _run_checks(
-            config.checks, trajectory.diagnostics, params, grid.length, out_dir,
-            partial=blow_up is not None,
+            config.checks, checked, params, grid.length, out_dir, partial=blow_up is not None
         )
 
         digest = config_hash(config)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grid import Field, dealiased_cubic, free_propagator, hs_norm, hs_norm_rows
 from .models import CgpeParams, EpParams
@@ -93,6 +92,11 @@ def _diverging(diffs: list[float]) -> bool:
     return d > c > b > a
 
 
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoidal integral of y along axis 0, starting from 0."""
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum((y[1:] + y[:-1]) * (dx / 2), axis=0)])
+
+
 def _duhamel(prop: np.ndarray, u0_hat: np.ndarray, rhs: np.ndarray, spacing: float) -> np.ndarray:
     """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node.
 
@@ -100,7 +104,7 @@ def _duhamel(prop: np.ndarray, u0_hat: np.ndarray, rhs: np.ndarray, spacing: flo
     trapezoidal weights, and propagated back.
     """
     unwound = np.conj(prop) * np.fft.fft(rhs, axis=-1)
-    integral = cumulative_trapezoid(unwound, dx=spacing, axis=0, initial=0.0)
+    integral = _cumulative_trapezoid(unwound, spacing)
     return np.fft.ifft(prop * (u0_hat[None, :] + integral), axis=-1)
 
 
@@ -180,7 +184,7 @@ def picard_ep(
         )
         new_u = _duhamel(prop, u0_hat, rhs_u, mesh.spacing)
         rhs_n = pump - (p.R * np.abs(cur_u) ** 2 + p.beta) * cur_n
-        new_n = n0_row[None, :] + cumulative_trapezoid(rhs_n, dx=mesh.spacing, axis=0, initial=0.0)
+        new_n = n0_row[None, :] + _cumulative_trapezoid(rhs_n, mesh.spacing)
         return new_u, new_n
 
     def distance(new, current):

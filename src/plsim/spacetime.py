@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import convolve as signal_convolve
 
 from .grid import Field, Grid1D, bracket, free_propagator, smooth_bump
 
@@ -244,15 +242,19 @@ def constrained_pair_sum(outer: np.ndarray, difference: np.ndarray, inner: np.nd
     difference falls off the lattice contribute zero.  This is the kernel
     shared by the constrained multilinear sums: any such form reduces to
     it once the per-argument weights have been folded into the arrays.
-    Evaluated through a full linear convolution, which reproduces the
-    direct O(N^2 M^2) sum exactly up to rounding.
+    The arrays are real.  Evaluated through a full linear convolution, a
+    real FFT product with each axis zero-padded to a power of two >= 2n - 1
+    so that no term wraps around, which reproduces the direct O(N^2 M^2)
+    sum exactly up to rounding.
     """
     if not (outer.shape == difference.shape == inner.shape) or outer.ndim != 2:
         raise ValueError(
             f"lattice mismatch: {outer.shape}, {difference.shape}, {inner.shape}"
         )
     n_xi, n_tau = outer.shape
-    conv = signal_convolve(difference, inner, mode="full", method="auto")
+    padded = tuple(1 << (2 * n - 2).bit_length() for n in outer.shape)
+    spectrum = np.fft.rfft2(difference, padded) * np.fft.rfft2(inner, padded)
+    conv = np.fft.irfft2(spectrum, padded)
     core = conv[n_xi // 2 : n_xi // 2 + n_xi, n_tau // 2 : n_tau // 2 + n_tau]
     return float(np.sum(outer * core))
 
@@ -333,6 +335,8 @@ def bracket_pair_integral(s: float, a_plus: float, a_minus: float) -> float:
         raise ValueError("need 0 <= a_minus <= a_plus")
     if not a_plus + a_minus > 0.5:
         raise ValueError("integral diverges unless a_plus + a_minus > 1/2")
+    # imported here, not at module level, to keep scipy off plsim's import path
+    from scipy.integrate import quad
 
     def integrand(y: float) -> float:
         return (1.0 + (y - s) ** 2) ** (-a_plus) * (1.0 + (y + s) ** 2) ** (-a_minus)

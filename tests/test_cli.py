@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import plsim.cli
+from plsim.checks import f1_residual
 from plsim.cli import main
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import integrate
+from plsim.models import CgpeParams
 from plsim.storage import CHECKPOINT_MAGIC, read_checkpoint, read_diagnostics_csv, write_checkpoint
 
 TWO_PI = 2.0 * np.pi
@@ -146,9 +148,10 @@ class TestRun:
                 initial={"u": {"kind": "flat", "rho": 1e-3, "theta": 0.0}},
                 dt=0.05, t_end=5.0, checks=[],
             ),
-            # blows up at step 7, off the every-3rd-step sampling, so the
-            # residual check cannot be evaluated on the partial series
-            "unevaluable_check": cgpe_doc(
+            # blows up at step 7, off the every-3rd-step sampling: the
+            # diagnostics keep the t = 0.007 row, the checks read the
+            # uniformly sampled rows before it
+            "off_cadence_blow_up": cgpe_doc(
                 params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3, t_end=0.051,
             ),
         }
@@ -165,11 +168,11 @@ class TestRun:
                 read_checkpoint(out / "checkpoints" / checkpoint)
             reports = json.loads((out / "reports.json").read_text())
             assert [r["name"] for r in reports] == doc["checks"]
-        assert reports[0] == {
-            "name": "f1_residual",
-            "passed": False,
-            "reason": "mass-balance residual requires uniform sampling",
-        }
+        np.testing.assert_allclose(d.times, [0.0, 0.003, 0.006, 0.007], rtol=1e-12)
+        prefix = DiagnosticsSeries(d.times[:3], d.mass[:3], d.l4_fourth[:3])
+        assert reports[0] == f1_residual(prefix, CgpeParams(xi=1000.0, sigma=1e-9)).to_dict()
+        assert not reports[0]["passed"]
+        assert reports[0]["location"] == pytest.approx(0.006)
 
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, {"model": "cgpe", "params": {"sigma": -1}})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from plsim.grid import Field, hs_norm, hs_norm_rows, make_grid, random_band_limited
 from plsim.integrators import CgpeState, EpState, integrate
@@ -15,6 +16,7 @@ from plsim.picard import (
     ContractionReport,
     IterateHistory,
     TimeMesh,
+    _cumulative_trapezoid,
     contraction_report,
     existence_time_bracket,
     measured_contraction_rate,
@@ -45,6 +47,18 @@ class TestTimeMesh:
             TimeMesh(0.0, 5)
         with pytest.raises(ValueError):
             TimeMesh(0.1, 2)
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("shape", [(65, 256), (3, 64)])
+    @pytest.mark.parametrize("dx", [0.1, 1.0 / 3.0, 2.5e-3])
+    def test_equals_scipy(self, shape, dx):
+        rng = np.random.default_rng(7)
+        real = rng.standard_normal(shape)
+        for y in (real, real + 1j * rng.standard_normal(shape)):
+            np.testing.assert_array_equal(
+                _cumulative_trapezoid(y, dx), cumulative_trapezoid(y, dx=dx, axis=0, initial=0.0)
+            )
 
 
 class TestPicardCgpe:

@@ -9,6 +9,7 @@ from plsim.spacetime import (
     SpaceTimeField,
     TrilinearParams,
     bracket_pair_integral,
+    constrained_pair_sum,
     default_trilinear_params,
     free_evolution,
     l4_strichartz_ratio,
@@ -263,6 +264,30 @@ class TestConvolutionProfileProperty:
             conv = np.convolve(f, g, mode="full")
             center = len(conv) // 2
             assert conv[center] == conv.max()
+
+
+class TestConstrainedPairSum:
+    @staticmethod
+    def direct(outer, difference, inner):
+        """The O(N^2 M^2) pair sum, one pair at a time."""
+        n_xi, n_tau = outer.shape
+        total = 0.0
+        for i1 in range(n_xi):
+            for j1 in range(n_tau):
+                for i2 in range(n_xi):
+                    for j2 in range(n_tau):
+                        ii, jj = i1 - i2 + n_xi // 2, j1 - j2 + n_tau // 2
+                        if 0 <= ii < n_xi and 0 <= jj < n_tau:
+                            total += outer[i1, j1] * difference[ii, jj] * inner[i2, j2]
+        return total
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 16), (8, 8)])
+    def test_matches_direct_sum(self, shape):
+        rng = np.random.default_rng(list(shape))
+        outer, difference, inner = (np.abs(rng.standard_normal(shape)) for _ in range(3))
+        assert constrained_pair_sum(outer, difference, inner) == pytest.approx(
+            self.direct(outer, difference, inner), rel=1e-12
+        )
 
 
 class TestTrilinearForm:
