@@ -26,7 +26,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
 from .checks import run_check
 from .config import (
     ConfigError,
@@ -39,7 +38,7 @@ from .config import (
 )
 from .diagnostics import DiagnosticsSeries
 from .grid import hs_norm, make_grid
-from .integrators import BlowUpError, CgpeState, EpState, integrate
+from .integrators import BlowUpError, CgpeState, EpState, integrate, step_count
 from .picard import (
     TimeMesh,
     contraction_report,
@@ -75,8 +74,26 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _checked_rows(diagnostics: DiagnosticsSeries, config) -> tuple[DiagnosticsSeries, bool]:
+    """The rows of a run's diagnostics that its checks read, and whether the
+    series stops before t_end (the run blew up).
+
+    A run that blows up records the state over the mass cap at the step it
+    happened; when that step is off the sampling cadence, the checks read
+    the uniformly sampled rows before it.  ``run`` and ``check`` both decide
+    here, so they check the same rows of one diagnostics.csv.  A blow-up at
+    the final step leaves a series that reaches t_end: only ``run``, which
+    saw the BlowUpError, knows that one is partial.
+    """
+    steps = np.rint(diagnostics.times / config.dt)
+    partial = bool(steps[-1] < step_count(config.dt, config.t_end))
+    if partial and steps[-1] % config.sample_every:
+        diagnostics = DiagnosticsSeries(*(column[:-1] for column in diagnostics.columns()))
+    return diagnostics, partial
+
+
 def _run_checks(
-    names, diagnostics, params, domain_measure: float, out_dir: str, partial: bool = False
+    names, diagnostics, params, domain_measure: float, out_dir: str, partial: bool
 ) -> bool:
     """Run the named checks, print one line each, write reports.json.
 
@@ -126,14 +143,9 @@ def cmd_run(args) -> int:
             print(f"blow-up at t = {err.time:.6g}; partial outputs retained", file=sys.stderr)
 
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), trajectory.diagnostics)
-        checked = trajectory.diagnostics
-        if blow_up is not None:
-            # a state over the mass cap is recorded off the sampling
-            # cadence; the checks read the uniformly sampled rows before it
-            uniform = 1 + trajectory.steps // config.sample_every
-            checked = DiagnosticsSeries(*(column[:uniform] for column in checked.columns()))
+        checked, partial = _checked_rows(trajectory.diagnostics, config)
         passed = _run_checks(
-            config.checks, checked, params, grid.length, out_dir, partial=blow_up is not None
+            config.checks, checked, params, grid.length, out_dir, partial or blow_up is not None
         )
 
         digest = config_hash(config)
@@ -199,14 +211,20 @@ def cmd_picard(args) -> int:
             "norm_note": "distances are sup-over-nodes Sobolev norms; any "
             "window-based space-time norms are restricted-norm surrogates",
         }
+        del history  # the bracket needs only its verdict, not its iterate
         if args.bisect:
-            ok, fail = existence_time_bracket(run_at, args.delta)
+            def converges(delta: float) -> bool:
+                if delta == args.delta:  # solved above
+                    return report.converged
+                return contraction_report(run_at(delta)).converged
+
+            ok, fail = existence_time_bracket(converges, args.delta)
             payload["bracket"] = {"delta_ok": ok, "delta_fail": fail}
             print(f"empirical existence bracket: converges at {ok:.6g}, fails at {fail:.6g}")
         write_json(os.path.join(out_dir, "picard_report.json"), payload)
         print(
             f"picard: {'converged' if report.converged else 'not converged'} "
-            f"in {len(history.diffs)} sweeps, final residual {report.final_residual:.3e}, "
+            f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
             f"rate {payload['rate']:.3f}"
         )
     if args.assert_ and not report.converged:
@@ -314,15 +332,20 @@ def cmd_norms(args) -> int:
 def cmd_check(args) -> int:
     config = load_config(args.config)
     out_dir = args.out or config.output or "plsim-out"
-    diagnostics = read_diagnostics_csv(args.csv)
+    diagnostics, partial = _checked_rows(read_diagnostics_csv(args.csv), config)
+    if partial:
+        print(f"{args.csv} stops before t_end = {config.t_end:.6g}: checking the rows of a "
+              "run that blew up", file=sys.stderr)
     grid = build_grid(config)
     params = build_params(config, grid)
     with output_lock(out_dir):
-        passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir)
-    return 0 if passed else 1
+        passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
+    return 0 if (passed and not partial) else 1
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_all  # the acceptance experiments load only when they run
+
     results = run_all()
     hard_failed = False
     soft_failed = False

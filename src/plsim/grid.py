@@ -21,6 +21,7 @@ __all__ = [
     "hs_norm",
     "hs_norm_rows",
     "dealiased_cubic",
+    "dealiased_cubic_spectral",
     "free_propagator",
     "smooth_bump",
     "gaussian",
@@ -112,17 +113,23 @@ def hs_norm(field: Field, s: float) -> float:
 def hs_norm_rows(rows: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
     """Sobolev norm of each row of a physical array whose last axis is the grid."""
     amps = np.fft.fft(rows, axis=-1)
-    # two divisions by sqrt(N), not one by N: one would change the norms' last bits
-    amps /= np.sqrt(grid.n_points)
-    amps /= np.sqrt(grid.n_points)
-    weights = bracket(grid.wavenumbers) ** (2.0 * s)
-    return np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2, axis=-1))
+    power = amps.real**2
+    power += amps.imag**2
+    power *= bracket(grid.wavenumbers) ** (2.0 * s)
+    # the DFT is N times the Fourier-series amplitudes: scale the row sums, not the spectrum
+    return np.sqrt(np.sum(power, axis=-1) * (grid.length / grid.n_points**2))
+
+
+def dealiased_cubic_spectral(rows: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """DFT of |u|^2 u of each physical row, with the top third of the spectrum zeroed."""
+    hat = np.fft.fft(np.abs(rows) ** 2 * rows, axis=-1)
+    hat[..., ~dealias_mask(grid)] = 0.0
+    return hat
 
 
 def dealiased_cubic(rows: np.ndarray, grid: Grid1D) -> np.ndarray:
     """|u|^2 u of each physical row with the top third of the spectrum removed."""
-    hat = np.fft.fft(np.abs(rows) ** 2 * rows, axis=-1)
-    return np.fft.ifft(np.where(dealias_mask(grid), hat, 0.0), axis=-1)
+    return np.fft.ifft(dealiased_cubic_spectral(rows, grid), axis=-1)
 
 
 def free_propagator(times, grid: Grid1D) -> np.ndarray:

@@ -14,11 +14,11 @@ difference; time integrals use trapezoidal weights on a uniform mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, dealiased_cubic, free_propagator, hs_norm, hs_norm_rows
+from .grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm, hs_norm_rows
 from .models import CgpeParams, EpParams
 
 __all__ = [
@@ -97,15 +97,21 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate([np.zeros_like(y[:1]), np.cumsum((y[1:] + y[:-1]) * (dx / 2), axis=0)])
 
 
-def _duhamel(prop: np.ndarray, u0_hat: np.ndarray, rhs: np.ndarray, spacing: float) -> np.ndarray:
-    """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node.
+def _duhamel(
+    prop: np.ndarray, u0_hat: np.ndarray, rhs_hat: np.ndarray, spacing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node, and its DFT.
 
-    The forcing is unwound into the interaction picture, integrated with
-    trapezoidal weights, and propagated back.
+    Takes the DFT of the forcing at every node and overwrites it.  The
+    forcing is unwound into the interaction picture, integrated with
+    trapezoidal weights, and propagated back; the only transform is the
+    inverse one at the end.
     """
-    unwound = np.conj(prop) * np.fft.fft(rhs, axis=-1)
-    integral = _cumulative_trapezoid(unwound, spacing)
-    return np.fft.ifft(prop * (u0_hat[None, :] + integral), axis=-1)
+    rhs_hat *= np.conj(prop)
+    hat = _cumulative_trapezoid(rhs_hat, spacing)
+    hat += u0_hat
+    hat *= prop
+    return np.fft.ifft(hat, axis=-1), hat
 
 
 def _iterate(current, sweep, distance, initial_norm: float, max_iter: int) -> IterateHistory:
@@ -148,15 +154,21 @@ def picard_cgpe(
     prop = free_propagator(mesh.nodes, grid)
     u0_hat = np.fft.fft(u0.values)
 
+    # an iterate is its node samples and their DFT: the sweep reads both,
+    # so it transforms only the cubic term forward and the new iterate back
     def sweep(current):
-        rhs = p.xi * current - (p.sigma + 1j) * dealiased_cubic(current, grid)
-        return _duhamel(prop, u0_hat, rhs, mesh.spacing)
+        values, hat = current
+        rhs_hat = p.xi * hat - (p.sigma + 1j) * dealiased_cubic_spectral(values, grid)
+        return _duhamel(prop, u0_hat, rhs_hat, mesh.spacing)
 
     def distance(new, current):
-        return float(np.max(hs_norm_rows(new - current, grid, s)))
+        return float(np.max(hs_norm_rows(new[0] - current[0], grid, s)))
 
-    free = np.fft.ifft(prop * u0_hat[None, :], axis=-1)
-    return _iterate(free, sweep, distance, hs_norm(u0, s), max_iter)
+    free_hat = prop * u0_hat[None, :]
+    history = _iterate(
+        (np.fft.ifft(free_hat, axis=-1), free_hat), sweep, distance, hs_norm(u0, s), max_iter
+    )
+    return replace(history, final=history.final[0])
 
 
 def picard_ep(
@@ -178,23 +190,23 @@ def picard_ep(
 
     def sweep(current):
         cur_u, cur_n = current
-        rhs_u = (
-            -1j * p.g * dealiased_cubic(cur_u, grid)
-            + ((p.R - 1j * p.lam) * cur_n - p.alpha) * cur_u
+        rhs_hat = -1j * p.g * dealiased_cubic_spectral(cur_u, grid) + np.fft.fft(
+            ((p.R - 1j * p.lam) * cur_n - p.alpha) * cur_u, axis=-1
         )
-        new_u = _duhamel(prop, u0_hat, rhs_u, mesh.spacing)
+        new_u, _ = _duhamel(prop, u0_hat, rhs_hat, mesh.spacing)
         rhs_n = pump - (p.R * np.abs(cur_u) ** 2 + p.beta) * cur_n
-        new_n = n0_row[None, :] + _cumulative_trapezoid(rhs_n, mesh.spacing)
+        new_n = _cumulative_trapezoid(rhs_n, mesh.spacing)
+        new_n += n0_row
         return new_u, new_n
 
     def distance(new, current):
         return float(
             np.max(hs_norm_rows(new[0] - current[0], grid, 0.0))
-            + np.max(hs_norm_rows((new[1] - current[1]).astype(complex), grid, 0.0))
+            + np.max(hs_norm_rows(new[1] - current[1], grid, 0.0))
         )
 
     free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0_row, (mesh.n_nodes, 1)))
-    initial_norm = hs_norm(u0, 0.0) + float(hs_norm_rows(n0_row.astype(complex), grid, 0.0))
+    initial_norm = hs_norm(u0, 0.0) + float(hs_norm_rows(n0_row, grid, 0.0))
     return _iterate(free, sweep, distance, initial_norm, max_iter)
 
 
@@ -229,27 +241,23 @@ def measured_contraction_rate(history: IterateHistory) -> float:
     return max(rates) if rates else 0.0
 
 
-def existence_time_bracket(run, delta0: float) -> tuple[float, float]:
+def existence_time_bracket(converges, delta0: float) -> tuple[float, float]:
     """Bracket the largest interval half-width on which the iteration converges.
 
-    ``run(delta)`` must return an IterateHistory.  Doubles (or halves) delta
-    until the convergence verdict flips, at most BRACKET_DOUBLINGS times,
+    ``converges(delta)`` is the convergence verdict of the iteration on
+    [0, delta]; it is asked once per delta, delta0 first.  Doubles (or
+    halves) delta until the verdict flips, at most BRACKET_DOUBLINGS times,
     returning (delta_ok, delta_fail) with delta_fail / delta_ok == 2.
     """
-
-    def ok(delta: float) -> bool:
-        history = run(delta)
-        return contraction_report(history).converged
-
     delta = delta0
-    if ok(delta):
+    if converges(delta):
         for _ in range(BRACKET_DOUBLINGS):
-            if not ok(2.0 * delta):
+            if not converges(2.0 * delta):
                 return delta, 2.0 * delta
             delta *= 2.0
         raise RuntimeError(f"no divergence found up to delta = {delta}")
     for _ in range(BRACKET_DOUBLINGS):
-        if ok(0.5 * delta):
+        if converges(0.5 * delta):
             return 0.5 * delta, delta
         delta *= 0.5
     raise RuntimeError(f"no convergence found down to delta = {delta}")

@@ -11,10 +11,19 @@ import pytest
 import plsim.cli
 from plsim.checks import f1_residual
 from plsim.cli import main
+from plsim.config import build_grid, build_initial_n, build_initial_u, build_params, load_config
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import integrate
 from plsim.models import CgpeParams
+from plsim.picard import (
+    TimeMesh,
+    contraction_report,
+    existence_time_bracket,
+    measured_contraction_rate,
+    picard_cgpe,
+    picard_ep,
+)
 from plsim.storage import CHECKPOINT_MAGIC, read_checkpoint, read_diagnostics_csv, write_checkpoint
 
 TWO_PI = 2.0 * np.pi
@@ -174,6 +183,23 @@ class TestRun:
         assert not reports[0]["passed"]
         assert reports[0]["location"] == pytest.approx(0.006)
 
+    def test_blow_up_at_final_step_keeps_partial_outputs(self, tmp_path):
+        # blows up at step 7 = n_steps: the diagnostics reach t_end with only
+        # the t = 0 and final rows, too few for f1_residual's time derivative
+        doc = cgpe_doc(params={"xi": 1000.0, "sigma": 1e-9}, sample_every=7, t_end=0.007)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "final_step"
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["blow_up_time"] == pytest.approx(0.007)
+        assert meta["checkpoints"]
+        d = read_diagnostics_csv(out / "diagnostics.csv")
+        np.testing.assert_allclose(d.times, [0.0, 0.007], rtol=1e-12)
+        reports = json.loads((out / "reports.json").read_text())
+        assert [r["name"] for r in reports] == doc["checks"]
+        assert not reports[0]["passed"]
+        assert "need at least 3 samples" in reports[0]["reason"]
+
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, {"model": "cgpe", "params": {"sigma": -1}})
         assert main(["run", "--config", config, "--out", str(tmp_path / "x")]) == 2
@@ -244,6 +270,48 @@ class TestPicard:
         report = json.loads((out / "picard_report.json").read_text())
         bracket = report["bracket"]
         assert bracket["delta_fail"] == pytest.approx(2.0 * bracket["delta_ok"])
+
+    @pytest.mark.parametrize("model, doc, argv", [
+        ("cgpe", cgpe_doc(checks=[]), ["--delta", "0.1", "--s", "1.0"]),
+        ("ep", ep_doc(checks=[]), ["--delta", "0.05"]),
+    ])
+    def test_bisect_solves_each_delta_once(self, tmp_path, monkeypatch, model, doc, argv):
+        deltas = []
+
+        def counted(solve):
+            def run(*args, **kwargs):
+                deltas.append(next(a for a in args if isinstance(a, TimeMesh)).delta)
+                return solve(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(plsim.cli, "picard_cgpe", counted(picard_cgpe))
+        monkeypatch.setattr(plsim.cli, "picard_ep", counted(picard_ep))
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "bis"
+        code = main(["picard", "--config", config, "--out", str(out), "--n-nodes", "17",
+                     "--bisect", *argv])
+        assert code == 0
+        assert len(deltas) >= 2
+        assert len(set(deltas)) == len(deltas), deltas
+
+        cfg = load_config(config)
+        grid = build_grid(cfg)
+        params = build_params(cfg, grid)
+        u0 = build_initial_u(cfg, grid, None)
+
+        def fresh(delta):
+            mesh = TimeMesh(delta, 17)
+            if model == "ep":
+                return picard_ep(u0, build_initial_n(cfg, grid), mesh, params, 25)
+            return picard_cgpe(u0, mesh, params, s=1.0, max_iter=25)
+
+        delta = float(argv[1])
+        base = fresh(delta)
+        ok, fail = existence_time_bracket(lambda d: contraction_report(fresh(d)).converged, delta)
+        report = json.loads((out / "picard_report.json").read_text())
+        assert report["bracket"] == {"delta_ok": ok, "delta_fail": fail}
+        assert report["iterations"] == len(base.diffs)
+        assert report["rate"] == measured_contraction_rate(base)
 
 
 class TestNorms:
@@ -376,6 +444,20 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{bad}: {message}" in err
+
+    def test_check_after_off_cadence_blow_up_agrees_with_run(self, tmp_path, capsys):
+        # blows up at step 7, off the every-3rd-step sampling (see TestRun)
+        config = write_config(tmp_path, cgpe_doc(
+            params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3, t_end=0.051,
+        ))
+        out = tmp_path / "run"
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        recheck = tmp_path / "recheck"
+        code = main(["check", "--csv", str(out / "diagnostics.csv"), "--config", config,
+                     "--out", str(recheck)])
+        assert code == 1
+        assert "stops before t_end" in capsys.readouterr().err
+        assert (recheck / "reports.json").read_text() == (out / "reports.json").read_text()
 
     def test_header_only_csv_exits_2(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())

@@ -117,6 +117,17 @@ class TestDealias:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0, 2.5])
+    def test_hs_norm_rows_is_direct_weighted_sum(self, s):
+        grid = make_grid(48, 3.0)
+        rng = np.random.default_rng(11)
+        complex_rows = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+        for rows in (complex_rows, complex_rows.real, complex_rows[0]):
+            amps = np.fft.fft(rows, axis=-1) / grid.n_points
+            weights = (1.0 + grid.wavenumbers**2) ** s
+            direct = np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2, axis=-1))
+            np.testing.assert_allclose(hs_norm_rows(rows, grid, s), direct, rtol=1e-14, atol=0)
+
     def test_hs_constant(self):
         grid = make_grid(32, TWO_PI)
         f = Field(grid, np.ones(32))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from plsim.grid import Field, hs_norm, hs_norm_rows, make_grid, random_band_limited
+from plsim.grid import (
+    Field,
+    dealiased_cubic,
+    free_propagator,
+    hs_norm,
+    hs_norm_rows,
+    make_grid,
+    random_band_limited,
+)
 from plsim.integrators import CgpeState, EpState, integrate
 from plsim.models import (
     CgpeParams,
@@ -162,6 +170,91 @@ class TestPicardEp:
             assert rate < 0.9
 
 
+def _free_evolution(u0, mesh):
+    return np.fft.ifft(free_propagator(mesh.nodes, u0.grid) * np.fft.fft(u0.values), axis=-1)
+
+
+def _physical_duhamel(u0, mesh, rhs):
+    """The Duhamel map of physical forcing samples, with a transform pair per call."""
+    prop = free_propagator(mesh.nodes, u0.grid)
+    unwound = np.conj(prop) * np.fft.fft(rhs, axis=-1)
+    integral = cumulative_trapezoid(unwound, dx=mesh.spacing, axis=0, initial=0.0)
+    return np.fft.ifft(prop * (np.fft.fft(u0.values) + integral), axis=-1)
+
+
+def _relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSpectralSweep:
+    """Sweeps build their forcing in Fourier space; the map is the physical one."""
+
+    TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
+
+    def count_transforms(self, monkeypatch, solve):
+        calls = []
+        for name in self.TRANSFORMS:
+            transform = getattr(np.fft, name)
+
+            def counted(*args, _transform=transform, _name=name, **kwargs):
+                calls.append(_name)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        history = solve()
+        monkeypatch.undo()
+        return len(calls), history
+
+    def test_transforms_per_sweep(self, monkeypatch):
+        grid = make_grid(64, TWO_PI)
+        mesh = TimeMesh(0.05, 17)
+        u0 = h1_normalized(grid, 3)
+        # set-up: the DFT of u0, the free evolution, the norm of u0 (and of n0)
+        count, history = self.count_transforms(
+            monkeypatch, lambda: picard_cgpe(u0, mesh, CgpeParams(1.0, 1.0), s=1.0, max_iter=6)
+        )
+        assert count == 3 + 3 * len(history.diffs)
+        p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=constant_field(grid, 1.0))
+        count, history = self.count_transforms(
+            monkeypatch, lambda: picard_ep(u0, constant_field(grid, 0.3), mesh, p, max_iter=6)
+        )
+        assert count == 4 + 5 * len(history.diffs)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_cgpe_sweeps_match_physical_duhamel_map(self, s):
+        grid = make_grid(64, TWO_PI)
+        mesh = TimeMesh(0.05, 17)
+        p = CgpeParams(1.0, 0.5)
+        u0 = h1_normalized(grid, 6)
+        iterate = _free_evolution(u0, mesh)
+        for _ in range(2):
+            rhs = p.xi * iterate - (p.sigma + 1j) * dealiased_cubic(iterate, grid)
+            iterate = _physical_duhamel(u0, mesh, rhs)
+        history = picard_cgpe(u0, mesh, p, s=s, max_iter=2)
+        assert len(history.diffs) == 2
+        assert _relative_error(history.final, iterate) <= 1e-12
+
+    def test_ep_sweeps_match_physical_duhamel_map(self):
+        grid = make_grid(64, TWO_PI)
+        mesh = TimeMesh(0.05, 17)
+        pump = Field(grid, (1.0 + 0.5 * np.cos(grid.x)).astype(complex))
+        p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
+        u0 = h1_normalized(grid, 7)
+        n0 = Field(grid, (0.3 + 0.1 * np.sin(grid.x)).astype(complex))
+        u, n = _free_evolution(u0, mesh), np.tile(n0.values.real, (mesh.n_nodes, 1))
+        for _ in range(2):
+            rhs_u = -1j * p.g * dealiased_cubic(u, grid) + ((p.R - 1j * p.lam) * n - p.alpha) * u
+            rhs_n = p.pump_values - (p.R * np.abs(u) ** 2 + p.beta) * n
+            u, n = (
+                _physical_duhamel(u0, mesh, rhs_u),
+                n0.values.real + cumulative_trapezoid(rhs_n, dx=mesh.spacing, axis=0, initial=0.0),
+            )
+        history = picard_ep(u0, n0, mesh, p, max_iter=2)
+        assert len(history.diffs) == 2
+        assert _relative_error(history.final[0], u) <= 1e-12
+        assert _relative_error(history.final[1], n) <= 1e-12
+
+
 class TestContractionReport:
     def test_synthetic_geometric_diffs(self):
         history = IterateHistory(
@@ -257,7 +350,10 @@ class TestDivergenceAndBracket:
         def run(delta):
             return picard_cgpe(u0, TimeMesh(delta, 33), p, s=1.0, max_iter=40)
 
-        ok, fail = existence_time_bracket(run, 0.05)
+        def converges(delta):
+            return contraction_report(run(delta)).converged
+
+        ok, fail = existence_time_bracket(converges, 0.05)
         assert fail == pytest.approx(2.0 * ok)
         assert ok >= 0.05
         assert contraction_report(run(ok)).converged
