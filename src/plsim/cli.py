@@ -38,7 +38,7 @@ from .config import (
 )
 from .diagnostics import DiagnosticsSeries
 from .grid import hs_norm, make_grid
-from .integrators import BlowUpError, CgpeState, EpState, integrate, step_count
+from .integrators import BlowUpError, CgpeState, EpState, iter_samples, step_count
 from .picard import (
     TimeMesh,
     contraction_report,
@@ -59,12 +59,12 @@ from .spacetime import (
 )
 from .storage import (
     CheckpointError,
+    DiagnosticsAppender,
     output_lock,
     read_checkpoint,
     read_diagnostics_csv,
     write_checkpoint,
     write_csv,
-    write_diagnostics_csv,
     write_json,
 )
 
@@ -131,37 +131,44 @@ def cmd_run(args) -> int:
     else:
         initial = CgpeState(u=u0)
 
+    digest = config_hash(config)
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    saved = []
+
+    def due(index: int) -> bool:
+        return config.checkpoint_every > 0 and index % config.checkpoint_every == 0
+
+    def save(index: int, state) -> None:
+        path = os.path.join(ckpt_dir, f"state_{index:07d}.ckpt")
+        n = state.n if isinstance(state, EpState) else None
+        write_checkpoint(path, state.u, n, state.t, digest)
+        saved.append(os.path.basename(path))
+
+    # each sample goes to disk as it comes and only the latest state is
+    # held: its row is appended, its checkpoint written when due
+    rows = []
     blow_up = None
     with output_lock(out_dir):
+        os.makedirs(ckpt_dir, exist_ok=True)
+        samples = iter_samples(initial, config.dt, config.t_end, config.sample_every, params)
         try:
-            trajectory = integrate(
-                initial, config.dt, config.t_end, config.sample_every, params
-            )
+            with DiagnosticsAppender(os.path.join(out_dir, "diagnostics.csv"),
+                                     isinstance(initial, EpState)) as table:
+                for index, (steps, state, row) in enumerate(samples):
+                    table.append(row)
+                    rows.append(row)
+                    if due(index):
+                        save(index, state)
         except BlowUpError as err:
-            blow_up = err.time
-            trajectory = err.trajectory
+            blow_up, steps = err.time, err.steps
             print(f"blow-up at t = {err.time:.6g}; partial outputs retained", file=sys.stderr)
+        if not due(index):  # the last sample is always saved
+            save(index, state)
 
-        write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), trajectory.diagnostics)
-        checked, partial = _checked_rows(trajectory.diagnostics, config)
+        checked, partial = _checked_rows(DiagnosticsSeries.from_rows(rows), config)
         passed = _run_checks(
             config.checks, checked, params, grid.length, out_dir, partial or blow_up is not None
         )
-
-        digest = config_hash(config)
-        ckpt_dir = os.path.join(out_dir, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        saved = []
-        for index, state in enumerate(trajectory.states):
-            final = index == len(trajectory.states) - 1
-            if final or (
-                config.checkpoint_every > 0 and index % config.checkpoint_every == 0
-            ):
-                path = os.path.join(ckpt_dir, f"state_{index:07d}.ckpt")
-                n = state.n if isinstance(state, EpState) else None
-                write_checkpoint(path, state.u, n, state.t, digest)
-                saved.append(path)
-
         write_json(
             os.path.join(out_dir, "run_meta.json"),
             {
@@ -169,9 +176,9 @@ def cmd_run(args) -> int:
                 "config_hash": digest,
                 "model": config.model,
                 "seed": args.seed,
-                "steps": trajectory.steps,
+                "steps": steps,
                 "blow_up_time": blow_up,
-                "checkpoints": [os.path.basename(p) for p in saved],
+                "checkpoints": saved,
                 "warnings": list(config.warnings),
             },
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,11 @@ _EP_PARAM_DEFAULTS = {"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1
 
 
 class ConfigError(ValueError):
-    """All schema violations of one document, collected."""
+    """All schema violations of one document, collected into a one-line message."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in violations))
+        super().__init__("invalid configuration: " + "; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,13 @@ class _Validator:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(f"{where}.{key}: expected a number, got {value!r}")
             return None
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            self.fail(f"{where}.{key}: must be finite, got {obj[key]!r}")
+            return None
         if positive and not value > 0:
             self.fail(f"{where}.{key}: must be positive, got {value}")
             return None
@@ -155,7 +162,7 @@ def _validate_profile(val, where, kinds, v: _Validator) -> dict | None:
         v.fail(f"{where}: expected an object")
         return None
     kind = val.get("kind")
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         v.fail(f"{where}.kind: expected one of {sorted(kinds)}, got {kind!r}")
         return None
     spec = {"kind": kind}
@@ -199,7 +206,7 @@ def parse_config(text: str) -> RunConfig:
     v = _Validator()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also too deep, or an over-long integer
         raise ConfigError([f"not valid JSON: {err}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
@@ -338,7 +345,11 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Load and validate a configuration file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError([f"{path}: not UTF-8 text ({err.reason})"]) from None
+    return parse_config(text)
 
 
 def build_grid(config: RunConfig) -> Grid1D:

@@ -35,6 +35,8 @@ __all__ = [
     "step_count",
     "integrate",
 ]
+# iter_samples is public but not exported: it is a generator, so a wrapper
+# that times calls of the exported functions would time only its creation.
 
 # A run is declared blown up once its mass exceeds this multiple of the
 # initial mass, or any state value stops being finite.
@@ -76,14 +78,17 @@ class Trajectory:
 class BlowUpError(RuntimeError):
     """Raised when a step produces a non-finite or runaway state.
 
-    Carries the offending time and the partial trajectory accumulated so
-    far (may be None when raised by a bare stepper).
+    Carries the offending time, the number of steps completed before it
+    and the partial trajectory accumulated so far (both None when raised
+    by a bare stepper).
     """
 
-    def __init__(self, time: float, trajectory: Trajectory | None = None):
+    def __init__(self, time: float, trajectory: Trajectory | None = None,
+                 steps: int | None = None):
         super().__init__(f"solution blew up at t = {time:.6g}")
         self.time = time
         self.trajectory = trajectory
+        self.steps = steps
 
 
 @lru_cache(maxsize=HALF_STEP_CACHE_SIZE)
@@ -199,12 +204,15 @@ def step_count(dt: float, t_end: float) -> int:
     return max(1, int(round(steps)))
 
 
-def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:
-    """Advance a state with fixed steps, recording diagnostics at samples.
+def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
+    """Advance a state with fixed steps, yielding (step_index, state, row) at samples.
 
     Samples land at step indices 0, sample_every, 2*sample_every, ... and
-    always at the final step.  On blow-up the partial trajectory is
-    attached to the raised BlowUpError.
+    always at the final step; row is the state's diagnostics in COLUMNS
+    order.  A state whose mass exceeds the blow-up cap is yielded as a
+    sample of its own before BlowUpError is raised; a non-finite state
+    raises without being yielded.  Either error carries the number of
+    steps completed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -224,29 +232,35 @@ def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Tr
     n_steps = step_count(dt, t_end)
     mass0 = _mass(initial.u)
     mass_cap = BLOWUP_MASS_FACTOR * mass0 if mass0 > 0 else np.inf
-    states = [initial]
-    rows = [_diagnostics_row(initial, mass0)]
+    yield 0, initial, _diagnostics_row(initial, mass0)
     state = initial
-    completed = 0
-
-    def partial() -> Trajectory:
-        return Trajectory(states=states, diagnostics=DiagnosticsSeries.from_rows(rows), dt=dt, steps=completed)
-
     for i in range(1, n_steps + 1):
         try:
             state = step(state)
         except BlowUpError as err:
-            raise BlowUpError(err.time, partial()) from None
-        completed = i
+            raise BlowUpError(err.time, steps=i - 1) from None
         # timestamps are exact multiples of dt, not accumulated sums
         state = replace(state, t=i * dt)
         mass = _mass(state.u)
         if mass > mass_cap:
-            states.append(state)
-            rows.append(_diagnostics_row(state, mass))
-            raise BlowUpError(state.t, partial())
+            yield i, state, _diagnostics_row(state, mass)
+            raise BlowUpError(state.t, steps=i)
         if i % sample_every == 0 or i == n_steps:
-            states.append(state)
-            rows.append(_diagnostics_row(state, mass))
-    return Trajectory(states=states, diagnostics=DiagnosticsSeries.from_rows(rows), dt=dt, steps=n_steps)
+            yield i, state, _diagnostics_row(state, mass)
 
+
+def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:
+    """Advance a state with fixed steps, recording states and diagnostics at samples.
+
+    Samples as in ``iter_samples``.  On blow-up the partial trajectory is
+    attached to the raised BlowUpError.
+    """
+    states, rows = [], []
+    try:
+        for steps, state, row in iter_samples(initial, dt, t_end, sample_every, params):
+            states.append(state)
+            rows.append(row)
+    except BlowUpError as err:
+        err.trajectory = Trajectory(states, DiagnosticsSeries.from_rows(rows), dt, err.steps)
+        raise
+    return Trajectory(states, DiagnosticsSeries.from_rows(rows), dt, steps)

@@ -7,7 +7,10 @@ time, grid geometry), then the payload as little-endian float64: one
 point for the reservoir when present.  Every payload value is finite.
 
 All writers are deterministic: identical inputs produce byte-identical
-files (floats are serialized with shortest round-trip repr).
+files (floats are serialized with shortest round-trip repr).  Checkpoints
+and JSON files are written to ``<path>.tmp`` and renamed into place, and
+the diagnostics CSV is written a whole line at a time, so a killed writer
+leaves no partial checkpoint, JSON file or CSV row.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "write_csv",
+    "DiagnosticsAppender",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
     "write_json",
@@ -60,11 +64,20 @@ def write_checkpoint(path, u: Field, n: Field | None, time: float, config_hash: 
         if n.grid != u.grid:
             raise ValueError("u and n must share a grid")
         payload[2 * u.grid.n_points :] = n.values.real
-    with open(path, "wb") as handle:
+    with _replacing(path) as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(np.array(len(header_bytes), dtype="<u4").tobytes())
         handle.write(header_bytes)
         handle.write(payload.astype("<f8").tobytes())
+
+
+@contextmanager
+def _replacing(path):
+    """Binary handle on ``<path>.tmp``, renamed over path once the block completes."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as handle:
+        yield handle
+    os.replace(tmp, path)
 
 
 def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
@@ -133,7 +146,7 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_cell(value) for value in row) + "\n")
+            handle.write(_line(row))
 
 
 def _cell(value) -> str:
@@ -144,9 +157,38 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _line(row) -> str:
+    return ",".join(_cell(value) for value in row) + "\n"
+
+
+class DiagnosticsAppender:
+    """diagnostics.csv written as the rows come: the header of COLUMNS on
+    opening (the reservoir columns when has_reservoir), then one line per
+    appended row.
+
+    The file is line-buffered and each line is one write, so a killed
+    writer leaves whole rows only.  Use as a context manager.
+    """
+
+    def __init__(self, path, has_reservoir: bool) -> None:
+        self._handle = open(path, "w", encoding="utf-8", newline="\n", buffering=1)
+        self._handle.write(",".join(COLUMNS if has_reservoir else COLUMNS[:3]) + "\n")
+
+    def append(self, row) -> None:
+        """Write one row of values in header order."""
+        self._handle.write(_line(row))
+
+    def __enter__(self) -> DiagnosticsAppender:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._handle.close()
+
+
 def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
-    series = d.columns()
-    write_csv(path, COLUMNS[: len(series)], zip(*series))
+    with DiagnosticsAppender(path, d.has_reservoir) as table:
+        for row in zip(*d.columns()):
+            table.append(row)
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
@@ -179,9 +221,8 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with _replacing(path) as handle:
+        handle.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _stale_lock_owner(lock_path) -> int | None:

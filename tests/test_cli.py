@@ -1,9 +1,12 @@
 """Command-line surface: run, picard, norms, check; determinism and exits."""
 
-import dataclasses
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from plsim.cli import main
 from plsim.config import build_grid, build_initial_n, build_initial_u, build_params, load_config
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
-from plsim.integrators import integrate
+from plsim.integrators import iter_samples
 from plsim.models import CgpeParams
 from plsim.picard import (
     TimeMesh,
@@ -124,12 +127,10 @@ class TestRun:
 
     def test_failed_check_exits_1(self, tmp_path, monkeypatch):
         def corrupted(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            d = traj.diagnostics
-            bad = DiagnosticsSeries(times=d.times, mass=d.mass, l4_fourth=d.l4_fourth + 0.5)
-            return dataclasses.replace(traj, diagnostics=bad)
+            for step, state, (t, mass, l4_fourth) in iter_samples(*args, **kwargs):
+                yield step, state, (t, mass, l4_fourth + 0.5)
 
-        monkeypatch.setattr(plsim.cli, "integrate", corrupted)
+        monkeypatch.setattr(plsim.cli, "iter_samples", corrupted)
         config = write_config(tmp_path, cgpe_doc(checks=["f1_residual"]))
         out = tmp_path / "fault"
         assert main(["run", "--config", config, "--out", str(out)]) == 1
@@ -199,6 +200,61 @@ class TestRun:
         assert [r["name"] for r in reports] == doc["checks"]
         assert not reports[0]["passed"]
         assert "need at least 3 samples" in reports[0]["reason"]
+
+    def test_killed_run_leaves_readable_files(self, tmp_path):
+        # a run killed after its third checkpoint leaves whole files only;
+        # a re-run into the same directory takes over the stale lock and
+        # writes what a clean run writes
+        doc = ep_doc(grid={"n_points": 1024, "length": TWO_PI}, dt=1e-3, t_end=3.0,
+                     sample_every=10, checkpoint_every=2)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "killed"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plsim.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plsim.cli", "run", "--config", config, "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(list(out.glob("checkpoints/*.ckpt"))) < 3:
+                assert proc.poll() is None, "the run ended before it could be killed"
+                assert time.monotonic() < deadline, "no third checkpoint within 60 s"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+        assert not (out / "run_meta.json").exists()
+        times = [read_checkpoint(path)[2]["time"] for path in out.glob("checkpoints/*.ckpt")]
+        assert len(times) >= 3
+        d = read_diagnostics_csv(out / "diagnostics.csv")
+        assert max(times) <= d.times[-1] < doc["t_end"]  # killed while stepping
+
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        clean = tmp_path / "clean"
+        assert main(["run", "--config", config, "--out", str(clean)]) == 0
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(out) == files(clean)
+
+    def test_memory_does_not_grow_with_sample_count(self, tmp_path):
+        # only the latest state is held: 200 samples peak about where 20 do
+        peaks = {}
+        for samples in (20, 20, 200):  # the first run warms caches and imports
+            doc = ep_doc(grid={"n_points": 1024, "length": TWO_PI}, dt=1e-3,
+                         t_end=samples * 1e-3, sample_every=1)
+            config = write_config(tmp_path, doc, name=f"samples_{samples}.json")
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", config, "--out", str(tmp_path / str(samples))]) == 0
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 1.25 * peaks[20]
 
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, {"model": "cgpe", "params": {"sigma": -1}})

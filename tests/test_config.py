@@ -1,10 +1,15 @@
 """Configuration parsing: strict schema, defaults, presets, builders."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from plsim.cli import main
 from plsim.config import (
     ConfigError,
     build_grid,
@@ -192,3 +197,121 @@ class TestLoad:
         path.write_text(json.dumps({"model": "cgpe", "t_end": 0.5}))
         config = load_config(str(path))
         assert config.t_end == 0.5
+
+
+# Valid documents that set every key, so that mutations reach each one
+VALID_DOCS = [
+    {
+        "schema_version": 1,
+        "model": "cgpe",
+        "grid": {"n_points": 64, "length": 6.0},
+        "params": {"xi": 1.0, "sigma": 1.0},
+        "initial": {"u": {"kind": "gaussian", "amplitude": 0.8, "width": 0.5}},
+        "dt": 1e-3,
+        "t_end": 0.05,
+        "sample_every": 5,
+        "checkpoint_every": 2,
+        "checks": ["f1_residual", "abs_set"],
+        "output": "out",
+    },
+    {
+        "model": "ep",
+        "grid": {"n_points": 32, "length": 8.0},
+        "params": {"g": 1.0, "lambda": 0.5, "R": 1.0, "alpha": 0.5, "beta": 1.3},
+        "pump": {"kind": "bump", "center": 4.0, "width": 1.0, "height": 1.2},
+        "initial": {"u": {"kind": "random", "seed": 3, "band": 4},
+                    "n": {"kind": "constant", "level": 0.3}},
+        "dt": 2e-3,
+        "t_end": 0.1,
+        "checks": ["ep_lyapunov", "reservoir_bounds"],
+    },
+]
+
+JUNK = st.one_of(
+    st.sampled_from([None, True, "", "cgpe", float("nan"), float("inf"), float("-inf"),
+                     -1.0, 0.0, -7, 10**400, -(10**400), 1e308, 5e-324, 2**63, 3]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    ),
+)
+
+
+def _paths(doc, prefix=()):
+    """Every key path of a nested document."""
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        action = draw(st.sampled_from(["drop", "replace", "nest", "add"]))
+        if action == "drop":
+            del target[key]
+        elif action == "replace":
+            target[key] = draw(JUNK)
+        elif action == "nest":
+            target[key] = [target[key]] if draw(st.booleans()) else {"kind": target[key]}
+        else:
+            target[draw(st.text(max_size=4))] = draw(JUNK)
+    return json.dumps(doc)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_documents())
+    def test_mutated_document_parses_or_run_exits_2(self, tmp_path, text):
+        try:
+            parse_config(text)
+            return
+        except ConfigError as err:
+            assert "\n" not in str(err)
+        path = tmp_path / "fuzzed.json"
+        path.write_text(text, encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert stderr.getvalue().startswith("error: invalid configuration: ")
+        assert stderr.getvalue().count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,  # nesting deeper than the decoder's recursion limit
+            '{"model": "cgpe", "dt": ' + "1" * 5000 + "}",  # integer too long to convert
+            '{"model": "cgpe", "grid": {"length": 1' + "0" * 400 + "}}",  # beyond the float range
+            '{"model": "cgpe", "initial": {"u": {"kind": ["gaussian"]}}}',  # unhashable kind
+            '{"model": "cgpe", "initial": {"u": {"kind": "gaussian", "amplitude": NaN}}}',
+            '{"model": "ep", "pump": {"kind": "bump", "center": -Infinity, "width": 1, "height": 1}}',
+        ],
+        ids=["deep", "long_int", "huge_int", "list_kind", "nan", "minus_inf"],
+    )
+    def test_malformed_document_is_a_config_error(self, text):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert "\n" not in str(excinfo.value)
+
+    def test_non_utf8_file_exits_2_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"model": "cgpe", "output": "\xe9"}')
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "not UTF-8" in err

@@ -12,6 +12,7 @@ from plsim.integrators import (
     cgpe_local_step,
     dispersion_half_step,
     integrate,
+    iter_samples,
     reservoir_exact_update,
     strang_step_cgpe,
     strang_step_ep,
@@ -362,6 +363,42 @@ class TestIntegrate:
         assert err.trajectory is not None
         assert len(err.trajectory.diagnostics) >= 2
         assert err.time <= 5.0
+
+    @pytest.mark.parametrize(
+        "params, dt, t_end, sample_every, steps",
+        [
+            # the mass cap is exceeded at step 5, which is yielded first
+            (CgpeParams(xi=30.0, sigma=1e-12), 0.05, 5.0, 3, 5),
+            # the first step overflows: no state is yielded after the initial one
+            (CgpeParams(xi=1000.0, sigma=1e-12), 0.5, 4.0, 1, 0),
+        ],
+        ids=["mass_cap", "non_finite"],
+    )
+    def test_blow_up_counts_completed_steps(self, params, dt, t_end, sample_every, steps):
+        grid = make_grid(16, TWO_PI)
+        state = CgpeState(u=constant_field(grid, 1e-3))
+        seen = []
+        with pytest.raises(BlowUpError) as streamed, np.errstate(over="ignore", invalid="ignore"):
+            for step, _, _ in iter_samples(state, dt, t_end, sample_every, params):
+                seen.append(step)
+        assert streamed.value.steps == steps and streamed.value.trajectory is None
+        assert seen[-1] == steps
+        with pytest.raises(BlowUpError) as collected, np.errstate(over="ignore", invalid="ignore"):
+            integrate(state, dt, t_end, sample_every, params)
+        assert collected.value.trajectory.steps == steps
+        assert len(collected.value.trajectory.states) == len(seen)
+
+    def test_integrate_collects_the_streamed_samples(self):
+        grid = make_grid(32, TWO_PI)
+        p = make_ep_params(grid, p0=1.0, alpha=0.5, beta=1.3, lam=0.5)
+        initial = EpState(u=gaussian_field(grid, 0.8), n=constant_field(grid, 0.3))
+        streamed = list(iter_samples(initial, 1e-2, 0.5, 7, p))
+        traj = integrate(initial, 1e-2, 0.5, 7, p)
+        assert [step for step, _, _ in streamed] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        assert traj.steps == 50
+        for (_, state, row), kept, *stored in zip(streamed, traj.states, *traj.diagnostics.columns()):
+            np.testing.assert_array_equal(state.n.values, kept.n.values)
+            assert row == tuple(stored)
 
     def test_rejects_bad_arguments(self):
         grid = make_grid(16, TWO_PI)
