@@ -18,7 +18,7 @@ from .checks import (
     abs_set_envelope,
     ep_lyapunov,
     mass_balance_residual,
-    mass_decay_envelope,
+    relaxation_envelope,
     reservoir_bounds,
     reservoir_sq_bound,
 )
@@ -81,7 +81,7 @@ def criterion_2_absorbing_set() -> CriterionResult:
     scale = np.sqrt(10.0 * radius / (np.sum(np.abs(u0.values) ** 2) * grid.dx))
     traj = integrate(CgpeState(u=u0.with_values(scale * u0.values)), 1e-3, 6.0, sample_every=5, params=p)
     d = traj.diagnostics
-    envelope = mass_decay_envelope(d.times, d.mass[0], p, TWO_PI)
+    envelope = relaxation_envelope(d.times, d.mass[0], radius, 2.0 * p.xi)
     env_margin = float(np.min(envelope + 1e-8 - d.mass))
     tail = d.mass[d.times >= 5.0 / (2.0 * p.xi)]
     tail_max = float(np.max(tail))

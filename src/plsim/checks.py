@@ -41,9 +41,7 @@ __all__ = [
     "abs_set_envelope",
     "ep_lyapunov",
     "reservoir_bounds",
-    "mass_decay_envelope",
-    "lyapunov_envelope",
-    "reservoir_sq_envelope",
+    "relaxation_envelope",
     "reservoir_sq_bound",
     "CHECKS_BY_MODEL",
     "run_check",
@@ -62,29 +60,18 @@ class CheckReport:
         return asdict(self)
 
 
-def mass_decay_envelope(tau, mass0: float, p: CgpeParams, domain_measure: float):
-    """Gronwall envelope of the mass, asymptote (2 xi / sigma) |T|."""
-    decay = np.exp(-2.0 * p.xi * np.asarray(tau, dtype=float))
-    limit = 2.0 * p.xi / p.sigma * domain_measure
-    return mass0 * decay + limit * (1.0 - decay)
-
-
-def lyapunov_envelope(tau, value0: float, source: float, gamma: float):
-    """Envelope e^{-gamma t}(L0 - S/gamma) + S/gamma."""
-    decay = np.exp(-gamma * np.asarray(tau, dtype=float))
-    return decay * (value0 - source / gamma) + source / gamma
-
-
-def reservoir_sq_envelope(tau, nsq0: float, pump_sq_integral: float, beta: float):
-    decay = np.exp(-beta * np.asarray(tau, dtype=float))
-    return decay * nsq0 + (1.0 - decay) * pump_sq_integral / beta**2
+def relaxation_envelope(tau, start: float, limit: float, rate: float):
+    """Gronwall envelope e^{-rate t} start + (1 - e^{-rate t}) limit, the form
+    of every bound checked here (limit is the source-to-rate ratio)."""
+    decay = np.exp(-rate * np.asarray(tau, dtype=float))
+    return start * decay + limit * (1.0 - decay)
 
 
 def reservoir_sq_bound(d: DiagnosticsSeries, p: EpParams) -> np.ndarray:
     """Second-moment envelope of the recorded run at each of its samples."""
     tau = d.times - d.times[0]
     pump_sq = float(np.sum(p.pump_values**2) * p.pump.grid.dx)
-    return reservoir_sq_envelope(tau, float(d.n_sq_integral[0]), pump_sq, p.beta)
+    return relaxation_envelope(tau, float(d.n_sq_integral[0]), pump_sq / p.beta**2, p.beta)
 
 
 def mass_balance_residual(d: DiagnosticsSeries, p: CgpeParams, stride: int = 1) -> np.ndarray:
@@ -141,7 +128,8 @@ def f1_residual(d: DiagnosticsSeries, p: CgpeParams) -> CheckReport:
 def abs_set_envelope(d: DiagnosticsSeries, p: CgpeParams, domain_measure: float) -> CheckReport:
     """Mass under the exponential decay envelope at every sample."""
     tau = d.times - d.times[0]
-    envelope = mass_decay_envelope(tau, float(d.mass[0]), p, domain_measure)
+    radius = 2.0 * p.xi / p.sigma * domain_measure  # of the absorbing set
+    envelope = relaxation_envelope(tau, float(d.mass[0]), radius, 2.0 * p.xi)
     margins = envelope - d.mass
     tolerances = 1e-8 * (1.0 + envelope)
     return _report("abs_set", margins, tolerances, d.times)
@@ -161,7 +149,7 @@ def ep_lyapunov(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
     source = float(np.sum(p.pump_values) * p.pump.grid.dx)
     values = 0.5 * d.mass + d.n_integral
     tau = d.times - d.times[0]
-    envelope = lyapunov_envelope(tau, float(values[0]), source, gamma)
+    envelope = relaxation_envelope(tau, float(values[0]), source / gamma, gamma)
     margins = envelope - values
     tolerances = 1e-8 * (1.0 + np.abs(envelope))
     return _report("ep_lyapunov", margins, tolerances, d.times)

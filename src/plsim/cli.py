@@ -74,22 +74,9 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _checked_rows(diagnostics: DiagnosticsSeries, config) -> tuple[DiagnosticsSeries, bool]:
-    """The rows of a run's diagnostics that its checks read, and whether the
-    series stops before t_end (the run blew up).
-
-    A run that blows up records the state over the mass cap at the step it
-    happened; when that step is off the sampling cadence, the checks read
-    the uniformly sampled rows before it.  ``run`` and ``check`` both decide
-    here, so they check the same rows of one diagnostics.csv.  A blow-up at
-    the final step leaves a series that reaches t_end: only ``run``, which
-    saw the BlowUpError, knows that one is partial.
-    """
-    steps = np.rint(diagnostics.times / config.dt)
-    partial = bool(steps[-1] < step_count(config.dt, config.t_end))
-    if partial and steps[-1] % config.sample_every:
-        diagnostics = DiagnosticsSeries(*(column[:-1] for column in diagnostics.columns()))
-    return diagnostics, partial
+def _stops_early(diagnostics: DiagnosticsSeries, config) -> bool:
+    """Whether a run's diagnostics stop before t_end: the run blew up."""
+    return bool(np.rint(diagnostics.times[-1] / config.dt) < step_count(config.dt, config.t_end))
 
 
 def _run_checks(
@@ -165,10 +152,9 @@ def cmd_run(args) -> int:
         if not due(index):  # the last sample is always saved
             save(index, state)
 
-        checked, partial = _checked_rows(DiagnosticsSeries.from_rows(rows), config)
-        passed = _run_checks(
-            config.checks, checked, params, grid.length, out_dir, partial or blow_up is not None
-        )
+        diagnostics = DiagnosticsSeries.from_rows(rows)
+        partial = _stops_early(diagnostics, config)
+        passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
         write_json(
             os.path.join(out_dir, "run_meta.json"),
             {
@@ -183,7 +169,7 @@ def cmd_run(args) -> int:
             },
         )
 
-    return 0 if (passed and blow_up is None) else 1
+    return 0 if (passed and not partial) else 1
 
 
 def cmd_picard(args) -> int:
@@ -323,23 +309,35 @@ def _norms_trilinear(args, out_dir: str) -> int:
     return 0
 
 
+# each norms mode, and the options it reads with their defaults; an option
+# given to a mode that does not read it is an error, not silently ignored
+NORMS_MODES = {
+    "checkpoints": (_norms_from_checkpoints, {"s": 0.0, "b": 0.375, "dispersion": "schroedinger"}),
+    "l4_scan": (_norms_l4_scan, {"samples": 50, "seed": 0}),
+    "trilinear_scan": (_norms_trilinear, {"samples": 50, "seed": 0, "eps": 0.05, "assert_": False}),
+}
+
+
 def cmd_norms(args) -> int:
     out_dir = args.out or "plsim-out"
-    modes = sum(bool(m) for m in (args.checkpoints, args.l4_scan, args.trilinear_scan))
-    if modes != 1:
+    modes = [mode for mode in NORMS_MODES if getattr(args, mode)]
+    if len(modes) != 1:
         return _fail("choose exactly one of --checkpoints, --l4-scan, --trilinear-scan")
+    run_mode, reads = NORMS_MODES[modes[0]]
+    for name in ("s", "b", "dispersion", "samples", "seed", "eps", "assert_"):
+        if getattr(args, name) is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            return _fail(f"--{name.rstrip('_')} does not apply to --{modes[0].replace('_', '-')}")
     with output_lock(out_dir):
-        if args.checkpoints:
-            return _norms_from_checkpoints(args, out_dir)
-        if args.l4_scan:
-            return _norms_l4_scan(args, out_dir)
-        return _norms_trilinear(args, out_dir)
+        return run_mode(args, out_dir)
 
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
     out_dir = args.out or config.output or "plsim-out"
-    diagnostics, partial = _checked_rows(read_diagnostics_csv(args.csv), config)
+    diagnostics = read_diagnostics_csv(args.csv)
+    partial = _stops_early(diagnostics, config)
     if partial:
         print(f"{args.csv} stops before t_end = {config.t_end:.6g}: checking the rows of a "
               "run that blew up", file=sys.stderr)
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate a configured trajectory")
     run_p.add_argument("--config", required=True, help="config path")
-    run_p.add_argument("--seed", type=int, default=None, help="override the initial-data seed")
+    run_p.add_argument("--seed", type=int, default=None, help="override a random initial seed")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.set_defaults(func=cmd_run)
 
@@ -396,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Sobolev index for distances (cgpe only; the two-field model uses L2)")
     pic_p.add_argument("--bisect", action="store_true",
                        help="bracket the largest converging interval")
-    pic_p.add_argument("--seed", type=int, default=None)
+    pic_p.add_argument("--seed", type=int, default=None, help="override a random initial seed")
     pic_p.add_argument("--out", default=None)
     pic_p.add_argument("--assert", dest="assert_", action="store_true")
     pic_p.set_defaults(func=cmd_picard)
@@ -408,14 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lattice sizes for the quartic-ratio ensemble scan")
     norms_p.add_argument("--trilinear-scan", default=None, metavar="SIZES",
                          help="comma-separated lattice sizes for the trilinear scan")
-    norms_p.add_argument("--s", type=float, default=0.0)
-    norms_p.add_argument("--b", type=float, default=0.375)
-    norms_p.add_argument("--dispersion", choices=DISPERSIONS, default="schroedinger")
-    norms_p.add_argument("--samples", type=int, default=50)
-    norms_p.add_argument("--seed", type=int, default=0)
-    norms_p.add_argument("--eps", type=float, default=0.05)
+    # mode options default to None here: NORMS_MODES holds their defaults
+    norms_p.add_argument("--s", type=float, help="with --checkpoints")
+    norms_p.add_argument("--b", type=float, help="with --checkpoints")
+    norms_p.add_argument("--dispersion", choices=DISPERSIONS, help="with --checkpoints")
+    norms_p.add_argument("--samples", type=int, help="with a scan")
+    norms_p.add_argument("--seed", type=int, help="with a scan")
+    norms_p.add_argument("--eps", type=float, help="with --trilinear-scan")
     norms_p.add_argument("--out", default=None)
-    norms_p.add_argument("--assert", dest="assert_", action="store_true")
+    norms_p.add_argument("--assert", dest="assert_", action="store_true", default=None)
     norms_p.set_defaults(func=cmd_norms)
 
     check_p = sub.add_parser("check", help="re-run checks on a stored diagnostics CSV")

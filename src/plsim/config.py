@@ -48,6 +48,13 @@ DEFAULTS = {
     "checkpoint_every": 0,
 }
 
+# The most work one document may ask for.  A 2**20-point grid already
+# holds 16 MiB per complex field, and 10**9 steps take about 21 hours at
+# the ~75 us of an N=64 cgpe step on a 2-vCPU VM; a larger request is a
+# typo or a runaway, and is refused before anything is allocated.
+MAX_N_POINTS = 2**20
+MAX_STEPS = 10**9
+
 _CGPE_PARAM_DEFAULTS = {"xi": 1.0, "sigma": 1.0}
 _EP_PARAM_DEFAULTS = {"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.0}
 
@@ -230,6 +237,8 @@ def parse_config(text: str) -> RunConfig:
     length = v.number(grid_doc, "grid", "length", default=DEFAULTS["length"], positive=True)
     if n_points is not None and n_points % 2 != 0:
         v.fail(f"grid.n_points: must be even, got {n_points}")
+    if n_points is not None and n_points > MAX_N_POINTS:
+        v.fail(f"grid.n_points: must be at most {MAX_N_POINTS}, got {n_points}")
 
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict):
@@ -291,6 +300,8 @@ def parse_config(text: str) -> RunConfig:
     if dt is not None and t_end is not None:
         if not dt < t_end:
             v.fail(f"dt: must be smaller than t_end, got dt={dt}, t_end={t_end}")
+        elif not t_end / dt < MAX_STEPS + 0.5:
+            v.fail(f"t_end: at most {MAX_STEPS} steps of dt, got dt={dt}, t_end={t_end}")
         else:
             try:
                 n_steps = step_count(dt, t_end)
@@ -313,10 +324,14 @@ def parse_config(text: str) -> RunConfig:
             else:
                 checks.append(name)
     # the residual check differentiates in time, so every sample interval,
-    # the last one included, must be the same
-    if "f1_residual" in checks and n_steps and sample_every and n_steps % sample_every:
-        v.fail(f"sample_every: f1_residual needs uniform sampling, so sample_every must "
-               f"divide the {n_steps} steps, got {sample_every}")
+    # the last one included, must be the same, and there must be three samples
+    if "f1_residual" in checks and n_steps and sample_every:
+        if n_steps % sample_every:
+            v.fail(f"sample_every: f1_residual needs uniform sampling, so sample_every must "
+                   f"divide the {n_steps} steps, got {sample_every}")
+        elif n_steps // sample_every < 2:
+            v.fail(f"sample_every: f1_residual needs 3 samples, so sample_every must be at "
+                   f"most half the {n_steps} steps, got {sample_every}")
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -382,6 +397,9 @@ def build_params(config: RunConfig, grid: Grid1D):
 
 def build_initial_u(config: RunConfig, grid: Grid1D, seed_override: int | None = None) -> Field:
     spec = config.initial_u
+    if seed_override is not None and spec["kind"] != "random":
+        raise ValueError(f"a seed applies to random initial data only, not to "
+                         f"initial.u kind {spec['kind']!r}")
     if spec["kind"] == "flat":
         value = spec["rho"] * np.exp(1j * spec["theta"])
         return Field(grid, np.full(grid.n_points, value))

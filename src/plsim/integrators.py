@@ -209,10 +209,9 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
 
     Samples land at step indices 0, sample_every, 2*sample_every, ... and
     always at the final step; row is the state's diagnostics in COLUMNS
-    order.  A state whose mass exceeds the blow-up cap is yielded as a
-    sample of its own before BlowUpError is raised; a non-finite state
-    raises without being yielded.  Either error carries the number of
-    steps completed.
+    order.  A state that is non-finite or whose mass exceeds the blow-up
+    cap is never yielded: BlowUpError is raised with its time and the
+    number of steps completed before it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -243,8 +242,7 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
         state = replace(state, t=i * dt)
         mass = _mass(state.u)
         if mass > mass_cap:
-            yield i, state, _diagnostics_row(state, mass)
-            raise BlowUpError(state.t, steps=i)
+            raise BlowUpError(state.t, steps=i - 1)
         if i % sample_every == 0 or i == n_steps:
             yield i, state, _diagnostics_row(state, mass)
 

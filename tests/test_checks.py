@@ -7,10 +7,8 @@ from plsim.checks import (
     abs_set_envelope,
     ep_lyapunov,
     f1_residual,
-    lyapunov_envelope,
-    mass_decay_envelope,
+    relaxation_envelope,
     reservoir_bounds,
-    reservoir_sq_envelope,
     run_check,
 )
 from plsim.diagnostics import DiagnosticsSeries
@@ -30,6 +28,11 @@ def flat_logistic_series(p, rho0, times, measure=TWO_PI):
     in continuous time, so any residual is pure differencing error)."""
     rho_sq = np.array([abs(cgpe_flat_closed_form(rho0, 0.0, t, p)) ** 2 for t in times])
     return DiagnosticsSeries(times=times, mass=rho_sq * measure, l4_fourth=rho_sq**2 * measure)
+
+
+def mass_decay_envelope(tau, mass0, p, measure=TWO_PI):
+    """The abs_set envelope: rate 2 xi, limit the absorbing radius."""
+    return relaxation_envelope(tau, mass0, 2.0 * p.xi / p.sigma * measure, 2.0 * p.xi)
 
 
 def decaying_reservoir_series(n0_integral, nsq0, beta, times):
@@ -152,7 +155,7 @@ class TestEpLyapunov:
     def test_gamma_is_min_of_rates(self):
         # alpha = 0.5, beta = 2 gives gamma = min(1, 2) = 1
         tau = np.array([0.0, 1.0])
-        env = lyapunov_envelope(tau, 3.0, 0.0, min(2 * 0.5, 2.0))
+        env = relaxation_envelope(tau, 3.0, 0.0, min(2 * 0.5, 2.0))
         assert env[1] == pytest.approx(3.0 * np.exp(-1.0), rel=1e-12)
 
     def test_pure_decay_stays_under_envelope(self):
@@ -186,7 +189,7 @@ class TestEpLyapunov:
         d = decaying_reservoir_series(3.0, 1.5, beta, times)
         gamma = min(2 * p.alpha, p.beta)
         corrupted_n = d.n_integral.copy()
-        corrupted_n[100] = 1.01 * lyapunov_envelope(times[100], d.n_integral[0], 0.0, gamma)
+        corrupted_n[100] = 1.01 * relaxation_envelope(times[100], d.n_integral[0], 0.0, gamma)
         bad = DiagnosticsSeries(
             times=times, mass=d.mass, l4_fourth=d.l4_fourth,
             n_integral=corrupted_n, n_sq_integral=d.n_sq_integral, n_min=d.n_min,
@@ -329,5 +332,5 @@ class TestReportStructure:
         assert set(record) == {"name", "passed", "worst_margin", "location", "tolerance"}
 
     def test_reservoir_envelope_helper(self):
-        assert reservoir_sq_envelope(0.0, 2.0, 1.0, 1.5) == 2.0
-        assert reservoir_sq_envelope(50.0, 2.0, 1.0, 1.5) == pytest.approx(1.0 / 1.5**2, rel=1e-10)
+        assert relaxation_envelope(0.0, 2.0, 1.0 / 1.5**2, 1.5) == 2.0
+        assert relaxation_envelope(50.0, 2.0, 1.0 / 1.5**2, 1.5) == pytest.approx(1.0 / 1.5**2, rel=1e-10)

@@ -15,7 +15,6 @@ import plsim.cli
 from plsim.checks import f1_residual
 from plsim.cli import main
 from plsim.config import build_grid, build_initial_n, build_initial_u, build_params, load_config
-from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import iter_samples
 from plsim.models import CgpeParams
@@ -125,6 +124,16 @@ class TestRun:
         b = read_diagnostics_csv(out2 / "diagnostics.csv")
         assert np.max(np.abs(a.mass - b.mass)) > 0
 
+    @pytest.mark.parametrize("command", ["run", "picard"])
+    def test_seed_on_non_random_initial_data_exits_2(self, tmp_path, capsys, command):
+        # a gaussian start takes no seed: ignoring it would record a seed
+        # that chose nothing
+        config = write_config(tmp_path, cgpe_doc())
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out), "--seed", "7"]) == 2
+        assert "random initial data only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_check_exits_1(self, tmp_path, monkeypatch):
         def corrupted(*args, **kwargs):
             for step, state, (t, mass, l4_fourth) in iter_samples(*args, **kwargs):
@@ -159,8 +168,8 @@ class TestRun:
                 dt=0.05, t_end=5.0, checks=[],
             ),
             # blows up at step 7, off the every-3rd-step sampling: the
-            # diagnostics keep the t = 0.007 row, the checks read the
-            # uniformly sampled rows before it
+            # over-cap state is rejected, so the diagnostics end at the
+            # t = 0.006 sample
             "off_cadence_blow_up": cgpe_doc(
                 params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3, t_end=0.051,
             ),
@@ -178,24 +187,26 @@ class TestRun:
                 read_checkpoint(out / "checkpoints" / checkpoint)
             reports = json.loads((out / "reports.json").read_text())
             assert [r["name"] for r in reports] == doc["checks"]
-        np.testing.assert_allclose(d.times, [0.0, 0.003, 0.006, 0.007], rtol=1e-12)
-        prefix = DiagnosticsSeries(d.times[:3], d.mass[:3], d.l4_fourth[:3])
-        assert reports[0] == f1_residual(prefix, CgpeParams(xi=1000.0, sigma=1e-9)).to_dict()
+        np.testing.assert_allclose(d.times, [0.0, 0.003, 0.006], rtol=1e-12)
+        assert meta["blow_up_time"] == pytest.approx(0.007)
+        assert reports[0] == f1_residual(d, CgpeParams(xi=1000.0, sigma=1e-9)).to_dict()
         assert not reports[0]["passed"]
         assert reports[0]["location"] == pytest.approx(0.006)
 
     def test_blow_up_at_final_step_keeps_partial_outputs(self, tmp_path):
-        # blows up at step 7 = n_steps: the diagnostics reach t_end with only
-        # the t = 0 and final rows, too few for f1_residual's time derivative
-        doc = cgpe_doc(params={"xi": 1000.0, "sigma": 1e-9}, sample_every=7, t_end=0.007)
+        # blows up at step 2 = n_steps: the over-cap state is rejected, so
+        # the series keeps the t = 0 and t = 0.001 samples and stops before
+        # t_end, with too few samples for f1_residual's time derivative
+        doc = cgpe_doc(params={"xi": 5000.0, "sigma": 1e-9}, t_end=0.002)
         config = write_config(tmp_path, doc)
         out = tmp_path / "final_step"
         assert main(["run", "--config", config, "--out", str(out)]) == 1
         meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["blow_up_time"] == pytest.approx(0.007)
-        assert meta["checkpoints"]
+        assert meta["blow_up_time"] == pytest.approx(0.002)
+        assert meta["steps"] == 1
+        assert meta["checkpoints"] == ["state_0000001.ckpt"]
         d = read_diagnostics_csv(out / "diagnostics.csv")
-        np.testing.assert_allclose(d.times, [0.0, 0.007], rtol=1e-12)
+        np.testing.assert_allclose(d.times, [0.0, 0.001], rtol=1e-12)
         reports = json.loads((out / "reports.json").read_text())
         assert [r["name"] for r in reports] == doc["checks"]
         assert not reports[0]["passed"]
@@ -421,6 +432,21 @@ class TestNorms:
     def test_requires_exactly_one_mode(self, tmp_path):
         assert main(["norms", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (["--checkpoints", "a.ckpt", "--samples", "5"], "--samples", "--checkpoints"),
+        (["--checkpoints", "a.ckpt", "--seed", "1"], "--seed", "--checkpoints"),
+        (["--checkpoints", "a.ckpt", "--eps", "0.1"], "--eps", "--checkpoints"),
+        (["--l4-scan", "16:16", "--s", "1"], "--s", "--l4-scan"),
+        (["--l4-scan", "16:16", "--assert"], "--assert", "--l4-scan"),
+        (["--trilinear-scan", "8,16", "--b", "0.5"], "--b", "--trilinear-scan"),
+        (["--trilinear-scan", "8,16", "--dispersion", "none"], "--dispersion", "--trilinear-scan"),
+    ])
+    def test_option_of_another_mode_exits_2(self, tmp_path, capsys, argv, flag, mode):
+        out = tmp_path / "n"
+        assert main(["norms", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply to {mode}\n"
+        assert not out.exists()
+
     def test_malformed_checkpoint_rejected(self, tmp_path):
         bad = tmp_path / "garbage.ckpt"
         bad.write_bytes(b"NOTMGK" + b"\x00" * 32)
@@ -501,19 +527,36 @@ class TestCheck:
         assert err.count("\n") == 1
         assert f"{bad}: {message}" in err
 
-    def test_check_after_off_cadence_blow_up_agrees_with_run(self, tmp_path, capsys):
-        # blows up at step 7, off the every-3rd-step sampling (see TestRun)
-        config = write_config(tmp_path, cgpe_doc(
-            params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3, t_end=0.051,
-        ))
+    @pytest.mark.parametrize("overrides", [
+        # the mass cap is exceeded at step 7, off the every-3rd-step sampling
+        dict(params={"xi": 1000.0, "sigma": 1e-9}, sample_every=3, t_end=0.051),
+        # the mass cap is exceeded at the final step
+        dict(params={"xi": 1000.0, "sigma": 1e-9}, t_end=0.007, checks=["abs_set"]),
+        # the first step overflows
+        dict(params={"xi": 1000.0, "sigma": 1e-12}, dt=0.5, t_end=4.0,
+             initial={"u": {"kind": "flat", "rho": 1e-3, "theta": 0.0}}),
+    ], ids=["off_cadence", "final_step", "non_finite"])
+    def test_check_after_blow_up_agrees_with_run(self, tmp_path, capsys, overrides):
+        # every row and the last checkpoint are regular samples, and the
+        # series stops before t_end, so check reads it as run did
+        doc = cgpe_doc(**overrides)
+        config = write_config(tmp_path, doc)
         out = tmp_path / "run"
-        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", config, "--out", str(out)]) == 1
+        d = read_diagnostics_csv(out / "diagnostics.csv")
+        samples = d.times / (doc["sample_every"] * doc["dt"])
+        np.testing.assert_allclose(samples, np.rint(samples), rtol=0, atol=1e-9)
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["blow_up_time"] > d.times[-1]
+        _, _, header = read_checkpoint(out / "checkpoints" / meta["checkpoints"][-1])
+        assert header["time"] == d.times[-1]
         recheck = tmp_path / "recheck"
         code = main(["check", "--csv", str(out / "diagnostics.csv"), "--config", config,
                      "--out", str(recheck)])
         assert code == 1
         assert "stops before t_end" in capsys.readouterr().err
-        assert (recheck / "reports.json").read_text() == (out / "reports.json").read_text()
+        assert (recheck / "reports.json").read_bytes() == (out / "reports.json").read_bytes()
 
     def test_header_only_csv_exits_2(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from plsim.cli import main
 from plsim.config import (
+    MAX_N_POINTS,
+    MAX_STEPS,
     ConfigError,
     build_grid,
     build_initial_n,
@@ -20,6 +22,7 @@ from plsim.config import (
     load_config,
     parse_config,
 )
+from plsim.integrators import step_count
 from plsim.models import CgpeParams, EpParams
 
 TWO_PI = 2.0 * np.pi
@@ -84,6 +87,30 @@ class TestViolations:
             parse({**doc, "checks": ["f1_residual"]})
         assert parse({**doc, "checks": ["abs_set"]}).sample_every == 3
         assert parse({**doc, "t_end": 0.051, "checks": ["f1_residual"]}).sample_every == 3
+
+    def test_residual_check_needs_three_samples(self):
+        # parses, but a run would step and write before f1_residual found
+        # it has two samples
+        doc = {"model": "cgpe", "dt": 1e-3, "t_end": 0.002, "checks": ["f1_residual"]}
+        with pytest.raises(ConfigError, match="f1_residual needs 3 samples"):
+            parse({**doc, "sample_every": 2})
+        assert parse({**doc, "sample_every": 1}).sample_every == 1
+        assert parse({**doc, "sample_every": 2, "checks": ["abs_set"]}).sample_every == 2
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dt": 1e-300, "t_end": 1}, f"at most {MAX_STEPS} steps"),
+        ({"dt": 5e-324, "t_end": 1}, f"at most {MAX_STEPS} steps"),  # t_end / dt overflows
+        ({"grid": {"n_points": 10**12}}, f"at most {MAX_N_POINTS}"),
+    ], ids=["steps", "steps_overflow", "n_points"])
+    def test_work_is_bounded(self, overrides, message):
+        # only parsed: a run of any of these would not end
+        with pytest.raises(ConfigError, match=message) as excinfo:
+            parse({"model": "cgpe", **overrides})
+        assert "\n" not in str(excinfo.value)
+
+    def test_work_bounds_are_inclusive(self):
+        config = parse({"model": "cgpe", "dt": 1e-9, "t_end": 1, "grid": {"n_points": MAX_N_POINTS}})
+        assert (step_count(config.dt, config.t_end), config.n_points) == (MAX_STEPS, 2**20)
 
     def test_fault_injection_is_unknown_key(self):
         with pytest.raises(ConfigError, match="fault_injection"):
@@ -174,6 +201,11 @@ class TestBuilders:
         np.testing.assert_array_equal(a.values, b.values)
         c = build_initial_u(config, grid, seed_override=12)
         assert np.max(np.abs(a.values - c.values)) > 0
+
+    def test_seed_needs_random_initial_data(self):
+        config = parse({"model": "cgpe", "initial": {"u": {"kind": "gaussian"}}})
+        with pytest.raises(ValueError, match="random initial data only"):
+            build_initial_u(config, build_grid(config), seed_override=7)
 
     def test_initial_n_constant(self):
         config = parse({"model": "ep", "initial": {"n": {"kind": "constant", "level": 0.4}}})

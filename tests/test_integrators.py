@@ -365,16 +365,18 @@ class TestIntegrate:
         assert err.time <= 5.0
 
     @pytest.mark.parametrize(
-        "params, dt, t_end, sample_every, steps",
+        "params, dt, t_end, sample_every, steps, last_sample",
         [
-            # the mass cap is exceeded at step 5, which is yielded first
-            (CgpeParams(xi=30.0, sigma=1e-12), 0.05, 5.0, 3, 5),
+            # the mass cap is exceeded at step 5, which is not yielded: the
+            # samples stay on the every-3rd-step cadence
+            (CgpeParams(xi=30.0, sigma=1e-12), 0.05, 5.0, 3, 4, 3),
             # the first step overflows: no state is yielded after the initial one
-            (CgpeParams(xi=1000.0, sigma=1e-12), 0.5, 4.0, 1, 0),
+            (CgpeParams(xi=1000.0, sigma=1e-12), 0.5, 4.0, 1, 0, 0),
         ],
         ids=["mass_cap", "non_finite"],
     )
-    def test_blow_up_counts_completed_steps(self, params, dt, t_end, sample_every, steps):
+    def test_blow_up_counts_completed_steps(self, params, dt, t_end, sample_every, steps,
+                                            last_sample):
         grid = make_grid(16, TWO_PI)
         state = CgpeState(u=constant_field(grid, 1e-3))
         seen = []
@@ -382,7 +384,8 @@ class TestIntegrate:
             for step, _, _ in iter_samples(state, dt, t_end, sample_every, params):
                 seen.append(step)
         assert streamed.value.steps == steps and streamed.value.trajectory is None
-        assert seen[-1] == steps
+        assert streamed.value.time == pytest.approx((steps + 1) * dt)  # the rejected state's
+        assert seen[-1] == last_sample
         with pytest.raises(BlowUpError) as collected, np.errstate(over="ignore", invalid="ignore"):
             integrate(state, dt, t_end, sample_every, params)
         assert collected.value.trajectory.steps == steps
