@@ -34,6 +34,7 @@ from .config import (
     build_initial_u,
     build_params,
     config_hash,
+    initial_seed,
     load_config,
 )
 from .diagnostics import DiagnosticsSeries
@@ -132,15 +133,20 @@ def cmd_run(args) -> int:
         saved.append(os.path.basename(path))
 
     # each sample goes to disk as it comes and only the latest state is
-    # held: its row is appended, its checkpoint written when due
+    # held: its row is appended, its checkpoint written when due.  A step
+    # that overflows is a blow-up, which iter_samples reports by raising,
+    # so numpy's overflow warnings on the way there carry nothing more
     rows = []
     blow_up = None
     with output_lock(out_dir):
         os.makedirs(ckpt_dir, exist_ok=True)
         samples = iter_samples(initial, config.dt, config.t_end, config.sample_every, params)
         try:
-            with DiagnosticsAppender(os.path.join(out_dir, "diagnostics.csv"),
-                                     isinstance(initial, EpState)) as table:
+            with (
+                DiagnosticsAppender(os.path.join(out_dir, "diagnostics.csv"),
+                                    isinstance(initial, EpState)) as table,
+                np.errstate(over="ignore", invalid="ignore"),
+            ):
                 for index, (steps, state, row) in enumerate(samples):
                     table.append(row)
                     rows.append(row)
@@ -161,7 +167,7 @@ def cmd_run(args) -> int:
                 "version": __version__,
                 "config_hash": digest,
                 "model": config.model,
-                "seed": args.seed,
+                "seed": initial_seed(config, args.seed),
                 "steps": steps,
                 "blow_up_time": blow_up,
                 "checkpoints": saved,

@@ -395,18 +395,27 @@ def build_params(config: RunConfig, grid: Grid1D):
     )
 
 
+def initial_seed(config: RunConfig, seed_override: int | None = None) -> int | None:
+    """The seed that draws random initial data (the override, else the
+    config's own), or None when the initial data is not random."""
+    spec = config.initial_u
+    if spec["kind"] != "random":
+        if seed_override is not None:
+            raise ValueError(f"a seed applies to random initial data only, not to "
+                             f"initial.u kind {spec['kind']!r}")
+        return None
+    return spec["seed"] if seed_override is None else seed_override
+
+
 def build_initial_u(config: RunConfig, grid: Grid1D, seed_override: int | None = None) -> Field:
     spec = config.initial_u
-    if seed_override is not None and spec["kind"] != "random":
-        raise ValueError(f"a seed applies to random initial data only, not to "
-                         f"initial.u kind {spec['kind']!r}")
+    seed = initial_seed(config, seed_override)
     if spec["kind"] == "flat":
         value = spec["rho"] * np.exp(1j * spec["theta"])
         return Field(grid, np.full(grid.n_points, value))
     if spec["kind"] == "gaussian":
         return gaussian(grid, spec["amplitude"], spec["width"])
     if spec["kind"] == "random":
-        seed = spec["seed"] if seed_override is None else seed_override
         return random_band_limited(grid, spec["band"], np.random.default_rng(seed))
     raise ValueError(f"unsupported initial kind {spec['kind']!r}")
 

@@ -10,6 +10,7 @@ the resolution grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,8 @@ __all__ = [
     "dealias_mask",
     "hs_norm",
     "hs_norm_rows",
+    "hs_norm_spectral",
+    "sobolev_weight",
     "dealiased_cubic",
     "dealiased_cubic_spectral",
     "free_propagator",
@@ -30,6 +33,11 @@ __all__ = [
     "random_band_limited",
     "bracket",
 ]
+
+
+# Distinct grids (and Sobolev indices) whose data-independent spectral
+# arrays are kept; an analysis uses one or two grids.
+GRID_CACHE_SIZE = 8
 
 
 def bracket(x):
@@ -101,6 +109,22 @@ def dealias_mask(grid: Grid1D) -> np.ndarray:
     return np.abs(k) <= cutoff
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _aliased_modes(grid: Grid1D) -> slice:
+    """The modes dealias_mask drops, built once per grid as one slice: |k|
+    peaks mid-array in DFT order, so they are contiguous."""
+    dropped = np.flatnonzero(~dealias_mask(grid))
+    return slice(int(dropped[0]), int(dropped[-1]) + 1)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def sobolev_weight(grid: Grid1D, s: float) -> np.ndarray:
+    """<k>^(2s) on the grid's wavenumbers, built once per (grid, s) and shared read-only."""
+    weight = bracket(grid.wavenumbers) ** (2.0 * s)
+    weight.setflags(write=False)
+    return weight
+
+
 def hs_norm(field: Field, s: float) -> float:
     """Discrete Sobolev norm (L * sum_k <k>^(2s) |c_k|^2)^(1/2).
 
@@ -112,18 +136,29 @@ def hs_norm(field: Field, s: float) -> float:
 
 def hs_norm_rows(rows: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
     """Sobolev norm of each row of a physical array whose last axis is the grid."""
-    amps = np.fft.fft(rows, axis=-1)
+    return hs_norm_spectral(np.fft.fft(rows, axis=-1), grid, s)
+
+
+def hs_norm_spectral(amps: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
+    """Sobolev norm of each row, given the rows' DFTs along the last axis."""
     power = amps.real**2
     power += amps.imag**2
-    power *= bracket(grid.wavenumbers) ** (2.0 * s)
+    power *= sobolev_weight(grid, s)
     # the DFT is N times the Fourier-series amplitudes: scale the row sums, not the spectrum
     return np.sqrt(np.sum(power, axis=-1) * (grid.length / grid.n_points**2))
 
 
-def dealiased_cubic_spectral(rows: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """DFT of |u|^2 u of each physical row, with the top third of the spectrum zeroed."""
-    hat = np.fft.fft(np.abs(rows) ** 2 * rows, axis=-1)
-    hat[..., ~dealias_mask(grid)] = 0.0
+def dealiased_cubic_spectral(
+    rows: np.ndarray, grid: Grid1D, density: np.ndarray | None = None
+) -> np.ndarray:
+    """DFT of |u|^2 u of each physical row, with the top third of the spectrum zeroed.
+
+    ``density`` is |rows|^2 when the caller needs it too and has it already.
+    """
+    if density is None:
+        density = np.abs(rows) ** 2
+    hat = np.fft.fft(density * rows, axis=-1)
+    hat[..., _aliased_modes(grid)] = 0.0
     return hat
 
 

@@ -9,7 +9,9 @@ iterate distances should decay geometrically once the interval is short
 enough.
 
 Distances between iterates are sup-over-nodes Sobolev norms of the
-difference; time integrals use trapezoidal weights on a uniform mesh.
+difference, taken of the spectra a sweep already holds (or, for the plain
+L^2 distance, of the samples, by Parseval): they cost no transform.  Time
+integrals use trapezoidal weights on a uniform mesh.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm, hs_norm_rows
+from .grid import (
+    Field,
+    dealiased_cubic_spectral,
+    free_propagator,
+    hs_norm,
+    hs_norm_rows,
+    hs_norm_spectral,
+)
 from .models import CgpeParams, EpParams
 
 __all__ = [
@@ -94,20 +103,31 @@ def _diverging(diffs: list[float]) -> bool:
 
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     """Running trapezoidal integral of y along axis 0, starting from 0."""
-    return np.concatenate([np.zeros_like(y[:1]), np.cumsum((y[1:] + y[:-1]) * (dx / 2), axis=0)])
+    out = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
+    out[0] = 0.0
+    np.add(y[1:], y[:-1], out=out[1:])
+    out[1:] *= dx / 2
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
+
+
+def _l2_rows(rows: np.ndarray, dx: float) -> np.ndarray:
+    """Plain L^2 norm (sum_j |u_j|^2 dx)^(1/2) of each physical row; equal to
+    the s = 0 Sobolev norm by Parseval, without its transform."""
+    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1) * dx)
 
 
 def _duhamel(
-    prop: np.ndarray, u0_hat: np.ndarray, rhs_hat: np.ndarray, spacing: float
+    prop: np.ndarray, unwind: np.ndarray, u0_hat: np.ndarray, rhs_hat: np.ndarray, spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node, and its DFT.
 
     Takes the DFT of the forcing at every node and overwrites it.  The
-    forcing is unwound into the interaction picture, integrated with
-    trapezoidal weights, and propagated back; the only transform is the
-    inverse one at the end.
+    forcing is unwound into the interaction picture (``unwind`` is the
+    conjugate of ``prop``), integrated with trapezoidal weights, and
+    propagated back; the only transform is the inverse one at the end.
     """
-    rhs_hat *= np.conj(prop)
+    rhs_hat *= unwind
     hat = _cumulative_trapezoid(rhs_hat, spacing)
     hat += u0_hat
     hat *= prop
@@ -152,17 +172,21 @@ def picard_cgpe(
     """
     grid = u0.grid
     prop = free_propagator(mesh.nodes, grid)
+    unwind = np.conj(prop)
     u0_hat = np.fft.fft(u0.values)
 
     # an iterate is its node samples and their DFT: the sweep reads both,
-    # so it transforms only the cubic term forward and the new iterate back
+    # so it transforms only the cubic term forward and the new iterate back,
+    # and the distance is taken of the spectra
     def sweep(current):
         values, hat = current
-        rhs_hat = p.xi * hat - (p.sigma + 1j) * dealiased_cubic_spectral(values, grid)
-        return _duhamel(prop, u0_hat, rhs_hat, mesh.spacing)
+        rhs_hat = dealiased_cubic_spectral(values, grid)
+        rhs_hat *= -(p.sigma + 1j)
+        rhs_hat += p.xi * hat
+        return _duhamel(prop, unwind, u0_hat, rhs_hat, mesh.spacing)
 
     def distance(new, current):
-        return float(np.max(hs_norm_rows(new[0] - current[0], grid, s)))
+        return float(np.max(hs_norm_spectral(new[1] - current[1], grid, s)))
 
     free_hat = prop * u0_hat[None, :]
     history = _iterate(
@@ -184,25 +208,35 @@ def picard_ep(
         raise ValueError("u0 and n0 must share a grid")
     grid = u0.grid
     prop = free_propagator(mesh.nodes, grid)
+    unwind = np.conj(prop)
     u0_hat = np.fft.fft(u0.values)
     n0_row = n0.values.real
     pump = p.pump_values[None, :]
 
     def sweep(current):
         cur_u, cur_n = current
-        rhs_hat = -1j * p.g * dealiased_cubic_spectral(cur_u, grid) + np.fft.fft(
-            ((p.R - 1j * p.lam) * cur_n - p.alpha) * cur_u, axis=-1
-        )
-        new_u, _ = _duhamel(prop, u0_hat, rhs_hat, mesh.spacing)
-        rhs_n = pump - (p.R * np.abs(cur_u) ** 2 + p.beta) * cur_n
+        # |u|^2 feeds both the cubic term and the reservoir forcing
+        density = np.abs(cur_u) ** 2
+        rhs_hat = dealiased_cubic_spectral(cur_u, grid, density)
+        rhs_hat *= -1j * p.g
+        linear = (p.R - 1j * p.lam) * cur_n
+        linear -= p.alpha
+        linear *= cur_u
+        rhs_hat += np.fft.fft(linear, axis=-1)
+        new_u, _ = _duhamel(prop, unwind, u0_hat, rhs_hat, mesh.spacing)
+        # pump - (R |u|^2 + beta) n, built in the density's buffer
+        density *= p.R
+        density += p.beta
+        density *= cur_n
+        rhs_n = np.subtract(pump, density, out=density)
         new_n = _cumulative_trapezoid(rhs_n, mesh.spacing)
         new_n += n0_row
         return new_u, new_n
 
     def distance(new, current):
         return float(
-            np.max(hs_norm_rows(new[0] - current[0], grid, 0.0))
-            + np.max(hs_norm_rows(new[1] - current[1], grid, 0.0))
+            np.max(_l2_rows(new[0] - current[0], grid.dx))
+            + np.max(_l2_rows(new[1] - current[1], grid.dx))
         )
 
     free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0_row, (mesh.n_nodes, 1)))

@@ -18,10 +18,11 @@ two-bracket line integral J used to control its kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid1D, bracket, free_propagator, smooth_bump
+from .grid import Field, Grid1D, bracket, free_propagator, smooth_bump, sobolev_weight
 
 __all__ = [
     "SpaceTimeField",
@@ -45,6 +46,10 @@ __all__ = [
 
 # dispersion relations phi(k) of the modulation weight <tau + phi(k)>
 DISPERSIONS = ("schroedinger", "none")
+
+# Distinct lattices (with exponents) whose norm weights are kept: a norms
+# table or a scan uses one to three of them.
+WEIGHT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +102,18 @@ def _windowed(f: SpaceTimeField) -> np.ndarray:
     return time_window_profile(f.n_time)[:, None] * f.values
 
 
+def _tau(n_time: int, t_span: float) -> np.ndarray:
+    return 2.0 * np.pi * np.fft.fftfreq(n_time, d=t_span / n_time)
+
+
 def tau_values(f: SpaceTimeField) -> np.ndarray:
     """Time-frequency lattice, spacing 2*pi/t_span, DFT ordering."""
-    return 2.0 * np.pi * np.fft.fftfreq(f.n_time, d=f.dt)
+    return _tau(f.n_time, f.t_span)
+
+
+def _coefficients(f: SpaceTimeField, windowed: np.ndarray) -> np.ndarray:
+    scale = f.grid.dx * f.dt / (2.0 * np.pi)
+    return (np.fft.fft2(windowed) * scale).T
 
 
 def spacetime_transform(f: SpaceTimeField) -> np.ndarray:
@@ -108,8 +122,7 @@ def spacetime_transform(f: SpaceTimeField) -> np.ndarray:
     Scaled so that sum |F|^2 dk dtau equals sum |f|^2 dx dt (the windowed
     samples' squared L^2).
     """
-    scale = f.grid.dx * f.dt / (2.0 * np.pi)
-    return (np.fft.fft2(_windowed(f)) * scale).T
+    return _coefficients(f, _windowed(f))
 
 
 def _phi(kind: str, k: np.ndarray) -> np.ndarray:
@@ -124,30 +137,59 @@ def _lattice_measures(f: SpaceTimeField) -> tuple[float, float]:
     return 2.0 * np.pi / f.grid.length, 2.0 * np.pi / f.t_span
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _modulation_bracket(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.ndarray:
+    """<tau + phi(k)> on the (k, tau) lattice."""
+    modulation = _tau(n_time, t_span)[None, :] + _phi(dispersion, grid.wavenumbers)[:, None]
+    return bracket(modulation)
+
+
+# The norm weights depend on the lattice (grid, n_time, t_span), the
+# exponents and the dispersion only, so each is built once and shared
+# read-only by every field on that lattice.
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _xsb_weight(
+    grid: Grid1D, n_time: int, t_span: float, s: float, b: float, dispersion: str
+) -> np.ndarray:
+    """<k>^(2s) <tau + phi(k)>^(2b) on the (k, tau) lattice."""
+    modulation = _modulation_bracket(grid, n_time, t_span, dispersion)
+    return _read_only(sobolev_weight(grid, s)[:, None] * modulation ** (2.0 * b))
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _ys_weight(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.ndarray:
+    """<tau + phi(k)>, the divisor of the inner l^1 sum of ys_norm."""
+    return _read_only(_modulation_bracket(grid, n_time, t_span, dispersion))
+
+
+def _xsb(f: SpaceTimeField, coeff: np.ndarray, s: float, b: float, dispersion: str) -> float:
+    weight = _xsb_weight(f.grid, f.n_time, f.t_span, s, b, dispersion)
+    dk, dtau = _lattice_measures(f)
+    return float(np.sqrt(np.sum(weight * np.abs(coeff) ** 2) * dk * dtau))
+
+
 def xsb_norm(f: SpaceTimeField, s: float, b: float, dispersion: str = "schroedinger") -> float:
     """Restricted-norm surrogate: weighted l^2 over the (k, tau) lattice.
 
     The weight is <k>^(2s) <tau + phi(k)>^(2b); at s = b = 0 this is the
     space-time L^2 norm of the windowed samples.
     """
-    coeff = spacetime_transform(f)
-    k = f.grid.wavenumbers
-    tau = tau_values(f)
-    modulation = tau[None, :] + _phi(dispersion, k)[:, None]
-    weight = bracket(k)[:, None] ** (2.0 * s) * bracket(modulation) ** (2.0 * b)
-    dk, dtau = _lattice_measures(f)
-    return float(np.sqrt(np.sum(weight * np.abs(coeff) ** 2) * dk * dtau))
+    return _xsb(f, spacetime_transform(f), s, b, dispersion)
 
 
 def ys_norm(f: SpaceTimeField, s: float, dispersion: str = "schroedinger") -> float:
     """l^1 in the modulation variable inside, weighted l^2 over k outside."""
     coeff = spacetime_transform(f)
-    k = f.grid.wavenumbers
-    tau = tau_values(f)
-    modulation = tau[None, :] + _phi(dispersion, k)[:, None]
+    modulation = _ys_weight(f.grid, f.n_time, f.t_span, dispersion)
     dk, dtau = _lattice_measures(f)
-    inner = np.sum(np.abs(coeff) / bracket(modulation), axis=1) * dtau
-    outer = bracket(k) ** (2.0 * s) * inner**2
+    inner = np.sum(np.abs(coeff) / modulation, axis=1) * dtau
+    outer = sobolev_weight(f.grid, s) * inner**2
     return float(np.sqrt(np.sum(outer) * dk))
 
 
@@ -157,10 +199,11 @@ def l4_strichartz_ratio(f: SpaceTimeField) -> float:
     Both norms are taken of the same windowed samples, so the ratio is
     invariant under rescaling and lattice translation.
     """
-    denominator = xsb_norm(f, 0.0, 0.375, "schroedinger")
+    windowed = _windowed(f)
+    denominator = _xsb(f, _coefficients(f, windowed), 0.0, 0.375, "schroedinger")
     if denominator == 0.0:
         raise ValueError("zero field has no quartic ratio")
-    quartic = float(np.sum(np.abs(_windowed(f)) ** 4) * f.grid.dx * f.dt) ** 0.25
+    quartic = float(np.sum(np.abs(windowed) ** 4) * f.grid.dx * f.dt) ** 0.25
     return quartic / denominator
 
 
@@ -235,6 +278,18 @@ def _centered(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) - (n // 2)
 
 
+def _fast_length(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5: a fast FFT length."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def constrained_pair_sum(outer: np.ndarray, difference: np.ndarray, inner: np.ndarray) -> float:
     """Sum of outer[p1] * difference[p1 - p2] * inner[p2] over a common lattice.
 
@@ -242,21 +297,36 @@ def constrained_pair_sum(outer: np.ndarray, difference: np.ndarray, inner: np.nd
     difference falls off the lattice contribute zero.  This is the kernel
     shared by the constrained multilinear sums: any such form reduces to
     it once the per-argument weights have been folded into the arrays.
-    The arrays are real.  Evaluated through a full linear convolution, a
-    real FFT product with each axis zero-padded to a power of two >= 2n - 1
-    so that no term wraps around, which reproduces the direct O(N^2 M^2)
-    sum exactly up to rounding.
+    The arrays are real.  Evaluated through a real FFT product, each axis
+    zero-padded to a 2-3-5-smooth length >= n + n//2: the kept core is the
+    linear convolution at offsets n//2 ... n//2 + n - 1, and from that
+    length on no term of the full (2n - 1)-long convolution wraps onto it,
+    so the direct O(N^2 M^2) sum is reproduced up to rounding.
     """
     if not (outer.shape == difference.shape == inner.shape) or outer.ndim != 2:
         raise ValueError(
             f"lattice mismatch: {outer.shape}, {difference.shape}, {inner.shape}"
         )
     n_xi, n_tau = outer.shape
-    padded = tuple(1 << (2 * n - 2).bit_length() for n in outer.shape)
+    padded = tuple(_fast_length(n + n // 2) for n in outer.shape)
     spectrum = np.fft.rfft2(difference, padded) * np.fft.rfft2(inner, padded)
     conv = np.fft.irfft2(spectrum, padded)
     core = conv[n_xi // 2 : n_xi // 2 + n_xi, n_tau // 2 : n_tau // 2 + n_tau]
     return float(np.sum(outer * core))
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _trilinear_weights(
+    n_xi: int, n_tau: int, params: TrilinearParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bracket weights of v1, v and v2 on an n_xi x n_tau centered lattice."""
+    xi = _centered(n_xi)[:, None]
+    tau = _centered(n_tau)[None, :]
+    sigma_shifted = tau + xi**2  # tau_i + xi_i^2 on either argument lattice
+    w1 = bracket(xi) ** params.k / bracket(sigma_shifted) ** params.a1
+    w0 = 1.0 / (bracket(xi) ** params.l * bracket(tau) ** params.a)
+    w2 = 1.0 / (bracket(xi) ** params.k * bracket(sigma_shifted) ** params.a2)
+    return _read_only(w1), _read_only(w0), _read_only(w2)
 
 
 def trilinear_form(
@@ -278,15 +348,8 @@ def trilinear_form(
         raise ValueError(f"lattice mismatch: {v.shape}, {v1.shape}, {v2.shape}")
     if np.any(v < 0) or np.any(v1 < 0) or np.any(v2 < 0):
         raise ValueError("lattice data must be nonnegative")
-    n_xi, n_tau = v.shape
-    xi = _centered(n_xi)[:, None]
-    tau = _centered(n_tau)[None, :]
-    sigma_shifted = tau + xi**2  # tau_i + xi_i^2 on either argument lattice
-
-    w1 = v1 * bracket(xi) ** params.k / bracket(sigma_shifted) ** params.a1
-    w2 = v2 / (bracket(xi) ** params.k * bracket(sigma_shifted) ** params.a2)
-    w0 = v / (bracket(xi) ** params.l * bracket(tau) ** params.a)
-    return constrained_pair_sum(w1, w0, w2)
+    w1, w0, w2 = _trilinear_weights(*v.shape, params)
+    return constrained_pair_sum(v1 * w1, v * w0, v2 * w2)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -118,11 +119,19 @@ class TestRun:
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert main(["run", "--config", config, "--out", str(out1), "--seed", "99"]) == 0
         assert main(["run", "--config", config, "--out", str(out2)]) == 0
-        meta = json.loads((out1 / "run_meta.json").read_text())
-        assert meta["seed"] == 99
+        # the recorded seed is the one that drew the data: the override,
+        # else the config's own
+        assert json.loads((out1 / "run_meta.json").read_text())["seed"] == 99
+        assert json.loads((out2 / "run_meta.json").read_text())["seed"] == 1
         a = read_diagnostics_csv(out1 / "diagnostics.csv")
         b = read_diagnostics_csv(out2 / "diagnostics.csv")
         assert np.max(np.abs(a.mass - b.mass)) > 0
+
+    def test_no_seed_recorded_for_non_random_data(self, tmp_path):
+        config = write_config(tmp_path, cgpe_doc(checks=[]))
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert json.loads((out / "run_meta.json").read_text())["seed"] is None
 
     @pytest.mark.parametrize("command", ["run", "picard"])
     def test_seed_on_non_random_initial_data_exits_2(self, tmp_path, capsys, command):
@@ -192,6 +201,25 @@ class TestRun:
         assert reports[0] == f1_residual(d, CgpeParams(xi=1000.0, sigma=1e-9)).to_dict()
         assert not reports[0]["passed"]
         assert reports[0]["location"] == pytest.approx(0.006)
+
+    def test_overflowing_step_under_warnings_as_errors(self, tmp_path):
+        # the first step overflows; numpy's overflow warnings on the way to
+        # the non-finite state must not turn the reported blow-up into a crash
+        doc = cgpe_doc(params={"xi": 1000.0, "sigma": 1e-12}, dt=0.5, t_end=4.0,
+                       initial={"u": {"kind": "flat", "rho": 1e-3, "theta": 0.0}})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "overflow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", config, "--out", str(out)]) == 1
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["blow_up_time"] == pytest.approx(0.5)
+        assert meta["steps"] == 0
+        assert meta["checkpoints"] == ["state_0000000.ckpt"]
+        read_checkpoint(out / "checkpoints" / "state_0000000.ckpt")
+        np.testing.assert_array_equal(read_diagnostics_csv(out / "diagnostics.csv").times, [0.0])
+        reports = json.loads((out / "reports.json").read_text())
+        assert [r["name"] for r in reports] == doc["checks"]
 
     def test_blow_up_at_final_step_keeps_partial_outputs(self, tmp_path):
         # blows up at step 2 = n_steps: the over-cap state is rejected, so
@@ -542,8 +570,7 @@ class TestCheck:
         doc = cgpe_doc(**overrides)
         config = write_config(tmp_path, doc)
         out = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
         d = read_diagnostics_csv(out / "diagnostics.csv")
         samples = d.times / (doc["sample_every"] * doc["dt"])
         np.testing.assert_allclose(samples, np.rint(samples), rtol=0, atol=1e-9)

@@ -7,6 +7,7 @@ from plsim.grid import (
     Field,
     dealias_mask,
     dealiased_cubic,
+    dealiased_cubic_spectral,
     free_propagator,
     hs_norm,
     hs_norm_rows,
@@ -114,6 +115,17 @@ class TestDealias:
         expected = np.fft.ifft(np.where(dealias_mask(grid), np.fft.fft(_cubic(u)), 0.0))
         np.testing.assert_allclose(dealiased_cubic(u, grid), expected, rtol=0, atol=1e-12)
         assert np.max(np.abs(expected - _cubic(u))) > 1e-3
+
+
+    @pytest.mark.parametrize("n_points", [4, 6, 30, 32, 96])
+    def test_spectral_cubic_zeroes_exactly_the_masked_modes(self, n_points):
+        grid = make_grid(n_points, TWO_PI)
+        u = random_field(grid, seed=n_points).values
+        mask = dealias_mask(grid)
+        hat = dealiased_cubic_spectral(u, grid)
+        np.testing.assert_array_equal(hat, np.where(mask, np.fft.fft(_cubic(u)), 0.0))
+        # a caller that already has |u|^2 passes it in and gets the same bits
+        np.testing.assert_array_equal(dealiased_cubic_spectral(u, grid, np.abs(u) ** 2), hat)
 
 
 class TestNorms:

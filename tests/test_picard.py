@@ -209,16 +209,18 @@ class TestSpectralSweep:
         grid = make_grid(64, TWO_PI)
         mesh = TimeMesh(0.05, 17)
         u0 = h1_normalized(grid, 3)
-        # set-up: the DFT of u0, the free evolution, the norm of u0 (and of n0)
+        # set-up: the DFT of u0, the free evolution, the norm of u0 (and of n0);
+        # a sweep: the cubic term (and the linear forcing) forward, the new
+        # iterate back; distances take none
         count, history = self.count_transforms(
             monkeypatch, lambda: picard_cgpe(u0, mesh, CgpeParams(1.0, 1.0), s=1.0, max_iter=6)
         )
-        assert count == 3 + 3 * len(history.diffs)
+        assert count == 3 + 2 * len(history.diffs)
         p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=constant_field(grid, 1.0))
         count, history = self.count_transforms(
             monkeypatch, lambda: picard_ep(u0, constant_field(grid, 0.3), mesh, p, max_iter=6)
         )
-        assert count == 4 + 5 * len(history.diffs)
+        assert count == 4 + 3 * len(history.diffs)
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_cgpe_sweeps_match_physical_duhamel_map(self, s):
@@ -284,9 +286,10 @@ class TestIterateHistory:
         assert not short.converged and not short.diverged
         assert not contraction_report(short).converged
         assert longer.diffs[:2] == short.diffs
-        # one more sweep from short.final is exactly longer.final
+        # one more sweep from short.final is exactly longer.final; the recorded
+        # distance is taken of the carried spectra, so it agrees to rounding
         step = float(np.max(hs_norm_rows(longer.final - short.final, grid, 1.0)))
-        assert step == longer.diffs[-1]
+        assert step == pytest.approx(longer.diffs[-1], rel=1e-12)
 
 
 class TestConsistencyWithStrang:

@@ -147,6 +147,23 @@ class TestXsbNorm:
         l2 = np.sqrt(np.sum(np.abs(windowed(f)) ** 2) * grid.dx * f.dt)
         assert xsb_norm(f, 0.0, 0.0) == pytest.approx(l2, rel=1e-12)
 
+    def test_lattice_weights_shared_read_only(self):
+        grid = make_grid(16, TWO_PI)
+        f = random_spacetime_field(grid, 16, 1.0, 4, 4, np.random.default_rng(5))
+        g = random_spacetime_field(grid, 16, 1.0, 4, 4, np.random.default_rng(6))
+        xsb_norm(f, 1.0, 0.5)
+        ys_norm(f, 1.0)
+        weight = plsim.spacetime._xsb_weight(grid, 16, 1.0, 1.0, 0.5, "schroedinger")
+        modulation = plsim.spacetime._ys_weight(grid, 16, 1.0, "schroedinger")
+        for shared in (weight, modulation):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 0.0
+        coeff = spacetime_transform(g)
+        dk, dtau = TWO_PI / grid.length, TWO_PI / g.t_span
+        assert xsb_norm(g, 1.0, 0.5) == pytest.approx(
+            np.sqrt(np.sum(weight * np.abs(coeff) ** 2) * dk * dtau), rel=1e-14
+        )
+
     def test_dispersion_independent_at_zero_weights(self):
         grid = make_grid(16, TWO_PI)
         rng = np.random.default_rng(4)
@@ -281,7 +298,9 @@ class TestConstrainedPairSum:
                             total += outer[i1, j1] * difference[ii, jj] * inner[i2, j2]
         return total
 
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 16), (8, 8)])
+    # (14, 22) and (13, 6) pad to 24 x 36 and 20 x 9: n + n//2 = 21, 33, 19
+    # is not 2-3-5-smooth, so the padded length exceeds the no-wrap bound
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 16), (8, 8), (14, 22), (13, 6)])
     def test_matches_direct_sum(self, shape):
         rng = np.random.default_rng(list(shape))
         outer, difference, inner = (np.abs(rng.standard_normal(shape)) for _ in range(3))
@@ -321,6 +340,21 @@ class TestTrilinearForm:
             fast = trilinear_form(v, v1, v2, p)
             slow = brute_force_trilinear(v, v1, v2, p)
             assert fast == pytest.approx(slow, rel=1e-12)
+
+    def test_each_parameter_set_gets_its_own_read_only_weights(self):
+        rng = np.random.default_rng(3)
+        v, v1, v2 = (np.abs(rng.standard_normal((5, 6))) for _ in range(3))
+        first = TrilinearParams(k=0.4, l=-0.3, a=0.35, a1=0.45, a2=0.55)
+        second = default_trilinear_params()
+        for p in (first, second, first):
+            slow = brute_force_trilinear(v, v1, v2, p)
+            assert trilinear_form(v, v1, v2, p) == pytest.approx(slow, rel=1e-12)
+        weights = plsim.spacetime._trilinear_weights(5, 6, first)
+        assert weights is plsim.spacetime._trilinear_weights(5, 6, first)
+        assert weights is not plsim.spacetime._trilinear_weights(5, 6, second)
+        for w in weights:
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 1.0
 
     def test_lattice_mismatch_rejected(self):
         p = default_trilinear_params()
