@@ -121,14 +121,12 @@ def _local_flow_factors(rho0_sq, dt: float, xi: float, sigma: float):
     corners xi = 0 and sigma = 0 are exact limits.
     """
     rho0_sq = np.asarray(rho0_sq, dtype=float)
-    if xi > 0:
-        growth = np.expm1(2.0 * xi * dt) / (2.0 * xi)
-    else:
-        growth = dt
+    x = 2.0 * xi * dt  # tested, not xi: an underflowing x is the xi = 0 limit
+    growth = dt * (np.expm1(x) / x) if x != 0.0 else dt
     saturation = 2.0 * sigma * growth * rho0_sq
     amplitude = np.exp(xi * dt) / np.sqrt(1.0 + saturation)
     if sigma > 0:
-        phase = -np.log1p(saturation) / (2.0 * sigma)
+        phase = np.log1p(saturation) / (-2.0 * sigma)
     else:
         phase = -rho0_sq * growth
     return amplitude, phase

@@ -1,9 +1,11 @@
 """Strang steppers: exact substeps, splitting order, positivity, blow-up."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from plsim.grid import Field, free_propagator, lp_norm, make_grid
+from plsim.grid import Field, free_propagator, lp_norm, make_grid, random_band_limited, smooth_bump
 from plsim.integrators import (
     HALF_STEP_CACHE_SIZE,
     BlowUpError,
@@ -18,6 +20,7 @@ from plsim.integrators import (
     strang_step_ep,
     _ep_local_u_update,
     _half_step_multiplier,
+    _rotate,
 )
 from plsim.models import (
     CgpeParams,
@@ -144,8 +147,92 @@ class TestHalfStepMultiplierCache:
                     np.testing.assert_array_equal(state.n.values, n.values)
                 runs[j] = (model, grid, dt, p, state, ref)
 
+    def test_run_large_shape_matches_uncached_loop(self):
+        # the benchmark's run shape: N = 4096, band-4 random data, bump pump
+        grid = make_grid(4096, TWO_PI)
+        dt = 1e-3
+        u0 = random_band_limited(grid, 4, np.random.default_rng(11))
+        pump = Field(grid, (1.2 * smooth_bump((grid.x - 3.0) / 0.6)).astype(complex))
+        ep = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
+        cgpe = CgpeParams(1.0, 1.0)
+        cgpe_state, ep_state = CgpeState(u=u0), EpState(u=u0, n=constant_field(grid, 0.3))
+        cgpe_ref, ep_ref = u0, (u0, ep_state.n)
+        for _ in range(5):
+            cgpe_state = strang_step_cgpe(cgpe_state, dt, cgpe)
+            u = cgpe_local_step(Field(grid, uncached_half_step(cgpe_ref.values, grid, dt)), dt, cgpe)
+            cgpe_ref = Field(grid, uncached_half_step(u.values, grid, dt))
+            np.testing.assert_array_equal(cgpe_state.u.values, cgpe_ref.values)
+
+            ep_state = strang_step_ep(ep_state, dt, ep)
+            u, n = ep_ref
+            u = Field(grid, uncached_half_step(u.values, grid, dt))
+            n = reservoir_exact_update(n, u, 0.5 * dt, ep)
+            u = _ep_local_u_update(u, n, dt, ep)
+            n = reservoir_exact_update(n, u, 0.5 * dt, ep)
+            ep_ref = (Field(grid, uncached_half_step(u.values, grid, dt)), n)
+            np.testing.assert_array_equal(ep_state.u.values, ep_ref[0].values)
+            np.testing.assert_array_equal(ep_state.n.values, n.values)
+
+
+def _rotated(phase, values=None, amplitude=1.0):
+    phase = np.asarray(phase, dtype=float)
+    values = np.ones(phase.shape, dtype=complex) if values is None else values
+    return _rotate(values, amplitude, phase.copy())
+
+
+def _warned(fn) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn()
+    return any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+class TestRotate:
+    def test_matches_complex_exp(self):
+        magnitudes = np.logspace(-12, 6, 2001)
+        specials = np.pi * np.array([0.5, 1.0])
+        phase = np.concatenate([magnitudes, -magnitudes, specials, -specials])
+        error = np.abs(_rotated(phase) - np.exp(1j * phase))
+        assert np.max(error) <= 2.0 * np.finfo(float).eps
+
+    def test_zero_phase_is_exact_scaling(self):
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        amplitude = rng.uniform(0.5, 2.0, 64)
+        out = _rotated(np.zeros(64), values, amplitude)
+        np.testing.assert_array_equal(out, values * amplitude)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_phase_gives_nan_and_warns_as_complex_exp(self, bad):
+        phase = np.array([0.3, bad])
+        values = np.array([1.0 + 1.0j, 1.0 + 1.0j])
+
+        def rotate():
+            return _rotated(phase, values)
+
+        def complex_exp():
+            return values * np.exp(1j * phase)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out, expected = rotate(), complex_exp()
+        assert np.isnan(out[1].real) and np.isnan(out[1].imag)
+        assert out[0] == pytest.approx(expected[0], abs=1e-15)
+        assert _warned(rotate) == _warned(complex_exp)
+        with np.errstate(invalid="ignore"):
+            assert not _warned(rotate)
+
 
 class TestCgpeLocalStep:
+    def test_underflowing_gain_is_the_zero_gain_flow(self):
+        # 2 xi dt underflows at xi = 5e-322: the flow is the xi = 0 one
+        grid = make_grid(16, TWO_PI)
+        u = constant_field(grid, 1.0)
+        tiny = cgpe_local_step(u, 1e-3, CgpeParams(xi=5e-322, sigma=1.0))
+        zero = cgpe_local_step(u, 1e-3, CgpeParams(xi=0.0, sigma=1.0))
+        np.testing.assert_array_equal(tiny.values, zero.values)
+        assert abs(zero.values[0]) == pytest.approx(1.0 / np.sqrt(1.002), rel=1e-15)
+
     def test_zero_field(self):
         grid = make_grid(16, TWO_PI)
         out = cgpe_local_step(constant_field(grid, 0.0), 0.1, CgpeParams(1.0, 1.0))
@@ -248,6 +335,19 @@ class TestReservoirUpdate:
         for _ in range(50):
             n = reservoir_exact_update(n, u, 0.05, p)
             assert np.all(n.values.real >= 0.0)
+
+
+class TestEpLocalUpdate:
+    def test_underflowing_loss_keeps_the_nonlinear_phase(self):
+        # with n = 0 and alpha = 5e-322, 2 mu dt underflows: the phase is
+        # still -g |u|^2 dt, not 0
+        grid = make_grid(16, TWO_PI)
+        p = EpParams(g=2.0, lam=0.5, R=1.0, alpha=5e-322, beta=1.0, pump=constant_field(grid, 0.0))
+        u = Field(grid, np.linspace(0.2, 1.5, 16).astype(complex))
+        dt = 1e-3
+        out = _ep_local_u_update(u, constant_field(grid, 0.0), dt, p)
+        expected = u.values * np.exp(-1j * p.g * np.abs(u.values) ** 2 * dt)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-14)
 
 
 class TestStrangEp:

@@ -206,6 +206,16 @@ class TestFlatClosedForm:
         with pytest.raises(ValueError):
             cgpe_flat_closed_form(1.0, 0.0, -1.0, CgpeParams(1.0, 1.0))
 
+    def test_underflowing_gain_is_the_zero_gain_flow(self):
+        # 2 xi t underflows to 0 at xi = 5e-322, t = 1e-3: the flow must be
+        # the xi = 0 one (amplitude 0.999, phase -9.99e-4), not the identity
+        t = 1e-3
+        tiny = cgpe_flat_closed_form(1.0, 0.0, t, CgpeParams(xi=5e-322, sigma=1.0))
+        zero = cgpe_flat_closed_form(1.0, 0.0, t, CgpeParams(xi=0.0, sigma=1.0))
+        assert tiny == zero
+        assert abs(zero) == pytest.approx(1.0 / np.sqrt(1.0 + 2.0 * t), rel=1e-15)
+        assert np.angle(zero) == pytest.approx(-np.log1p(2.0 * t) / 2.0, rel=1e-14)
+
 
 class TestEpFixedPoint:
     def test_reference_values(self):
