@@ -109,11 +109,11 @@ def criterion_3_exact_oracles() -> CriterionResult:
         worst_flat = max(worst_flat, float(rel))
 
     ep = EpParams(g=1.0, lam=1.0, R=1.0, alpha=0.5, beta=1.0,
-                  pump=Field(grid, np.full(64, 1.0, dtype=complex)))
+                  pump=Field(grid, np.full(64, 1.0)))
     fp = ep_homogeneous_fixed_point(ep)
     state = EpState(
         u=Field(grid, np.full(64, np.sqrt(fp.density), dtype=complex)),
-        n=Field(grid, np.full(64, fp.n_star, dtype=complex)),
+        n=Field(grid, np.full(64, fp.n_star)),
     )
     dt = 1e-2
     worst_step = 0.0
@@ -122,7 +122,7 @@ def criterion_3_exact_oracles() -> CriterionResult:
         exact_u = np.sqrt(fp.density) * np.exp(-1j * fp.omega * i * dt)
         err = max(
             float(np.max(np.abs(state.u.values - exact_u))),
-            float(np.max(np.abs(state.n.values.real - fp.n_star))),
+            float(np.max(np.abs(state.n.values - fp.n_star))),
         )
         worst_step = max(worst_step, err / i)
     passed = worst_flat <= 1e-8 and worst_step <= 1e-10
@@ -139,11 +139,11 @@ def _seeded_ep_run(seed: int, t_end: float = 1.5):
     pump_level = rng.uniform(0.5, 1.5)
     p = EpParams(
         g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3,
-        pump=Field(grid, np.full(64, pump_level, dtype=complex)),
+        pump=Field(grid, np.full(64, pump_level)),
     )
     u0 = random_band_limited(grid, 4, rng)
     u0 = u0.with_values(0.5 * u0.values / hs_norm(u0, 0.0))
-    n0 = Field(grid, rng.uniform(0.0, 0.5, 64).astype(complex))
+    n0 = Field(grid, rng.uniform(0.0, 0.5, 64))
     traj = integrate(EpState(u=u0, n=n0), 2e-3, t_end, sample_every=5, params=p)
     return traj.diagnostics, p
 
@@ -314,13 +314,13 @@ def criterion_11_order_of_accuracy() -> CriterionResult:
 
     def ratio_ep() -> float:
         p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3,
-                     pump=Field(grid, np.full(64, 1.2, dtype=complex)))
+                     pump=Field(grid, np.full(64, 1.2)))
         u0 = gaussian(grid, 0.7, 0.8)
-        n0 = Field(grid, np.full(64, 0.4, dtype=complex))
+        n0 = Field(grid, np.full(64, 0.4))
 
         def final(dt):
             last = integrate(EpState(u=u0, n=n0), dt, 1.0, sample_every=10**9, params=p).states[-1]
-            return np.concatenate([last.u.values, last.n.values.real])
+            return np.concatenate([last.u.values, last.n.values])
 
         ref = final(0.02 / 16)
         return float(np.linalg.norm(final(0.02) - ref) / np.linalg.norm(final(0.01) - ref))

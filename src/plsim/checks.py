@@ -70,7 +70,7 @@ def relaxation_envelope(tau, start: float, limit: float, rate: float):
 def reservoir_sq_bound(d: DiagnosticsSeries, p: EpParams) -> np.ndarray:
     """Second-moment envelope of the recorded run at each of its samples."""
     tau = d.times - d.times[0]
-    pump_sq = float(np.sum(p.pump_values**2) * p.pump.grid.dx)
+    pump_sq = float(np.sum(p.pump.values**2) * p.pump.grid.dx)
     return relaxation_envelope(tau, float(d.n_sq_integral[0]), pump_sq / p.beta**2, p.beta)
 
 
@@ -146,7 +146,7 @@ def ep_lyapunov(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
     if d.n_min[0] < 0:
         raise ValueError("initial reservoir density must be nonnegative")
     gamma = min(2.0 * p.alpha, p.beta)
-    source = float(np.sum(p.pump_values) * p.pump.grid.dx)
+    source = float(np.sum(p.pump.values) * p.pump.grid.dx)
     values = 0.5 * d.mass + d.n_integral
     tau = d.times - d.times[0]
     envelope = relaxation_envelope(tau, float(values[0]), source / gamma, gamma)

@@ -384,7 +384,7 @@ def _profile_values(spec: dict, grid: Grid1D) -> np.ndarray:
 def build_params(config: RunConfig, grid: Grid1D):
     if config.model == "cgpe":
         return CgpeParams(xi=config.params["xi"], sigma=config.params["sigma"])
-    pump = Field(grid, _profile_values(config.pump, grid).astype(complex))
+    pump = Field(grid, _profile_values(config.pump, grid))
     return EpParams(
         g=config.params["g"],
         lam=config.params["lambda"],
@@ -421,4 +421,4 @@ def build_initial_u(config: RunConfig, grid: Grid1D, seed_override: int | None =
 
 
 def build_initial_n(config: RunConfig, grid: Grid1D) -> Field:
-    return Field(grid, _profile_values(config.initial_n, grid).astype(complex))
+    return Field(grid, _profile_values(config.initial_n, grid))

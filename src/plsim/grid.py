@@ -17,10 +17,10 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "Field",
+    "real_field",
     "make_grid",
     "dealias_mask",
     "hs_norm",
-    "hs_norm_rows",
     "hs_norm_spectral",
     "sobolev_weight",
     "dealiased_cubic",
@@ -84,13 +84,14 @@ def make_grid(n_points: int, length: float) -> Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex samples of a function at the sites of a Grid1D."""
+    """Samples at the sites of a Grid1D: float64 stays float64, anything else is complex128."""
 
     grid: Grid1D
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
+        real = getattr(self.values, "dtype", None) == np.float64
+        values = np.asarray(self.values, dtype=np.float64 if real else np.complex128)
         if values.shape != (self.grid.n_points,):
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
@@ -100,6 +101,15 @@ class Field:
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
+
+
+def real_field(field: Field, name: str) -> Field:
+    """field with float64 samples, or a ValueError naming it if its imaginary part is not 0."""
+    if field.values.dtype == np.float64:
+        return field
+    if np.any(field.values.imag != 0):
+        raise ValueError(f"{name} must be real-valued")
+    return Field(field.grid, field.values.real.copy())
 
 
 def dealias_mask(grid: Grid1D) -> np.ndarray:
@@ -131,12 +141,7 @@ def hs_norm(field: Field, s: float) -> float:
     The c_k are Fourier-series amplitudes, so s = 0 reproduces the
     continuum L^2 norm of the sampled function.
     """
-    return float(hs_norm_rows(field.values, field.grid, s))
-
-
-def hs_norm_rows(rows: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
-    """Sobolev norm of each row of a physical array whose last axis is the grid."""
-    return hs_norm_spectral(np.fft.fft(rows, axis=-1), grid, s)
+    return float(hs_norm_spectral(np.fft.fft(field.values), field.grid, s))
 
 
 def hs_norm_spectral(amps: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
-from .grid import Field, Grid1D, free_propagator
+from .grid import Field, Grid1D, free_propagator, real_field
 from .models import CgpeParams, EpParams, _local_flow_factors
 
 __all__ = [
@@ -64,6 +64,7 @@ class EpState:
     def __post_init__(self) -> None:
         if self.u.grid != self.n.grid:
             raise ValueError("u and n must share a grid")
+        object.__setattr__(self, "n", real_field(self.n, "n"))
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ def reservoir_exact_update(n: Field, u_frozen: Field, dt: float, p: EpParams, de
     density = _density(u_frozen.values) if density is None else density
     gamma = p.R * density + p.beta
     exponent = gamma * -dt
-    drained = np.expm1(exponent) * p.pump_values / gamma  # minus the pumped gain
-    n_new = np.exp(exponent, out=exponent) * n.values.real
+    drained = np.expm1(exponent) * p.pump.values / gamma  # minus the pumped gain
+    n_new = np.exp(exponent, out=exponent) * n.values
     return n.with_values(np.subtract(n_new, drained, out=n_new))
 
 
@@ -175,11 +176,11 @@ def _ep_local_u_update(u: Field, n: Field, dt: float, p: EpParams, density=None)
     nonlinear phase integral is |u0|^2 dt expm1(x)/x, x = 2 mu dt.
     """
     density = _density(u.values) if density is None else density
-    x = (p.R * n.values.real - p.alpha) * (2.0 * dt)
+    x = (p.R * n.values - p.alpha) * (2.0 * dt)
     phase = np.full(x.shape, 1.0)  # expm1(x)/x; its limit 1 where x is 0 or underflowed
     np.divide(np.expm1(x), x, out=phase, where=x != 0.0)
     phase *= density * (-p.g * dt)
-    phase -= (p.lam * dt) * n.values.real
+    phase -= (p.lam * dt) * n.values
     return u.with_values(_rotate(u.values, np.exp(np.multiply(x, 0.5, out=x), out=x), phase))
 
 
@@ -218,7 +219,7 @@ def _diagnostics_row(state, mass: float) -> tuple:
     dx = u.grid.dx
     l4 = float(np.sum(np.abs(u.values) ** 4) * dx)
     if isinstance(state, EpState):
-        n = state.n.values.real
+        n = state.n.values
         return (state.t, mass, l4, float(np.sum(n) * dx), float(np.sum(n**2) * dx), float(np.min(n)))
     return (state.t, mass, l4)
 
@@ -267,15 +268,15 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
     for i in range(1, n_steps + 1):
         try:
             state = step(state)
-        except BlowUpError as err:
-            raise BlowUpError(err.time, steps=i - 1) from None
-        # timestamps are exact multiples of dt, not accumulated sums
-        state = replace(state, t=i * dt)
+        except BlowUpError:
+            raise BlowUpError((i - 1) * dt + dt, steps=i - 1) from None
         sample = i % sample_every == 0 or i == n_steps
         mass = _mass(state.u) if sample else _square_sum(state.u.values) * state.u.grid.dx
         if mass > mass_cap:
-            raise BlowUpError(state.t, steps=i - 1)
+            raise BlowUpError(i * dt, steps=i - 1)
         if sample:
+            # sampled timestamps are exact multiples of dt, not accumulated sums
+            state = replace(state, t=i * dt)
             yield i, state, _diagnostics_row(state, mass)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dealiased_cubic, laplacian
+from .grid import Field, dealiased_cubic, laplacian, real_field
 
 __all__ = [
     "CgpeParams",
@@ -56,8 +56,8 @@ class CgpeParams:
 class EpParams:
     """Condensate-reservoir constants and the pump profile P(x).
 
-    All rate constants are strictly positive; the pump is a real,
-    nonnegative, bounded field.
+    All rate constants are strictly positive; the pump is a nonnegative,
+    bounded field of float64 samples (see ``grid.real_field``).
     """
 
     g: float
@@ -72,17 +72,12 @@ class EpParams:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        object.__setattr__(self, "pump", real_field(self.pump, "pump"))
         values = self.pump.values
-        if np.any(values.imag != 0):
-            raise ValueError("pump must be real-valued")
-        if not np.all(np.isfinite(values.real)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("pump must be bounded")
-        if np.any(values.real < 0):
+        if np.any(values < 0):
             raise ValueError("pump must be nonnegative")
-
-    @property
-    def pump_values(self) -> np.ndarray:
-        return self.pump.values.real
 
 
 def cgpe_rhs(u: Field, p: CgpeParams) -> Field:
@@ -163,7 +158,7 @@ def ep_homogeneous_fixed_point(p: EpParams) -> HomogeneousFixedPoint | None:
     omega = g |u*|^2 + lam n*.  At or below the threshold P0 <= alpha
     beta / R there is no condensate and None is returned.
     """
-    values = p.pump_values
+    values = p.pump.values
     if np.ptp(values) != 0:
         raise ValueError("fixed point requires a constant pump")
     p0 = float(values[0])

@@ -25,8 +25,8 @@ from .grid import (
     dealiased_cubic_spectral,
     free_propagator,
     hs_norm,
-    hs_norm_rows,
     hs_norm_spectral,
+    real_field,
 )
 from .models import CgpeParams, EpParams
 
@@ -206,12 +206,12 @@ def picard_ep(
     """
     if u0.grid != n0.grid:
         raise ValueError("u0 and n0 must share a grid")
+    n0 = real_field(n0, "n0")
     grid = u0.grid
     prop = free_propagator(mesh.nodes, grid)
     unwind = np.conj(prop)
     u0_hat = np.fft.fft(u0.values)
-    n0_row = n0.values.real
-    pump = p.pump_values[None, :]
+    pump = p.pump.values[None, :]
 
     def sweep(current):
         cur_u, cur_n = current
@@ -230,7 +230,7 @@ def picard_ep(
         density *= cur_n
         rhs_n = np.subtract(pump, density, out=density)
         new_n = _cumulative_trapezoid(rhs_n, mesh.spacing)
-        new_n += n0_row
+        new_n += n0.values
         return new_u, new_n
 
     def distance(new, current):
@@ -239,8 +239,8 @@ def picard_ep(
             + np.max(_l2_rows(new[1] - current[1], grid.dx))
         )
 
-    free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0_row, (mesh.n_nodes, 1)))
-    initial_norm = hs_norm(u0, 0.0) + float(hs_norm_rows(n0_row, grid, 0.0))
+    free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0.values, (mesh.n_nodes, 1)))
+    initial_norm = hs_norm(u0, 0.0) + hs_norm(n0, 0.0)
     return _iterate(free, sweep, distance, initial_norm, max_iter)
 
 

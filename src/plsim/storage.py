@@ -24,7 +24,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .diagnostics import COLUMNS, DiagnosticsSeries
-from .grid import Field, make_grid
+from .grid import Field, make_grid, real_field
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -63,7 +63,7 @@ def write_checkpoint(path, u: Field, n: Field | None, time: float, config_hash: 
     if n is not None:
         if n.grid != u.grid:
             raise ValueError("u and n must share a grid")
-        payload[2 * u.grid.n_points :] = n.values.real
+        payload[2 * u.grid.n_points :] = real_field(n, "n").values
     with _replacing(path) as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(np.array(len(header_bytes), dtype="<u4").tobytes())
@@ -107,9 +107,7 @@ def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
         raise CheckpointError(f"{path}: payload holds non-finite values")
     grid = make_grid(n_points, header["length"])
     u = Field(grid, payload[0 : 2 * n_points : 2] + 1j * payload[1 : 2 * n_points : 2])
-    n = None
-    if header["has_reservoir"]:
-        n = Field(grid, payload[2 * n_points :].astype(complex))
+    n = Field(grid, payload[2 * n_points :].copy()) if header["has_reservoir"] else None
     return u, n, header
 
 

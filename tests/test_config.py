@@ -172,7 +172,8 @@ class TestBuilders:
         params = build_params(config, grid)
         assert isinstance(params, EpParams)
         assert params.lam == 0.7
-        pump = params.pump_values
+        pump = params.pump.values
+        assert pump.dtype == np.float64
         assert pump.max() == pytest.approx(2.0, rel=1e-12)  # center value = height
         outside = np.abs(grid.x - 8.0) >= 1.5
         assert np.all(pump[outside] == 0.0)
@@ -211,7 +212,8 @@ class TestBuilders:
         config = parse({"model": "ep", "initial": {"n": {"kind": "constant", "level": 0.4}}})
         grid = build_grid(config)
         n = build_initial_n(config, grid)
-        np.testing.assert_array_equal(n.values.real, np.full(256, 0.4))
+        np.testing.assert_array_equal(n.values, np.full(256, 0.4))
+        assert n.values.dtype == np.float64
 
 
 class TestHashing:

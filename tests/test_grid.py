@@ -10,11 +10,12 @@ from plsim.grid import (
     dealiased_cubic_spectral,
     free_propagator,
     hs_norm,
-    hs_norm_rows,
+    hs_norm_spectral,
     laplacian,
     lp_norm,
     make_grid,
     random_band_limited,
+    real_field,
 )
 from plsim.models import CgpeParams, cgpe_rhs
 from plsim.spacetime import free_evolution
@@ -58,6 +59,39 @@ class TestMakeGrid:
     def test_rejects_bad_length(self, length):
         with pytest.raises(ValueError):
             make_grid(8, length)
+
+
+class TestFieldDtype:
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.ones(8), np.float64),
+            (np.ones(8, dtype=np.int64), np.complex128),
+            (np.ones(8, dtype=np.float32), np.complex128),
+            (np.ones(8, dtype=np.complex64), np.complex128),
+            (np.ones(8, dtype=np.complex128), np.complex128),
+            ([1.0] * 8, np.complex128),
+        ],
+        ids=["float64", "int64", "float32", "complex64", "complex128", "list"],
+    )
+    def test_float64_stays_real_anything_else_is_complex(self, values, dtype):
+        assert Field(make_grid(8, 1.0), values).values.dtype == dtype
+
+    def test_real_field_keeps_a_real_field(self):
+        f = Field(make_grid(8, 1.0), np.linspace(0.0, 1.0, 8))
+        assert real_field(f, "q") is f
+
+    def test_real_field_drops_a_zero_imaginary_part(self):
+        values = np.linspace(0.0, 1.0, 8)
+        f = real_field(Field(make_grid(8, 1.0), values.astype(complex)), "q")
+        assert f.values.dtype == np.float64 and f.values.flags.c_contiguous
+        np.testing.assert_array_equal(f.values, values)
+
+    def test_real_field_rejects_a_nonzero_imaginary_part(self):
+        values = np.zeros(8, dtype=complex)
+        values[3] = 1e-300j
+        with pytest.raises(ValueError, match="^q must be real-valued$"):
+            real_field(Field(make_grid(8, 1.0), values), "q")
 
 
 class TestTransform:
@@ -138,7 +172,8 @@ class TestNorms:
             amps = np.fft.fft(rows, axis=-1) / grid.n_points
             weights = (1.0 + grid.wavenumbers**2) ** s
             direct = np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2, axis=-1))
-            np.testing.assert_allclose(hs_norm_rows(rows, grid, s), direct, rtol=1e-14, atol=0)
+            norms = hs_norm_spectral(np.fft.fft(rows, axis=-1), grid, s)
+            np.testing.assert_allclose(norms, direct, rtol=1e-14, atol=0)
 
     def test_hs_constant(self):
         grid = make_grid(32, TWO_PI)
@@ -242,7 +277,10 @@ def _propagate_rows(rows, grid):
 
 
 ROW_KERNELS = {
-    "hs_norm": (lambda rows, grid: hs_norm_rows(rows, grid, 1.0), lambda f: hs_norm(f, 1.0)),
+    "hs_norm": (
+        lambda rows, grid: hs_norm_spectral(np.fft.fft(rows, axis=-1), grid, 1.0),
+        lambda f: hs_norm(f, 1.0),
+    ),
     "dealiased_cubic": (dealiased_cubic, _cubic_of_rhs),
     "free_propagator": (_propagate_rows, lambda f: free_evolution(f, 8, 2.4).values[1]),
 }

@@ -36,13 +36,18 @@ def constant_field(grid, value):
     return Field(grid, np.full(grid.n_points, value, dtype=complex))
 
 
+def real_constant(grid, value):
+    """A reservoir density or pump profile: float64 samples."""
+    return Field(grid, np.full(grid.n_points, float(value)))
+
+
 def gaussian_field(grid, amplitude=1.0, width=0.5):
     x = grid.x - grid.length / 2.0
     return Field(grid, amplitude * np.exp(-(x**2) / (2.0 * width**2)).astype(complex))
 
 
 def make_ep_params(grid, p0=1.0, g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3):
-    return EpParams(g=g, lam=lam, R=R, alpha=alpha, beta=beta, pump=constant_field(grid, p0))
+    return EpParams(g=g, lam=lam, R=R, alpha=alpha, beta=beta, pump=real_constant(grid, p0))
 
 
 class TestDispersionHalfStep:
@@ -123,7 +128,7 @@ class TestHalfStepMultiplierCache:
         for grid in grids:
             ep = make_ep_params(grid, p0=1.2)
             u0 = gaussian_field(grid, amplitude=0.7, width=0.8)
-            n0 = constant_field(grid, 0.4)
+            n0 = real_constant(grid, 0.4)
             for dt in dts:
                 runs.append(("cgpe", grid, dt, cgpe, CgpeState(u=u0), u0.values))
                 runs.append(("ep", grid, dt, ep, EpState(u=u0, n=n0), (u0.values, n0)))
@@ -152,10 +157,10 @@ class TestHalfStepMultiplierCache:
         grid = make_grid(4096, TWO_PI)
         dt = 1e-3
         u0 = random_band_limited(grid, 4, np.random.default_rng(11))
-        pump = Field(grid, (1.2 * smooth_bump((grid.x - 3.0) / 0.6)).astype(complex))
+        pump = Field(grid, 1.2 * smooth_bump((grid.x - 3.0) / 0.6))
         ep = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
         cgpe = CgpeParams(1.0, 1.0)
-        cgpe_state, ep_state = CgpeState(u=u0), EpState(u=u0, n=constant_field(grid, 0.3))
+        cgpe_state, ep_state = CgpeState(u=u0), EpState(u=u0, n=real_constant(grid, 0.3))
         cgpe_ref, ep_ref = u0, (u0, ep_state.n)
         for _ in range(5):
             cgpe_state = strang_step_cgpe(cgpe_state, dt, cgpe)
@@ -309,32 +314,33 @@ class TestStrangCgpe:
 class TestReservoirUpdate:
     def test_pure_decay(self):
         grid = make_grid(16, TWO_PI)
-        p = EpParams(g=1, lam=1, R=1, alpha=1, beta=0.9, pump=constant_field(grid, 0.0))
+        p = EpParams(g=1, lam=1, R=1, alpha=1, beta=0.9, pump=real_constant(grid, 0.0))
         n0 = np.linspace(0.0, 2.0, 16)
-        out = reservoir_exact_update(Field(grid, n0.astype(complex)), constant_field(grid, 0.0), 0.3, p)
-        np.testing.assert_allclose(out.values.real, n0 * np.exp(-0.9 * 0.3), rtol=1e-14)
+        out = reservoir_exact_update(Field(grid, n0), constant_field(grid, 0.0), 0.3, p)
+        assert out.values.dtype == np.float64
+        np.testing.assert_allclose(out.values, n0 * np.exp(-0.9 * 0.3), rtol=1e-14)
 
     def test_local_equilibrium_fixed(self):
         grid = make_grid(16, TWO_PI)
         rng = np.random.default_rng(4)
-        pump = Field(grid, rng.uniform(0.1, 2.0, 16).astype(complex))
+        pump = Field(grid, rng.uniform(0.1, 2.0, 16))
         p = EpParams(g=1, lam=1, R=1.2, alpha=1, beta=0.8, pump=pump)
         u = Field(grid, (rng.standard_normal(16) + 1j * rng.standard_normal(16)))
         gamma = p.R * np.abs(u.values) ** 2 + p.beta
-        n_eq = pump.values.real / gamma
-        out = reservoir_exact_update(Field(grid, n_eq.astype(complex)), u, 0.5, p)
-        np.testing.assert_allclose(out.values.real, n_eq, rtol=1e-14)
+        n_eq = pump.values / gamma
+        out = reservoir_exact_update(Field(grid, n_eq), u, 0.5, p)
+        np.testing.assert_allclose(out.values, n_eq, rtol=1e-14)
 
     def test_exact_nonnegativity(self):
         grid = make_grid(64, TWO_PI)
         rng = np.random.default_rng(5)
-        pump = Field(grid, rng.uniform(0.0, 3.0, 64).astype(complex))
+        pump = Field(grid, rng.uniform(0.0, 3.0, 64))
         p = EpParams(g=1, lam=1, R=2.0, alpha=1, beta=0.5, pump=pump)
-        n = Field(grid, rng.uniform(0.0, 4.0, 64).astype(complex))
+        n = Field(grid, rng.uniform(0.0, 4.0, 64))
         u = Field(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
         for _ in range(50):
             n = reservoir_exact_update(n, u, 0.05, p)
-            assert np.all(n.values.real >= 0.0)
+            assert np.all(n.values >= 0.0)
 
 
 class TestEpLocalUpdate:
@@ -342,12 +348,32 @@ class TestEpLocalUpdate:
         # with n = 0 and alpha = 5e-322, 2 mu dt underflows: the phase is
         # still -g |u|^2 dt, not 0
         grid = make_grid(16, TWO_PI)
-        p = EpParams(g=2.0, lam=0.5, R=1.0, alpha=5e-322, beta=1.0, pump=constant_field(grid, 0.0))
+        p = EpParams(g=2.0, lam=0.5, R=1.0, alpha=5e-322, beta=1.0, pump=real_constant(grid, 0.0))
         u = Field(grid, np.linspace(0.2, 1.5, 16).astype(complex))
         dt = 1e-3
-        out = _ep_local_u_update(u, constant_field(grid, 0.0), dt, p)
+        out = _ep_local_u_update(u, real_constant(grid, 0.0), dt, p)
         expected = u.values * np.exp(-1j * p.g * np.abs(u.values) ** 2 * dt)
         np.testing.assert_allclose(out.values, expected, rtol=1e-14)
+
+
+class TestEpState:
+    def test_rejects_reservoir_with_nonzero_imaginary_part(self):
+        grid = make_grid(8, TWO_PI)
+        n = Field(grid, np.full(8, 0.5 + 1e-3j))
+        with pytest.raises(ValueError, match="^n must be real-valued$"):
+            EpState(u=constant_field(grid, 1.0), n=n)
+
+    def test_complex_reservoir_with_zero_imaginary_part_is_stored_real(self):
+        grid = make_grid(8, TWO_PI)
+        n0 = np.linspace(0.0, 1.0, 8)
+        state = EpState(u=constant_field(grid, 1.0), n=Field(grid, n0.astype(complex)))
+        assert state.n.values.dtype == np.float64
+        np.testing.assert_array_equal(state.n.values, n0)
+
+    def test_real_reservoir_is_kept_as_given(self):
+        grid = make_grid(8, TWO_PI)
+        n = real_constant(grid, 0.3)
+        assert EpState(u=constant_field(grid, 1.0), n=n).n is n
 
 
 class TestStrangEp:
@@ -356,35 +382,35 @@ class TestStrangEp:
         p = make_ep_params(grid, p0=1.0, alpha=0.5, beta=1.0, lam=1.0)
         fp = ep_homogeneous_fixed_point(p)
         dt = 1e-2
-        state = EpState(u=constant_field(grid, np.sqrt(fp.density)), n=constant_field(grid, fp.n_star))
+        state = EpState(u=constant_field(grid, np.sqrt(fp.density)), n=real_constant(grid, fp.n_star))
         for i in range(1, 201):
             state = strang_step_ep(state, dt, p)
             expected_u = np.sqrt(fp.density) * np.exp(-1j * fp.omega * i * dt)
             assert np.max(np.abs(state.u.values - expected_u)) < 1e-10 * i
-            assert np.max(np.abs(state.n.values.real - fp.n_star)) < 1e-12 * i
+            assert np.max(np.abs(state.n.values - fp.n_star)) < 1e-12 * i
 
     def test_unpumped_vacuum_decays_exactly(self):
         grid = make_grid(16, TWO_PI)
-        p = EpParams(g=1, lam=1, R=1, alpha=0.5, beta=0.7, pump=constant_field(grid, 0.0))
+        p = EpParams(g=1, lam=1, R=1, alpha=0.5, beta=0.7, pump=real_constant(grid, 0.0))
         n0 = np.linspace(0.5, 1.5, 16)
-        state = EpState(u=constant_field(grid, 0.0), n=Field(grid, n0.astype(complex)))
+        state = EpState(u=constant_field(grid, 0.0), n=Field(grid, n0))
         dt = 0.02
         for i in range(1, 101):
             state = strang_step_ep(state, dt, p)
             assert np.max(np.abs(state.u.values)) == 0.0
-            np.testing.assert_allclose(state.n.values.real, n0 * np.exp(-0.7 * i * dt), rtol=1e-12)
+            np.testing.assert_allclose(state.n.values, n0 * np.exp(-0.7 * i * dt), rtol=1e-12)
 
     def test_second_order_convergence(self):
         grid = make_grid(64, TWO_PI)
         p = make_ep_params(grid, p0=1.2)
         u0 = gaussian_field(grid, amplitude=0.7, width=0.8)
-        n0 = constant_field(grid, 0.4)
+        n0 = real_constant(grid, 0.4)
         t_end = 1.0
 
         def final_state(dt):
             traj = integrate(EpState(u=u0, n=n0), dt, t_end, sample_every=10**9, params=p)
             last = traj.states[-1]
-            return np.concatenate([last.u.values, last.n.values.real])
+            return np.concatenate([last.u.values, last.n.values])
 
         ref = final_state(0.02 / 16)
         err1 = np.linalg.norm(final_state(0.02) - ref)
@@ -427,7 +453,7 @@ class TestIntegrate:
         p = make_ep_params(grid, p0=1.0, alpha=0.5, beta=1.0, lam=1.0)
         fp = ep_homogeneous_fixed_point(p)
         traj = integrate(
-            EpState(u=constant_field(grid, np.sqrt(fp.density)), n=constant_field(grid, fp.n_star)),
+            EpState(u=constant_field(grid, np.sqrt(fp.density)), n=real_constant(grid, fp.n_star)),
             dt=1e-3, t_end=1.0, sample_every=50, params=p,
         )
         d = traj.diagnostics
@@ -446,10 +472,10 @@ class TestIntegrate:
     def test_reservoir_positivity_along_pumped_run(self):
         grid = make_grid(64, TWO_PI)
         rng = np.random.default_rng(7)
-        pump = Field(grid, rng.uniform(0.0, 2.0, 64).astype(complex))
+        pump = Field(grid, rng.uniform(0.0, 2.0, 64))
         p = EpParams(g=1, lam=0.5, R=1, alpha=0.5, beta=1.3, pump=pump)
         u0 = gaussian_field(grid, 0.5, 0.6)
-        n0 = Field(grid, rng.uniform(0.0, 1.0, 64).astype(complex))
+        n0 = Field(grid, rng.uniform(0.0, 1.0, 64))
         traj = integrate(EpState(u=u0, n=n0), dt=5e-3, t_end=2.0, sample_every=1, params=p)
         assert np.min(traj.diagnostics.n_min) >= 0.0
 
@@ -491,10 +517,42 @@ class TestIntegrate:
         assert collected.value.trajectory.steps == steps
         assert len(collected.value.trajectory.states) == len(seen)
 
+    def test_loop_builds_no_state_between_samples(self, monkeypatch):
+        # each step builds the stepper's state; the loop restamps sampled ones only
+        grid = make_grid(16, TWO_PI)
+        initial = EpState(u=gaussian_field(grid, 0.8), n=real_constant(grid, 0.3))
+        built = []
+        post_init = EpState.__post_init__
+        monkeypatch.setattr(EpState, "__post_init__", lambda s: built.append(s) or post_init(s))
+        samples = list(iter_samples(initial, 0.1, 2.0, 5, make_ep_params(grid)))
+        assert [step for step, _, _ in samples] == [0, 5, 10, 15, 20]
+        assert len(built) == 20 + 4
+        assert [state.t for _, state, _ in samples] == [i * 0.1 for i in (0, 5, 10, 15, 20)]
+
+    def test_stepper_failure_time_is_last_completed_step_plus_dt(self, monkeypatch):
+        import plsim.integrators as integrators
+
+        grid = make_grid(16, TWO_PI)
+        calls = []
+
+        def failing_step(state, dt, p):
+            calls.append(state.t)
+            if len(calls) == 6:
+                raise BlowUpError(state.t + dt)
+            return CgpeState(u=state.u, t=state.t + dt)
+
+        monkeypatch.setattr(integrators, "strang_step_cgpe", failing_step)
+        with pytest.raises(BlowUpError) as excinfo:
+            list(iter_samples(CgpeState(u=constant_field(grid, 0.5)), 0.1, 2.0, 3,
+                              CgpeParams(1.0, 1.0)))
+        assert excinfo.value.steps == 5
+        # the last completed step's time plus dt: 0.6, where 6 * 0.1 is 0.6000000000000001
+        assert excinfo.value.time == 5 * 0.1 + 0.1 != 6 * 0.1
+
     def test_integrate_collects_the_streamed_samples(self):
         grid = make_grid(32, TWO_PI)
         p = make_ep_params(grid, p0=1.0, alpha=0.5, beta=1.3, lam=0.5)
-        initial = EpState(u=gaussian_field(grid, 0.8), n=constant_field(grid, 0.3))
+        initial = EpState(u=gaussian_field(grid, 0.8), n=real_constant(grid, 0.3))
         streamed = list(iter_samples(initial, 1e-2, 0.5, 7, p))
         traj = integrate(initial, 1e-2, 0.5, 7, p)
         assert [step for step, _, _ in streamed] == [0, 7, 14, 21, 28, 35, 42, 49, 50]

@@ -47,6 +47,14 @@ class TestParams:
         with pytest.raises(ValueError, match="real"):
             EpParams(g=1, lam=1, R=1, alpha=1, beta=1, pump=constant_field(grid, 1.0 + 1.0j))
 
+    def test_ep_pump_is_stored_real(self):
+        grid = make_grid(8, 1.0)
+        profile = np.linspace(0.0, 1.0, 8)
+        for pump in (Field(grid, profile), Field(grid, profile.astype(complex))):
+            p = EpParams(g=1, lam=1, R=1, alpha=1, beta=1, pump=pump)
+            assert p.pump.values.dtype == np.float64
+            np.testing.assert_array_equal(p.pump.values, profile)
+
 
 class TestCgpeRhs:
     def test_zero_field(self):

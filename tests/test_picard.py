@@ -9,7 +9,7 @@ from plsim.grid import (
     dealiased_cubic,
     free_propagator,
     hs_norm,
-    hs_norm_rows,
+    hs_norm_spectral,
     make_grid,
     random_band_limited,
 )
@@ -162,12 +162,30 @@ class TestPicardEp:
         for seed in range(3):
             u0 = random_band_limited(grid, 4, np.random.default_rng(200 + seed))
             u0 = u0.with_values(0.4 * u0.values / hs_norm(u0, 0.0))
-            n0 = Field(grid, (0.3 + 0.1 * np.cos(grid.x)).astype(complex))
+            n0 = Field(grid, 0.3 + 0.1 * np.cos(grid.x))
             history = picard_ep(u0, n0, TimeMesh(0.05, 33), p, max_iter=25)
             report = contraction_report(history)
             assert report.converged
             rate = measured_contraction_rate(history)
             assert rate < 0.9
+
+    def test_complex_n0_with_zero_imaginary_part_is_the_real_n0(self):
+        grid = make_grid(16, TWO_PI)
+        p = self.make_params(grid)
+        u0 = h1_normalized(grid, 9, band=3)
+        n0 = 0.3 + 0.1 * np.cos(grid.x)
+        mesh = TimeMesh(0.05, 9)
+        real = picard_ep(u0, Field(grid, n0), mesh, p, max_iter=4)
+        cast = picard_ep(u0, Field(grid, n0.astype(complex)), mesh, p, max_iter=4)
+        assert cast.final[1].dtype == np.float64
+        assert cast.diffs == real.diffs and cast.initial_norm == real.initial_norm
+        np.testing.assert_array_equal(cast.final[1], real.final[1])
+
+    def test_rejects_n0_with_nonzero_imaginary_part(self):
+        grid = make_grid(16, TWO_PI)
+        n0 = Field(grid, np.full(16, 0.3 + 1e-3j))
+        with pytest.raises(ValueError, match="^n0 must be real-valued$"):
+            picard_ep(constant_field(grid, 0.1), n0, TimeMesh(0.05, 9), self.make_params(grid))
 
 
 def _free_evolution(u0, mesh):
@@ -239,17 +257,17 @@ class TestSpectralSweep:
     def test_ep_sweeps_match_physical_duhamel_map(self):
         grid = make_grid(64, TWO_PI)
         mesh = TimeMesh(0.05, 17)
-        pump = Field(grid, (1.0 + 0.5 * np.cos(grid.x)).astype(complex))
+        pump = Field(grid, 1.0 + 0.5 * np.cos(grid.x))
         p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
         u0 = h1_normalized(grid, 7)
-        n0 = Field(grid, (0.3 + 0.1 * np.sin(grid.x)).astype(complex))
-        u, n = _free_evolution(u0, mesh), np.tile(n0.values.real, (mesh.n_nodes, 1))
+        n0 = Field(grid, 0.3 + 0.1 * np.sin(grid.x))
+        u, n = _free_evolution(u0, mesh), np.tile(n0.values, (mesh.n_nodes, 1))
         for _ in range(2):
             rhs_u = -1j * p.g * dealiased_cubic(u, grid) + ((p.R - 1j * p.lam) * n - p.alpha) * u
-            rhs_n = p.pump_values - (p.R * np.abs(u) ** 2 + p.beta) * n
+            rhs_n = p.pump.values - (p.R * np.abs(u) ** 2 + p.beta) * n
             u, n = (
                 _physical_duhamel(u0, mesh, rhs_u),
-                n0.values.real + cumulative_trapezoid(rhs_n, dx=mesh.spacing, axis=0, initial=0.0),
+                n0.values + cumulative_trapezoid(rhs_n, dx=mesh.spacing, axis=0, initial=0.0),
             )
         history = picard_ep(u0, n0, mesh, p, max_iter=2)
         assert len(history.diffs) == 2
@@ -288,7 +306,8 @@ class TestIterateHistory:
         assert longer.diffs[:2] == short.diffs
         # one more sweep from short.final is exactly longer.final; the recorded
         # distance is taken of the carried spectra, so it agrees to rounding
-        step = float(np.max(hs_norm_rows(longer.final - short.final, grid, 1.0)))
+        step_hat = np.fft.fft(longer.final - short.final, axis=-1)
+        step = float(np.max(hs_norm_spectral(step_hat, grid, 1.0)))
         assert step == pytest.approx(longer.diffs[-1], rel=1e-12)
 
 
@@ -327,9 +346,8 @@ class TestConsistencyWithStrang:
             traj = integrate(EpState(u=u0, n=n0), dt, delta, sample_every=4, params=p)
             for node, state in zip(range(n_nodes), traj.states):
                 rel_u = np.linalg.norm(u_final[node] - state.u.values) / np.linalg.norm(state.u.values)
-                rel_n = np.linalg.norm(n_final[node] - state.n.values.real) / np.linalg.norm(
-                    state.n.values.real
-                )
+                n = state.n.values
+                rel_n = np.linalg.norm(n_final[node] - n) / np.linalg.norm(n)
                 assert rel_u <= 1e-4
                 assert rel_n <= 1e-4
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
+from plsim.integrators import EpState, strang_step_ep
+from plsim.models import EpParams
 from plsim.storage import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -39,22 +41,51 @@ class TestCheckpoints:
     def test_round_trip_with_reservoir(self, tmp_path):
         grid = make_grid(16, 4.0)
         u = random_field(grid, 1)
-        n = Field(grid, np.abs(np.random.default_rng(2).standard_normal(16)).astype(complex))
+        n = Field(grid, np.abs(np.random.default_rng(2).standard_normal(16)))
         path = tmp_path / "b.ckpt"
         write_checkpoint(path, u, n, 0.0, "x")
         u2, n2, _ = read_checkpoint(path)
         np.testing.assert_array_equal(u2.values, u.values)
         np.testing.assert_array_equal(n2.values, n.values)
+        assert n2.values.dtype == np.float64
 
     def test_save_load_save_byte_identical(self, tmp_path):
         grid = make_grid(32, 2 * np.pi)
         u = random_field(grid, 3)
-        first = tmp_path / "c1.ckpt"
-        second = tmp_path / "c2.ckpt"
-        write_checkpoint(first, u, None, 0.5, "h")
-        u2, n2, header = read_checkpoint(first)
-        write_checkpoint(second, u2, n2, header["time"], header["config_hash"])
-        assert first.read_bytes() == second.read_bytes()
+        for n in (None, Field(grid, np.linspace(0.0, 2.0, 32))):
+            first = tmp_path / "c1.ckpt"
+            second = tmp_path / "c2.ckpt"
+            write_checkpoint(first, u, n, 0.5, "h")
+            u2, n2, header = read_checkpoint(first)
+            write_checkpoint(second, u2, n2, header["time"], header["config_hash"])
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_reservoir_read_back_steps_and_writes_again(self, tmp_path):
+        grid = make_grid(16, 2 * np.pi)
+        p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=Field(grid, np.full(16, 1.2)))
+        state = EpState(u=random_field(grid, 8), n=Field(grid, np.linspace(0.1, 0.9, 16)))
+        write_checkpoint(tmp_path / "s0.ckpt", state.u, state.n, state.t, "h")
+        u, n, _ = read_checkpoint(tmp_path / "s0.ckpt")
+        expected = strang_step_ep(state, 1e-2, p)
+        stepped = strang_step_ep(EpState(u=u, n=n), 1e-2, p)
+        np.testing.assert_array_equal(stepped.n.values, expected.n.values)
+        write_checkpoint(tmp_path / "s1.ckpt", stepped.u, stepped.n, stepped.t, "h")
+        write_checkpoint(tmp_path / "e1.ckpt", expected.u, expected.n, expected.t, "h")
+        assert (tmp_path / "s1.ckpt").read_bytes() == (tmp_path / "e1.ckpt").read_bytes()
+
+    def test_complex_reservoir_with_zero_imaginary_part_writes_the_real_bytes(self, tmp_path):
+        grid = make_grid(8, 2.0)
+        u, n = random_field(grid, 2), np.linspace(0.0, 1.0, 8)
+        write_checkpoint(tmp_path / "real.ckpt", u, Field(grid, n), 0.25, "h")
+        write_checkpoint(tmp_path / "cast.ckpt", u, Field(grid, n.astype(complex)), 0.25, "h")
+        assert (tmp_path / "real.ckpt").read_bytes() == (tmp_path / "cast.ckpt").read_bytes()
+
+    def test_reservoir_with_nonzero_imaginary_part_rejected(self, tmp_path):
+        grid = make_grid(8, 2.0)
+        n = Field(grid, np.full(8, 0.5 + 0.25j))
+        with pytest.raises(ValueError, match="^n must be real-valued$"):
+            write_checkpoint(tmp_path / "x.ckpt", random_field(grid, 2), n, 0.0, "h")
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -91,7 +122,7 @@ class TestCheckpoints:
     def test_non_finite_payload_rejected(self, tmp_path, part, value):
         grid = make_grid(8, 2.0)
         path = tmp_path / "nf.ckpt"
-        n = Field(grid, np.linspace(0.0, 1.0, 8).astype(complex))
+        n = Field(grid, np.linspace(0.0, 1.0, 8))
         write_checkpoint(path, random_field(grid, 7), n, 0.25, "h")
         raw = bytearray(path.read_bytes())
         # payload: 2N floats of u, then N floats of n; damage the first of either
@@ -108,7 +139,7 @@ class TestCheckpoints:
     def test_damaged_checkpoint_reads_or_raises_checkpoint_error(self, tmp_path, data):
         grid = make_grid(8, 2.0)
         path = tmp_path / "d.ckpt"
-        n = Field(grid, np.linspace(0.0, 1.0, 8).astype(complex))
+        n = Field(grid, np.linspace(0.0, 1.0, 8))
         write_checkpoint(path, random_field(grid, 6), n, 0.25, "h")
         original = path.read_bytes()
         if data.draw(st.booleans(), label="truncate"):
