@@ -43,10 +43,16 @@ __all__ = [
 # initial mass, or any state value stops being finite.
 BLOWUP_MASS_FACTOR = 1e6
 
-# Distinct (grid, dt) pairs whose half-step multipliers are kept.  A run
-# steps with one pair and a dt-halving study with a few; one entry at
-# N=4096 holds 64 KiB.
+# Distinct (grid, dt) pairs whose half-step multipliers, and half-step
+# matrices on grids up to DENSE_HALF_STEP_MAX_POINTS, are kept.  A run
+# steps with one pair and a dt-halving study with a few; one entry of
+# either kind holds at most 64 KiB (a multiplier at N=4096, a matrix at N=64).
 HALF_STEP_CACHE_SIZE = 8
+
+# Largest grid whose half-step is one dense real matrix product instead of
+# an FFT pair.  Up to it numpy's per-call FFT overhead, not arithmetic, sets
+# the FFT pair's cost; the (2N, N) float64 matrix takes 16 N^2 bytes, 64 KiB at N=64.
+DENSE_HALF_STEP_MAX_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,36 @@ def _half_step_multiplier(grid: Grid1D, dt: float) -> np.ndarray:
     return multiplier
 
 
+@lru_cache(maxsize=HALF_STEP_CACHE_SIZE)
+def _half_step_matrix(grid: Grid1D, dt: float) -> np.ndarray:
+    """[Re C; Im C] for the circulant C = F^-1 diag(multiplier) F, shape (2N, N), shared read-only."""
+    n = grid.n_points
+    column = np.fft.ifft(_half_step_multiplier(grid, dt))
+    circulant = column[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    matrix = np.concatenate([circulant.real, circulant.imag])
+    matrix.setflags(write=False)
+    return matrix
+
+
 def dispersion_half_step(f: Field, dt: float) -> Field:
     """Free flow over dt/2: multiply mode k by exp(-i k^2 dt / 2).
 
-    Unitary, so the discrete L^2 norm is preserved exactly.  Negative dt
-    gives the adjoint step.
+    Unitary, so the discrete L^2 norm is preserved to rounding.  Negative
+    dt gives the adjoint step.  Up to DENSE_HALF_STEP_MAX_POINTS points it
+    is one real matrix product; above, an FFT pair.
     """
     if dt == 0.0:
         return f
+    n = f.grid.n_points
+    if n <= DENSE_HALF_STEP_MAX_POINTS:
+        # (re, im) pairs as an (N, 2) real matrix: a dgemm that OpenBLAS keeps on
+        # one thread at this size, where it threads a complex matrix-vector product
+        pairs = np.ascontiguousarray(f.values, dtype=np.complex128).view(np.float64).reshape(n, 2)
+        products = _half_step_matrix(f.grid, dt) @ pairs
+        values = np.empty(n, dtype=np.complex128)
+        np.subtract(products[:n, 0], products[n:, 1], out=values.real)
+        np.add(products[:n, 1], products[n:, 0], out=values.imag)
+        return f.with_values(values)
     hat = np.fft.fft(f.values)
     # m * hat, not hat * m: numpy's SIMD paths can round the two differently
     np.multiply(_half_step_multiplier(f.grid, dt), hat, out=hat)
@@ -241,9 +269,10 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
 
     Samples land at step indices 0, sample_every, 2*sample_every, ... and
     always at the final step; row is the state's diagnostics in COLUMNS
-    order.  A state that is non-finite or whose mass exceeds the blow-up
-    cap is never yielded: BlowUpError is raised with its time and the
-    number of steps completed before it.
+    order.  t_end is the run's length, counted from ``initial.t``: step i
+    is stamped ``initial.t + i * dt``.  A state that is non-finite or whose
+    mass exceeds the blow-up cap is never yielded: BlowUpError is raised
+    with its time and the number of steps completed before it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -261,6 +290,7 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
         raise TypeError(f"unsupported state type {type(initial).__name__}")
 
     n_steps = step_count(dt, t_end)
+    t0 = initial.t
     mass0 = _mass(initial.u)
     mass_cap = BLOWUP_MASS_FACTOR * mass0 if mass0 > 0 else np.inf
     yield 0, initial, _diagnostics_row(initial, mass0)
@@ -269,14 +299,14 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
         try:
             state = step(state)
         except BlowUpError:
-            raise BlowUpError((i - 1) * dt + dt, steps=i - 1) from None
+            raise BlowUpError(t0 + (i - 1) * dt + dt, steps=i - 1) from None
         sample = i % sample_every == 0 or i == n_steps
         mass = _mass(state.u) if sample else _square_sum(state.u.values) * state.u.grid.dx
         if mass > mass_cap:
-            raise BlowUpError(i * dt, steps=i - 1)
+            raise BlowUpError(t0 + i * dt, steps=i - 1)
         if sample:
-            # sampled timestamps are exact multiples of dt, not accumulated sums
-            state = replace(state, t=i * dt)
+            # sampled timestamps are exact multiples of dt past t0, not accumulated sums
+            state = replace(state, t=t0 + i * dt)
             yield i, state, _diagnostics_row(state, mass)
 
 

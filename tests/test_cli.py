@@ -113,6 +113,22 @@ class TestRun:
         assert {"diagnostics.csv", "reports.json", "run_meta.json",
                 "checkpoints/state_0000050.ckpt", "pic/picard_report.json"} <= set(outputs[0])
 
+    def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the N=64 half-step is a BLAS matrix product: its bits may not follow the thread count
+        config = write_config(tmp_path, ep_doc(checkpoint_every=4))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(plsim.__file__)))
+            subprocess.run([sys.executable, "-m", "plsim.cli", "run", "--config", config,
+                            "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+            outputs.append({str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*"))
+                            if path.is_file() and path.name != "run_meta.json"})
+        assert outputs[0] == outputs[1]
+        assert {"diagnostics.csv", "reports.json", "checkpoints/state_0000000.ckpt",
+                "checkpoints/state_0000010.ckpt"} <= set(outputs[0])
+
     def test_seed_override_recorded_and_changes_data(self, tmp_path):
         doc = cgpe_doc(initial={"u": {"kind": "random", "seed": 1, "band": 3}}, checks=[])
         config = write_config(tmp_path, doc)

@@ -7,6 +7,7 @@ import pytest
 
 from plsim.grid import Field, free_propagator, lp_norm, make_grid, random_band_limited, smooth_bump
 from plsim.integrators import (
+    DENSE_HALF_STEP_MAX_POINTS,
     HALF_STEP_CACHE_SIZE,
     BlowUpError,
     CgpeState,
@@ -19,6 +20,7 @@ from plsim.integrators import (
     strang_step_cgpe,
     strang_step_ep,
     _ep_local_u_update,
+    _half_step_matrix,
     _half_step_multiplier,
     _rotate,
 )
@@ -30,6 +32,7 @@ from plsim.models import (
 )
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 
 def constant_field(grid, value):
@@ -52,10 +55,10 @@ def make_ep_params(grid, p0=1.0, g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3):
 
 class TestDispersionHalfStep:
     def test_zero_dt_is_identity(self):
-        grid = make_grid(32, TWO_PI)
-        f = gaussian_field(grid)
-        out = dispersion_half_step(f, 0.0)
-        np.testing.assert_array_equal(out.values, f.values)
+        for n_points in (32, 128):  # both sides of the dense cut
+            f = gaussian_field(make_grid(n_points, TWO_PI))
+            out = dispersion_half_step(f, 0.0)
+            np.testing.assert_array_equal(out.values, f.values)
 
     def test_single_mode_phase(self):
         grid = make_grid(16, TWO_PI)
@@ -77,19 +80,61 @@ class TestDispersionHalfStep:
         back = dispersion_half_step(dispersion_half_step(f, 0.81), -0.81)
         assert np.max(np.abs(back.values - f.values)) < 1e-14 * np.max(np.abs(f.values))
 
-    @pytest.mark.parametrize("n_points, length", [(8, 1.0), (64, TWO_PI), (256, 37.5)])
+    @pytest.mark.parametrize("n_points", [4, 16, 64])
+    def test_dense_sizes_unitary_and_reversible(self, n_points):
+        grid = make_grid(n_points, 3.0)
+        rng = np.random.default_rng(n_points)
+        f = Field(grid, rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+        out = dispersion_half_step(f, 0.37)
+        assert lp_norm(out, 2) == pytest.approx(lp_norm(f, 2), rel=1e-14)
+        back = dispersion_half_step(out, -0.37)
+        assert np.max(np.abs(back.values - f.values)) < 1e-14 * np.max(np.abs(f.values))
+
+    @pytest.mark.parametrize("n_points, length", [(8, 1.0), (64, TWO_PI), (128, 11.0), (256, 37.5)])
     @pytest.mark.parametrize("dt", [1e-3, 0.37, -0.05])
     def test_bit_identical_to_direct_multiplier(self, n_points, length, dt):
+        # bit for bit against the operator production picks, built afresh;
+        # above the cut that is the FFT pair with exp(-i k^2 dt/2) itself
         grid = make_grid(n_points, length)
         rng = np.random.default_rng(n_points)
         u = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
         k = grid.wavenumbers
-        expected = np.fft.ifft(np.exp(-0.5j * k**2 * dt) * np.fft.fft(u))
-        np.testing.assert_array_equal(dispersion_half_step(Field(grid, u), dt).values, expected)
+        fft_pair = np.fft.ifft(np.exp(-0.5j * k**2 * dt) * np.fft.fft(u))
+        out = dispersion_half_step(Field(grid, u), dt).values
+        np.testing.assert_array_equal(out, uncached_half_step(u, grid, dt))
+        if n_points > DENSE_HALF_STEP_MAX_POINTS:
+            np.testing.assert_array_equal(out, fft_pair)
+        else:
+            # the matrix product sums in another order than the FFT pair
+            assert np.max(np.abs(out - fft_pair)) <= 8 * EPS * np.max(np.abs(fft_pair))
+
+    @pytest.mark.parametrize("n_points", [16, 128])
+    def test_strided_and_real_input_match_contiguous_complex(self, n_points):
+        grid = make_grid(n_points, TWO_PI)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+        padded = np.zeros(2 * n_points, dtype=complex)
+        padded[::2] = u
+        strided = Field(grid, padded[::2])
+        assert not strided.values.flags.c_contiguous
+        expected = dispersion_half_step(Field(grid, u.copy()), 0.2).values
+        np.testing.assert_array_equal(dispersion_half_step(strided, 0.2).values, expected)
+        real = Field(grid, u.real.copy())
+        assert real.values.dtype == np.float64
+        np.testing.assert_array_equal(dispersion_half_step(real, 0.2).values,
+                                      dispersion_half_step(Field(grid, u.real + 0j), 0.2).values)
 
 
 def uncached_half_step(values, grid, dt):
-    return np.fft.ifft(free_propagator(0.5 * dt, grid) * np.fft.fft(values))
+    """The half-step through a freshly built operator of the kind production picks for grid."""
+    n = grid.n_points
+    if n > DENSE_HALF_STEP_MAX_POINTS:
+        return np.fft.ifft(free_propagator(0.5 * dt, grid) * np.fft.fft(values))
+    products = _half_step_matrix.__wrapped__(grid, dt) @ np.column_stack([values.real, values.imag])
+    out = np.empty(n, dtype=complex)
+    out.real = products[:n, 0] - products[n:, 1]
+    out.imag = products[:n, 1] + products[n:, 0]
+    return out
 
 
 class TestHalfStepMultiplierCache:
@@ -97,6 +142,12 @@ class TestHalfStepMultiplierCache:
         multiplier = _half_step_multiplier(make_grid(16, TWO_PI), 0.1)
         with pytest.raises(ValueError, match="read-only"):
             multiplier[0] = 0.0
+
+    def test_shared_matrix_is_read_only(self):
+        matrix = _half_step_matrix(make_grid(16, TWO_PI), 0.1)
+        assert matrix.shape == (32, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
 
     def test_equal_n_different_length_get_different_entries(self):
         short, wide = make_grid(64, 1.0), make_grid(64, 2.0)
@@ -113,15 +164,17 @@ class TestHalfStepMultiplierCache:
         assert not np.array_equal(forward, backward)
 
     def test_entry_count_bounded(self):
-        grid = make_grid(16, TWO_PI)
-        f = gaussian_field(grid)
-        for j in range(HALF_STEP_CACHE_SIZE + 3):
-            f = dispersion_half_step(f, 1e-3 * (j + 1))
-            assert _half_step_multiplier.cache_info().currsize <= HALF_STEP_CACHE_SIZE
+        for grid in (make_grid(16, TWO_PI), make_grid(128, TWO_PI)):
+            f = gaussian_field(grid)
+            for j in range(HALF_STEP_CACHE_SIZE + 3):
+                f = dispersion_half_step(f, 1e-3 * (j + 1))
+                assert _half_step_multiplier.cache_info().currsize <= HALF_STEP_CACHE_SIZE
+                assert _half_step_matrix.cache_info().currsize <= HALF_STEP_CACHE_SIZE
 
     def test_interleaved_grids_and_dts_match_uncached_loop(self):
-        # equal N on both grids: a key that ignored the length would collide
-        grids = [make_grid(64, TWO_PI), make_grid(64, 5.0)]
+        # equal N on two grids: a key that ignored the length would collide;
+        # one pair each side of the dense cut
+        grids = [make_grid(n, length) for n in (64, 128) for length in (TWO_PI, 5.0)]
         dts = [1e-3, 2e-3]
         cgpe = CgpeParams(1.0, 1.0)
         runs = []
@@ -516,6 +569,24 @@ class TestIntegrate:
             integrate(state, dt, t_end, sample_every, params)
         assert collected.value.trajectory.steps == steps
         assert len(collected.value.trajectory.states) == len(seen)
+
+    def test_times_count_from_the_initial_time(self):
+        grid = make_grid(16, TWO_PI)
+        p = CgpeParams(1.0, 1.0)
+        samples = list(iter_samples(CgpeState(u=constant_field(grid, 0.5), t=5.0), 0.1, 0.3, 1, p))
+        assert [state.t for _, state, _ in samples] == [5.0, 5.0 + 0.1, 5.0 + 2 * 0.1, 5.0 + 3 * 0.1]
+        assert [row[0] for _, _, row in samples] == [state.t for _, state, _ in samples]
+        # the mass cap repro of test_blow_up_counts_completed_steps, started at t = 2
+        state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
+        with pytest.raises(BlowUpError) as capped:
+            integrate(state, 0.05, 5.0, 3, CgpeParams(xi=30.0, sigma=1e-12))
+        assert capped.value.steps == 4 and capped.value.time == 2.0 + 5 * 0.05
+        assert [s.t for s in capped.value.trajectory.states] == [2.0, 2.0 + 3 * 0.05]
+        # the first step overflows: the stepper's own failure
+        state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
+        with pytest.raises(BlowUpError) as overflowed, np.errstate(over="ignore", invalid="ignore"):
+            integrate(state, 0.5, 4.0, 1, CgpeParams(xi=1000.0, sigma=1e-12))
+        assert overflowed.value.steps == 0 and overflowed.value.time == 2.0 + 0.5
 
     def test_loop_builds_no_state_between_samples(self, monkeypatch):
         # each step builds the stepper's state; the loop restamps sampled ones only
