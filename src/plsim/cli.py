@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .checks import run_check
 from .config import (
+    MAX_N_POINTS,
     ConfigError,
     build_grid,
     build_initial_n,
@@ -185,6 +186,10 @@ def cmd_picard(args) -> int:
     out_dir = args.out or config.output or "plsim-out"
     grid = build_grid(config)
     params = build_params(config, grid)
+    TimeMesh(args.delta, args.n_nodes)  # rejects a bad --delta or --n-nodes before any work
+    if args.n_nodes * grid.n_points > MAX_N_POINTS:
+        return _fail(f"--n-nodes: {args.n_nodes} nodes x {grid.n_points} points exceeds "
+                     f"{MAX_N_POINTS} lattice points")
     u0 = build_initial_u(config, grid, args.seed)
 
     def run_at(delta: float):
@@ -273,13 +278,22 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
 
 
 def _norms_l4_scan(args, out_dir: str) -> int:
-    rows = []
+    if args.samples < 1:
+        return _fail(f"--samples: need at least one sample, got {args.samples}")
+    lattices = []
     for pair in args.l4_scan:
         try:
             n_points, n_time = (int(part) for part in pair.split(":"))
         except ValueError:
             return _fail(f"bad lattice spec {pair!r}, expected N:M")
-        grid = make_grid(n_points, 2.0 * np.pi)
+        if n_time < 8:
+            return _fail(f"lattice {pair}: need at least 8 time samples, got {n_time}")
+        if n_points * n_time > MAX_N_POINTS:
+            return _fail(f"lattice {pair}: {n_points} x {n_time} exceeds {MAX_N_POINTS} lattice points")
+        lattices.append((make_grid(n_points, 2.0 * np.pi), n_time))
+    rows = []
+    for grid, n_time in lattices:
+        n_points = grid.n_points
         best = 0.0
         for sample in range(args.samples):
             f = random_spacetime_field(
@@ -300,6 +314,9 @@ def _norms_l4_scan(args, out_dir: str) -> int:
 def _norms_trilinear(args, out_dir: str) -> int:
     params = default_trilinear_params(args.eps)
     sizes = [int(s) for s in args.trilinear_scan.split(",")]
+    for size in sizes:
+        if size * size > MAX_N_POINTS:
+            return _fail(f"lattice size {size}: {size} x {size} exceeds {MAX_N_POINTS} lattice points")
     rows = trilinear_ratio_scan(params, sizes, args.samples, args.seed)
     write_csv(
         os.path.join(out_dir, "trilinear_scan.csv"),

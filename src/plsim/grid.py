@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(np.float64)
+_COMPLEX128 = np.dtype(np.complex128)
+
 # Distinct grids (and Sobolev indices) whose data-independent spectral
 # arrays are kept; an analysis uses one or two grids.
 GRID_CACHE_SIZE = 8
@@ -90,8 +93,12 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        real = getattr(self.values, "dtype", None) == np.float64
-        values = np.asarray(self.values, dtype=np.float64 if real else np.complex128)
+        values = self.values
+        if (type(values) is np.ndarray and (values.dtype is _FLOAT64 or values.dtype is _COMPLEX128)
+                and values.shape == (self.grid.n_points,)):
+            return  # np.asarray would return it unchanged
+        real = getattr(values, "dtype", None) == np.float64
+        values = np.asarray(values, dtype=np.float64 if real else np.complex128)
         if values.shape != (self.grid.n_points,):
             raise ValueError(
                 f"values shape {values.shape} does not match grid "

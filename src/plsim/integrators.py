@@ -14,7 +14,7 @@ and the pump is nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +68,7 @@ class EpState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.u.grid != self.n.grid:
+        if self.u.grid is not self.n.grid and self.u.grid != self.n.grid:
             raise ValueError("u and n must share a grid")
         object.__setattr__(self, "n", real_field(self.n, "n"))
 
@@ -132,7 +132,7 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
         # (re, im) pairs as an (N, 2) real matrix: a dgemm that OpenBLAS keeps on
         # one thread at this size, where it threads a complex matrix-vector product
         pairs = np.ascontiguousarray(f.values, dtype=np.complex128).view(np.float64).reshape(n, 2)
-        products = _half_step_matrix(f.grid, dt) @ pairs
+        products = np.dot(_half_step_matrix(f.grid, dt), pairs)
         values = np.empty(n, dtype=np.complex128)
         np.subtract(products[:n, 0], products[n:, 1], out=values.real)
         np.add(products[:n, 1], products[n:, 0], out=values.imag)
@@ -182,19 +182,23 @@ def strang_step_cgpe(state: CgpeState, dt: float, p: CgpeParams) -> CgpeState:
 def reservoir_exact_update(n: Field, u_frozen: Field, dt: float, p: EpParams, density=None) -> Field:
     """Variation-of-constants update of dn/dt = P - (R|u|^2 + beta) n.
 
-    With u frozen, n <- n e^{-Gamma dt} + (P/Gamma)(1 - e^{-Gamma dt}),
-    Gamma = R|u|^2 + beta >= beta > 0.  Nonnegativity of n is preserved
-    exactly: the update is a sum of products of nonnegative numbers.
-    ``density`` is |u_frozen|^2 when the caller has it already.
+    With u frozen, n <- n + expm1(-Gamma dt) (n - P/Gamma),
+    Gamma = R|u|^2 + beta >= beta > 0: one transcendental per site.  It
+    agrees with n e^{-Gamma dt} + (P/Gamma)(1 - e^{-Gamma dt}) to a few
+    ulp of max(n, P/Gamma).  Nonnegativity of n and P is preserved exactly,
+    under rounding too: d = expm1(-Gamma dt) lies in [-1, 0].  Where
+    n >= P/Gamma, 0 <= fl(n - P/Gamma) <= n and |fl(d (n - P/Gamma))| is at
+    most fl(n - P/Gamma), so the sum is >= 0; where n < P/Gamma, the added
+    term is >= 0.  ``density`` is |u_frozen|^2 when the caller has it already.
     """
-    if n.grid != u_frozen.grid:
+    if n.grid is not u_frozen.grid and n.grid != u_frozen.grid:
         raise ValueError("n and u must share a grid")
     density = _density(u_frozen.values) if density is None else density
     gamma = p.R * density + p.beta
-    exponent = gamma * -dt
-    drained = np.expm1(exponent) * p.pump.values / gamma  # minus the pumped gain
-    n_new = np.exp(exponent, out=exponent) * n.values
-    return n.with_values(np.subtract(n_new, drained, out=n_new))
+    decay = np.multiply(gamma, -dt)
+    np.expm1(decay, out=decay)
+    offset = np.subtract(n.values, np.divide(p.pump.values, gamma, out=gamma), out=gamma)
+    return n.with_values(np.add(n.values, np.multiply(decay, offset, out=decay), out=decay))
 
 
 def _ep_local_u_update(u: Field, n: Field, dt: float, p: EpParams, density=None) -> Field:
@@ -233,22 +237,28 @@ def strang_step_ep(state: EpState, dt: float, p: EpParams) -> EpState:
 
 
 def _square_sum(values: np.ndarray) -> float:
-    """sum |values|^2 in one BLAS pass, not finite if an entry is not; cheaper than _mass."""
+    """sum |values|^2 in one BLAS pass, not finite if an entry is not; cheaper than a sample row."""
     return float(np.vdot(values, values).real)
 
 
-def _mass(u: Field) -> float:
-    return float(np.sum(np.abs(u.values) ** 2) * u.grid.dx)
+def _diagnostics_row(state, mass_cap: float = np.inf) -> tuple | None:
+    """Row of COLUMNS for state, or None when its mass exceeds mass_cap.
 
-
-def _diagnostics_row(state, mass: float) -> tuple:
-    """Row of COLUMNS for state, given its mass already computed by the caller."""
+    mass and l4 come from one density abs(u)**2: mass is sum(density) dx,
+    and l4, sum(density**2) dx, is formed only under the cap, so a runaway
+    state cannot overflow it.  Every column is a numpy reduction, never a
+    BLAS dot, so its bits do not depend on the BLAS thread count.
+    """
     u = state.u
     dx = u.grid.dx
-    l4 = float(np.sum(np.abs(u.values) ** 4) * dx)
+    density = np.abs(u.values) ** 2
+    mass = float(density.sum() * dx)
+    if mass > mass_cap:
+        return None
+    l4 = float(np.square(density, out=density).sum() * dx)
     if isinstance(state, EpState):
         n = state.n.values
-        return (state.t, mass, l4, float(np.sum(n) * dx), float(np.sum(n**2) * dx), float(np.min(n)))
+        return (state.t, mass, l4, float(n.sum() * dx), float(np.square(n).sum() * dx), float(n.min()))
     return (state.t, mass, l4)
 
 
@@ -283,31 +293,39 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
     if isinstance(initial, EpState):
         def step(s):
             return strang_step_ep(s, dt, params)
+
+        def at(s, t):
+            return EpState(s.u, s.n, t)
     elif isinstance(initial, CgpeState):
         def step(s):
             return strang_step_cgpe(s, dt, params)
+
+        def at(s, t):
+            return CgpeState(s.u, t)
     else:
         raise TypeError(f"unsupported state type {type(initial).__name__}")
 
     n_steps = step_count(dt, t_end)
     t0 = initial.t
-    mass0 = _mass(initial.u)
+    row = _diagnostics_row(initial)
+    mass0 = row[1]
     mass_cap = BLOWUP_MASS_FACTOR * mass0 if mass0 > 0 else np.inf
-    yield 0, initial, _diagnostics_row(initial, mass0)
+    yield 0, initial, row
     state = initial
     for i in range(1, n_steps + 1):
         try:
             state = step(state)
         except BlowUpError:
             raise BlowUpError(t0 + (i - 1) * dt + dt, steps=i - 1) from None
-        sample = i % sample_every == 0 or i == n_steps
-        mass = _mass(state.u) if sample else _square_sum(state.u.values) * state.u.grid.dx
-        if mass > mass_cap:
-            raise BlowUpError(t0 + i * dt, steps=i - 1)
-        if sample:
+        if i % sample_every == 0 or i == n_steps:
             # sampled timestamps are exact multiples of dt past t0, not accumulated sums
-            state = replace(state, t=t0 + i * dt)
-            yield i, state, _diagnostics_row(state, mass)
+            state = at(state, t0 + i * dt)
+            row = _diagnostics_row(state, mass_cap)
+            if row is None:
+                raise BlowUpError(t0 + i * dt, steps=i - 1)
+            yield i, state, row
+        elif _square_sum(state.u.values) * state.u.grid.dx > mass_cap:
+            raise BlowUpError(t0 + i * dt, steps=i - 1)
 
 
 def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:

@@ -18,6 +18,7 @@ rest of the package uses as exact test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,10 @@ __all__ = [
     "cgpe_flat_closed_form",
     "ep_homogeneous_fixed_point",
 ]
+
+# Distinct (dt, xi) pairs whose local-flow gain scalars are kept: a run
+# steps with one pair, a dt-halving study with a few.
+FLOW_SCALAR_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,18 @@ def ep_rhs(u: Field, n: Field, p: EpParams) -> tuple[Field, Field]:
     return u.with_values(du), n.with_values(dn)
 
 
+@lru_cache(maxsize=FLOW_SCALAR_CACHE_SIZE)
+def _gain_scalars(dt: float, xi: float):
+    """(dt expm1(x)/x, e^{xi dt}) with x = 2 xi dt, built once per (dt, xi).
+
+    numpy scalar ops, not ``math``: an overflow gives inf with numpy's
+    RuntimeWarning, where ``math.exp`` would raise OverflowError.
+    """
+    x = 2.0 * xi * dt  # tested, not xi: an underflowing x is the xi = 0 limit
+    growth = dt * (np.expm1(x) / x) if x != 0.0 else dt
+    return growth, np.exp(xi * dt)
+
+
 def _local_flow_factors(rho0_sq, dt: float, xi: float, sigma: float):
     """Amplitude ratio and phase increment of the homogeneous flow.
 
@@ -116,10 +133,9 @@ def _local_flow_factors(rho0_sq, dt: float, xi: float, sigma: float):
     corners xi = 0 and sigma = 0 are exact limits.
     """
     rho0_sq = np.asarray(rho0_sq, dtype=float)
-    x = 2.0 * xi * dt  # tested, not xi: an underflowing x is the xi = 0 limit
-    growth = dt * (np.expm1(x) / x) if x != 0.0 else dt
+    growth, gain = _gain_scalars(dt, xi)
     saturation = 2.0 * sigma * growth * rho0_sq
-    amplitude = np.exp(xi * dt) / np.sqrt(1.0 + saturation)
+    amplitude = gain / np.sqrt(1.0 + saturation)
     if sigma > 0:
         phase = np.log1p(saturation) / (-2.0 * sigma)
     else:

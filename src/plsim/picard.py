@@ -53,8 +53,8 @@ class TimeMesh:
     n_nodes: int
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.n_nodes < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n_nodes}")
 

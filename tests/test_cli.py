@@ -114,20 +114,31 @@ class TestRun:
                 "checkpoints/state_0000050.ckpt", "pic/picard_report.json"} <= set(outputs[0])
 
     def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # the N=64 half-step is a BLAS matrix product: its bits may not follow the thread count
-        config = write_config(tmp_path, ep_doc(checkpoint_every=4))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.path.dirname(os.path.dirname(plsim.__file__)))
-            subprocess.run([sys.executable, "-m", "plsim.cli", "run", "--config", config,
-                            "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
-            outputs.append({str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*"))
-                            if path.is_file() and path.name != "run_meta.json"})
-        assert outputs[0] == outputs[1]
-        assert {"diagnostics.csv", "reports.json", "checkpoints/state_0000000.ckpt",
-                "checkpoints/state_0000010.ckpt"} <= set(outputs[0])
+        # the N=64 half-step is a BLAS matrix product, and OpenBLAS threads dot products
+        # above ~1e4 entries (the N=16384 run): no output's bits may follow the thread count
+        docs = {
+            "n64": ep_doc(checkpoint_every=4),
+            "n16384": ep_doc(grid={"n_points": 16384, "length": TWO_PI}, t_end=8e-3,
+                             sample_every=1, checkpoint_every=1, checks=[]),
+        }
+        expected = {
+            "n64": {"checkpoints/state_0000000.ckpt", "checkpoints/state_0000010.ckpt"},
+            "n16384": {"checkpoints/state_0000000.ckpt", "checkpoints/state_0000004.ckpt"},
+        }
+        for name, doc in docs.items():
+            config = write_config(tmp_path, doc, name=f"{name}.json")
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}_threads_{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.path.dirname(os.path.dirname(plsim.__file__)))
+                subprocess.run([sys.executable, "-m", "plsim.cli", "run", "--config", config,
+                                "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+                outputs.append({str(path.relative_to(out)): path.read_bytes()
+                                for path in sorted(out.rglob("*"))
+                                if path.is_file() and path.name != "run_meta.json"})
+            assert outputs[0] == outputs[1], name
+            assert {"diagnostics.csv", "reports.json"} | expected[name] <= set(outputs[0])
 
     def test_seed_override_recorded_and_changes_data(self, tmp_path):
         doc = cgpe_doc(initial={"u": {"kind": "random", "seed": 1, "band": 3}}, checks=[])
@@ -368,6 +379,20 @@ class TestPicard:
         assert "--s applies to the cgpe model only" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--delta", "inf"], "delta must be positive and finite, got inf"),
+        (["--n-nodes", "100000000"],
+         "--n-nodes: 100000000 nodes x 64 points exceeds 1048576 lattice points"),
+    ], ids=["infinite_delta", "lattice_too_large"])
+    def test_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
+        config = write_config(tmp_path, cgpe_doc(checks=[]))
+        out = tmp_path / "pic"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["picard", "--config", config, "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bisect_writes_bracket(self, tmp_path):
         doc = cgpe_doc(checks=[])
         doc["initial"] = {"u": {"kind": "gaussian", "amplitude": 0.8, "width": 0.5}}
@@ -456,6 +481,23 @@ class TestNorms:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "l4_scan.csv").read_bytes() == (out2 / "l4_scan.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--l4-scan", "16:16", "--samples", "0"], "--samples: need at least one sample, got 0"),
+        (["--l4-scan", "16:16", "--samples", "-3"], "--samples: need at least one sample, got -3"),
+        (["--l4-scan", "16:16", "64:0"], "lattice 64:0: need at least 8 time samples, got 0"),
+        (["--l4-scan", "16:16", "100000:100000"],
+         "lattice 100000:100000: 100000 x 100000 exceeds 1048576 lattice points"),
+        (["--trilinear-scan", "8,2000"], "lattice size 2000: 2000 x 2000 exceeds 1048576 lattice points"),
+    ], ids=["no_samples", "negative_samples", "no_time_samples", "l4_too_large", "trilinear_too_large"])
+    def test_scan_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
+        # rejected before any draw: no lattice of the list is scanned
+        out = tmp_path / "n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norms", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.glob("*.csv"))
 
     def test_trilinear_scan_table(self, tmp_path):
         out = tmp_path / "tri"

@@ -77,6 +77,22 @@ class TestFieldDtype:
     def test_float64_stays_real_anything_else_is_complex(self, values, dtype):
         assert Field(make_grid(8, 1.0), values).values.dtype == dtype
 
+    def test_ndarray_of_the_grid_length_is_kept_as_is(self):
+        grid = make_grid(8, 1.0)
+        strided = np.arange(16.0)[::2]
+        assert Field(grid, strided).values is strided
+        frozen = np.ones(8, dtype=complex)
+        frozen.setflags(write=False)
+        assert Field(grid, frozen).values is frozen
+        masked = np.ma.masked_array(np.ones(8))
+        assert type(Field(grid, masked).values) is np.ndarray
+
+    @pytest.mark.parametrize("values", [np.ones(6), np.ones(10, dtype=complex), np.ones((8, 1)),
+                                        [1.0] * 9], ids=["short", "long", "2d", "list"])
+    def test_wrong_length_raises(self, values):
+        with pytest.raises(ValueError, match="does not match grid"):
+            Field(make_grid(8, 1.0), values)
+
     def test_real_field_keeps_a_real_field(self):
         f = Field(make_grid(8, 1.0), np.linspace(0.0, 1.0, 8))
         assert real_field(f, "q") is f

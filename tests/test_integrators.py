@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from plsim.grid import Field, free_propagator, lp_norm, make_grid, random_band_limited, smooth_bump
 from plsim.integrators import (
@@ -395,6 +398,51 @@ class TestReservoirUpdate:
             n = reservoir_exact_update(n, u, 0.05, p)
             assert np.all(n.values >= 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=arrays(np.float64, 8, elements=st.floats(0.0, 1e300)),
+        pump=arrays(np.float64, 8, elements=st.floats(0.0, 1e150)),
+        density=arrays(np.float64, 8, elements=st.floats(0.0, 1e6)),
+        rate=st.floats(1e-3, 1e3),
+        beta=st.floats(1e-3, 1e3),
+        dt=st.floats(0.0, 100.0),
+    )
+    # decay expm1(-Gamma dt) = -1 exactly, with n above and below P/Gamma
+    @example(n=np.full(8, 1e300), pump=np.full(8, 1e150), density=np.full(8, 1e6),
+             rate=1e3, beta=1e3, dt=100.0)
+    @example(n=np.zeros(8), pump=np.full(8, 1e150), density=np.full(8, 1e6),
+             rate=1e3, beta=1e3, dt=100.0)
+    # P = 0 under huge n, at a tiny and an order-one decay
+    @example(n=np.full(8, 1e300), pump=np.zeros(8), density=np.linspace(0.0, 1e6, 8),
+             rate=1.0, beta=1.0, dt=1e-9)
+    @example(n=np.geomspace(1e-300, 1e300, 8), pump=np.zeros(8), density=np.ones(8),
+             rate=0.7, beta=0.3, dt=1.0)
+    def test_nonnegative_for_nonnegative_n_and_pump(self, n, pump, density, rate, beta, dt):
+        grid = make_grid(8, TWO_PI)
+        p = EpParams(g=1, lam=1, R=rate, alpha=1, beta=beta, pump=Field(grid, pump))
+        out = reservoir_exact_update(Field(grid, n), constant_field(grid, 0.0), dt, p, density)
+        assert np.all(out.values >= 0.0)
+
+    def test_full_decay_examples_decay_fully(self):
+        # the first two property examples above do reach expm1(-Gamma dt) == -1
+        assert np.expm1(-(1e3 * 1e6 + 1e3) * 100.0) == -1.0
+
+    def test_matches_two_exponential_form(self):
+        # n + expm1(-Gamma dt)(n - P/Gamma) against n e^{-Gamma dt} - expm1(-Gamma dt) P/Gamma:
+        # a few ulp of max(n, P/Gamma), over partial and full decays
+        grid = make_grid(4096, TWO_PI)
+        rng = np.random.default_rng(12)
+        for dt in (1e-4, 1e-2, 0.5, 10.0):
+            n = 10.0 ** rng.uniform(-3, 3, 4096) * rng.integers(0, 2, 4096)
+            pump = 10.0 ** rng.uniform(-3, 3, 4096) * rng.integers(0, 2, 4096)
+            density = 10.0 ** rng.uniform(-3, 3, 4096)
+            p = EpParams(g=1, lam=1, R=1.7, alpha=1, beta=0.4, pump=Field(grid, pump))
+            out = reservoir_exact_update(Field(grid, n), constant_field(grid, 0.0), dt, p, density)
+            gamma = p.R * density + p.beta
+            expected = np.exp(-gamma * dt) * n - np.expm1(-gamma * dt) * pump / gamma
+            scale = np.maximum(n, pump / gamma)
+            assert np.all(np.abs(out.values - expected) <= 4.0 * EPS * scale)
+
 
 class TestEpLocalUpdate:
     def test_underflowing_loss_keeps_the_nonlinear_phase(self):
@@ -427,6 +475,12 @@ class TestEpState:
         grid = make_grid(8, TWO_PI)
         n = real_constant(grid, 0.3)
         assert EpState(u=constant_field(grid, 1.0), n=n).n is n
+
+    def test_grids_compare_by_value(self):
+        u = constant_field(make_grid(8, TWO_PI), 1.0)
+        assert EpState(u=u, n=real_constant(make_grid(8, TWO_PI), 0.3)).n.grid == u.grid
+        with pytest.raises(ValueError, match="^u and n must share a grid$"):
+            EpState(u=u, n=real_constant(make_grid(8, 1.0), 0.3))
 
 
 class TestStrangEp:
@@ -521,6 +575,28 @@ class TestIntegrate:
         )
         expected = [float(np.sum(np.abs(s.u.values) ** 2) * grid.dx) for s in traj.states]
         np.testing.assert_array_equal(traj.diagnostics.mass, expected)
+
+    def test_sampled_l4_is_fourth_power_sum_of_sampled_state(self):
+        # l4 squares the mass's density: a few eps from sum(abs(u)**4) dx
+        grid = make_grid(64, TWO_PI)
+        traj = integrate(
+            CgpeState(u=random_band_limited(grid, 6, np.random.default_rng(3))), dt=1e-2,
+            t_end=0.5, sample_every=7, params=CgpeParams(1.0, 1.0),
+        )
+        expected = [float(np.sum(np.abs(s.u.values) ** 4) * grid.dx) for s in traj.states]
+        np.testing.assert_allclose(traj.diagnostics.l4_fourth, expected, rtol=4 * EPS, atol=0)
+
+    def test_sampled_reservoir_columns_of_sampled_state(self):
+        grid = make_grid(64, TWO_PI)
+        rng = np.random.default_rng(8)
+        p = EpParams(g=1, lam=0.5, R=1, alpha=0.5, beta=1.3, pump=Field(grid, rng.uniform(0.0, 2.0, 64)))
+        traj = integrate(EpState(u=gaussian_field(grid, 0.5), n=Field(grid, rng.uniform(0.0, 1.0, 64))),
+                         dt=5e-3, t_end=0.2, sample_every=3, params=p)
+        n = np.array([s.n.values for s in traj.states])
+        d = traj.diagnostics
+        np.testing.assert_array_equal(d.n_integral, [float(np.sum(row) * grid.dx) for row in n])
+        np.testing.assert_array_equal(d.n_sq_integral, [float(np.sum(row**2) * grid.dx) for row in n])
+        np.testing.assert_array_equal(d.n_min, n.min(axis=1))
 
     def test_reservoir_positivity_along_pumped_run(self):
         grid = make_grid(64, TWO_PI)

@@ -1,17 +1,21 @@
 """Model right-hand sides and homogeneous-state oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from plsim.grid import Field, dealias_mask, make_grid
 from plsim.models import (
+    FLOW_SCALAR_CACHE_SIZE,
     CgpeParams,
     EpParams,
     cgpe_flat_closed_form,
     cgpe_rhs,
     ep_homogeneous_fixed_point,
     ep_rhs,
+    _gain_scalars,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -223,6 +227,36 @@ class TestFlatClosedForm:
         assert tiny == zero
         assert abs(zero) == pytest.approx(1.0 / np.sqrt(1.0 + 2.0 * t), rel=1e-15)
         assert np.angle(zero) == pytest.approx(-np.log1p(2.0 * t) / 2.0, rel=1e-14)
+
+
+class TestGainScalars:
+    def test_memo_is_bounded(self):
+        _gain_scalars.cache_clear()
+        for k in range(3 * FLOW_SCALAR_CACHE_SIZE):
+            _gain_scalars(1e-3 * (k + 1), 1.0)
+        assert _gain_scalars.cache_info().currsize == FLOW_SCALAR_CACHE_SIZE
+
+    @pytest.mark.parametrize("dt, xi", [(1e-3, 1.0), (0.37, 2.3), (5.0, 30.0), (0.5, 0.0),
+                                        (1e-3, 5e-322)])
+    def test_bit_equal_to_uncached_expression(self, dt, xi):
+        x = 2.0 * xi * dt
+        growth = dt * (np.expm1(x) / x) if x != 0.0 else dt
+        gain = np.exp(xi * dt)
+        _gain_scalars.cache_clear()
+        for _ in range(2):  # the miss, then the hit
+            cached_growth, cached_gain = _gain_scalars(dt, xi)
+            assert np.float64(cached_growth).tobytes() == np.float64(growth).tobytes()
+            assert np.float64(cached_gain).tobytes() == np.float64(gain).tobytes()
+
+    def test_overflow_warns_as_numpy_does(self):
+        # an overflowing gain is inf with numpy's warning, not math's OverflowError
+        _gain_scalars.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                _gain_scalars(0.5, 1000.0)
+        with np.errstate(over="ignore"):
+            assert _gain_scalars(0.5, 1000.0)[0] == np.inf
 
 
 class TestEpFixedPoint:

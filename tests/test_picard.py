@@ -56,6 +56,11 @@ class TestTimeMesh:
         with pytest.raises(ValueError):
             TimeMesh(0.1, 2)
 
+    @pytest.mark.parametrize("delta", [np.inf, np.nan, -1.0])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ValueError, match="^delta must be positive and finite"):
+            TimeMesh(delta, 5)
+
 
 class TestCumulativeTrapezoid:
     @pytest.mark.parametrize("shape", [(65, 256), (3, 64)])
