@@ -76,6 +76,11 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _finite_or_none(value: float) -> float | None:
+    """value, or None (JSON null) when it is not finite."""
+    return value if np.isfinite(value) else None
+
+
 def _stops_early(diagnostics: DiagnosticsSeries, config) -> bool:
     """Whether a run's diagnostics stop before t_end: the run blew up."""
     return bool(np.rint(diagnostics.times[-1] / config.dt) < step_count(config.dt, config.t_end))
@@ -93,14 +98,18 @@ def _run_checks(
     reports = []
     for name in names:
         try:
-            report = run_check(name, diagnostics, params, domain_measure=domain_measure)
+            # a series near the float range overflows into a non-finite
+            # margin, which fails the check and is written as null
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = run_check(name, diagnostics, params, domain_measure=domain_measure)
         except ValueError as err:
             if not partial:
                 raise
             reports.append({"name": name, "passed": False, "reason": str(err)})
             print(f"check {name}: FAIL (not evaluable on the partial series: {err})")
             continue
-        reports.append(report.to_dict())
+        reports.append({key: _finite_or_none(value) if isinstance(value, float) else value
+                        for key, value in report.to_dict().items()})
         print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
               f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
     write_json(os.path.join(out_dir, "reports.json"), reports)
@@ -198,9 +207,12 @@ def cmd_picard(args) -> int:
             return picard_ep(u0, build_initial_n(config, grid), mesh, params, args.max_iter)
         return picard_cgpe(u0, mesh, params, s=args.s, max_iter=args.max_iter)
 
-    with output_lock(out_dir):
+    # an iterate that overflows is divergence, which the history records;
+    # the warnings on the way there say nothing more
+    with output_lock(out_dir), np.errstate(over="ignore", invalid="ignore"):
         history = run_at(args.delta)
         report = contraction_report(history)
+        rate = measured_contraction_rate(history)
         payload = {
             "model": config.model,
             "delta": args.delta,
@@ -209,9 +221,9 @@ def cmd_picard(args) -> int:
             "iterations": len(history.diffs),
             "converged": report.converged,
             "diverged": history.diverged,
-            "final_residual": report.final_residual,
-            "ratios": [float(r) for r in report.ratios],
-            "rate": measured_contraction_rate(history),
+            "final_residual": _finite_or_none(report.final_residual),
+            "ratios": [_finite_or_none(float(r)) for r in report.ratios],
+            "rate": _finite_or_none(rate),
             "norm_note": "distances are sup-over-nodes Sobolev norms; any "
             "window-based space-time norms are restricted-norm surrogates",
         }
@@ -229,7 +241,7 @@ def cmd_picard(args) -> int:
         print(
             f"picard: {'converged' if report.converged else 'not converged'} "
             f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
-            f"rate {payload['rate']:.3f}"
+            f"rate {rate:.3f}"
         )
     if args.assert_ and not report.converged:
         return 1

@@ -23,13 +23,10 @@ __all__ = [
     "hs_norm",
     "hs_norm_spectral",
     "sobolev_weight",
-    "dealiased_cubic",
     "dealiased_cubic_spectral",
     "free_propagator",
     "smooth_bump",
     "gaussian",
-    "lp_norm",
-    "laplacian",
     "random_band_limited",
     "bracket",
 ]
@@ -174,11 +171,6 @@ def dealiased_cubic_spectral(
     return hat
 
 
-def dealiased_cubic(rows: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """|u|^2 u of each physical row with the top third of the spectrum removed."""
-    return np.fft.ifft(dealiased_cubic_spectral(rows, grid), axis=-1)
-
-
 def free_propagator(times, grid: Grid1D) -> np.ndarray:
     """Spectral multipliers exp(-i k^2 t) of the free Schrodinger flow.
 
@@ -201,20 +193,6 @@ def gaussian(grid: Grid1D, amplitude: float, width: float = 0.5) -> Field:
     """Real gaussian of the given amplitude and width, centered in the box."""
     x = grid.x - grid.length / 2.0
     return Field(grid, (amplitude * np.exp(-(x**2) / (2.0 * width**2))).astype(complex))
-
-
-def lp_norm(field: Field, p: float) -> float:
-    """Lebesgue norm (sum_j |u_j|^p dx)^(1/p) for p in {2, 4}."""
-    if p not in (2, 4):
-        raise ValueError(f"unsupported exponent p={p}, expected 2 or 4")
-    return float(np.sum(np.abs(field.values) ** p) * field.grid.dx) ** (1.0 / p)
-
-
-def laplacian(field: Field) -> Field:
-    """Second spatial derivative, applied spectrally."""
-    k = field.grid.wavenumbers
-    hat = np.fft.fft(field.values)
-    return field.with_values(np.fft.ifft(-(k**2) * hat))
 
 
 def random_band_limited(grid: Grid1D, band: int, rng: np.random.Generator) -> Field:

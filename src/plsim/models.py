@@ -1,4 +1,4 @@
-"""Model parameters, right-hand sides, and homogeneous-state oracles.
+"""Model parameters, the homogeneous local flow, and homogeneous-state oracles.
 
 Two models of a pumped decaying condensate on a periodic box:
 
@@ -22,14 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, dealiased_cubic, laplacian, real_field
+from .grid import Field, real_field
 
 __all__ = [
     "CgpeParams",
     "EpParams",
     "HomogeneousFixedPoint",
-    "cgpe_rhs",
-    "ep_rhs",
     "cgpe_flat_closed_form",
     "ep_homogeneous_fixed_point",
 ]
@@ -83,32 +81,6 @@ class EpParams:
             raise ValueError("pump must be bounded")
         if np.any(values < 0):
             raise ValueError("pump must be nonnegative")
-
-
-def cgpe_rhs(u: Field, p: CgpeParams) -> Field:
-    """du/dt = i u_xx + xi u - (sigma + i) |u|^2 u, cubic term dealiased."""
-    cubic = dealiased_cubic(u.values, u.grid)
-    values = 1j * laplacian(u).values + p.xi * u.values - (p.sigma + 1j) * cubic
-    return u.with_values(values)
-
-
-def ep_rhs(u: Field, n: Field, p: EpParams) -> tuple[Field, Field]:
-    """Right-hand side of the condensate-reservoir system.
-
-    Returns (du/dt, dn/dt).  The cubic condensate term is dealiased; the
-    reservoir equation is a pointwise rate law and is evaluated as such.
-    """
-    if u.grid != n.grid:
-        raise ValueError("u and n must share a grid")
-    cubic = dealiased_cubic(u.values, u.grid)
-    nv = n.values
-    du = (
-        1j * laplacian(u).values
-        - 1j * p.g * cubic
-        + ((p.R - 1j * p.lam) * nv - p.alpha) * u.values
-    )
-    dn = p.pump.values - (p.R * np.abs(u.values) ** 2 + p.beta) * nv
-    return u.with_values(du), n.with_values(dn)
 
 
 @lru_cache(maxsize=FLOW_SCALAR_CACHE_SIZE)

@@ -245,13 +245,18 @@ def picard_ep(
 
 
 def contraction_report(history: IterateHistory) -> ContractionReport:
-    """Ratios of successive iterate distances and the convergence verdict."""
-    if len(history.diffs) < 2:
+    """Ratios of successive iterate distances and the convergence verdict.
+
+    Two zero distances (iterates that stopped changing) give a ratio of 0; a
+    ratio against a distance that overflowed is not finite.  A history that
+    diverged on its first sweep is reported with no ratios.
+    """
+    if len(history.diffs) < 2 and not history.diverged:
         raise ValueError("need at least 2 iterate distances to report contraction")
     diffs = np.asarray(history.diffs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = diffs[1:] / diffs[:-1]
-    ratios = np.where(np.isfinite(ratios), ratios, 0.0)
+    ratios[(diffs[1:] == 0.0) & (diffs[:-1] == 0.0)] = 0.0
     return ContractionReport(
         ratios=ratios, converged=history.converged, final_residual=float(diffs[-1])
     )
@@ -263,9 +268,12 @@ def measured_contraction_rate(history: IterateHistory) -> float:
     The first ratio, taken against the distance from the free evolution
     that starts the iteration, is skipped.  Ratios whose denominator has
     already collapsed to rounding level carry no contraction information
-    and are excluded; returns 0.0 when nothing meaningful remains.
+    and are excluded; returns 0.0 when nothing meaningful remains.  A last
+    distance that is not finite (the iterates overflowed) gives inf.
     """
     diffs = history.diffs
+    if diffs and not np.isfinite(diffs[-1]):
+        return float("inf")
     floor = 1e-12 * (1.0 + history.initial_norm)
     rates = [
         diffs[m + 1] / diffs[m]

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid1D, bracket, free_propagator, smooth_bump, sobolev_weight
+from .grid import Grid1D, bracket, smooth_bump, sobolev_weight
 
 __all__ = [
     "SpaceTimeField",
@@ -30,12 +30,10 @@ __all__ = [
     "TrilinearParams",
     "ScanRow",
     "time_window_profile",
-    "tau_values",
     "spacetime_transform",
     "xsb_norm",
     "ys_norm",
     "l4_strichartz_ratio",
-    "free_evolution",
     "random_spacetime_field",
     "default_trilinear_params",
     "constrained_pair_sum",
@@ -50,6 +48,13 @@ DISPERSIONS = ("schroedinger", "none")
 # Distinct lattices (with exponents) whose norm weights are kept: a norms
 # table or a scan uses one to three of them.
 WEIGHT_CACHE_SIZE = 8
+
+# Step and half-range in t of bracket_pair_integral's double-exponential
+# rule: 769 nodes.  The outermost tail node sits at |y| ~ 1e137, inside the
+# float range; the outermost middle nodes round onto +-|s|, where the
+# integrand is finite.
+DE_STEP = 1.0 / 64
+DE_HALF_RANGE = 6.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +109,6 @@ def _windowed(f: SpaceTimeField) -> np.ndarray:
 
 def _tau(n_time: int, t_span: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n_time, d=t_span / n_time)
-
-
-def tau_values(f: SpaceTimeField) -> np.ndarray:
-    """Time-frequency lattice, spacing 2*pi/t_span, DFT ordering."""
-    return _tau(f.n_time, f.t_span)
 
 
 def _coefficients(f: SpaceTimeField, windowed: np.ndarray) -> np.ndarray:
@@ -205,14 +205,6 @@ def l4_strichartz_ratio(f: SpaceTimeField) -> float:
         raise ValueError("zero field has no quartic ratio")
     quartic = float(np.sum(np.abs(windowed) ** 4) * f.grid.dx * f.dt) ** 0.25
     return quartic / denominator
-
-
-def free_evolution(u0: Field, n_time: int, t_span: float) -> SpaceTimeField:
-    """Samples of the free Schrodinger flow of u0 over [0, t_span)."""
-    times = np.arange(n_time) * (t_span / n_time)
-    hat = np.fft.fft(u0.values)
-    rows = np.fft.ifft(free_propagator(times, u0.grid) * hat[None, :], axis=-1)
-    return SpaceTimeField(u0.grid, t_span, rows)
 
 
 def random_spacetime_field(
@@ -391,25 +383,28 @@ def bracket_pair_integral(s: float, a_plus: float, a_minus: float) -> float:
     """J(s) = integral of <y - s>^(-2 a_plus) <y + s>^(-2 a_minus) dy.
 
     Requires 0 <= a_minus <= a_plus and a_plus + a_minus > 1/2 for
-    convergence.  Adaptive quadrature split at the two bracket centers,
-    absolute tolerance 1e-10.
+    convergence.  A fixed double-exponential rule (Takahasi & Mori 1974),
+    split at +-|s|: exp-sinh on each tail, y = +-(|s| + exp(pi/2 sinh t)),
+    and tanh-sinh on the middle, y = |s| tanh(pi/2 sinh t), with t on one
+    uniform grid of step DE_STEP over [-DE_HALF_RANGE, DE_HALF_RANGE].
+    The integrand decays like |y|^(-2 (a_plus + a_minus)), so the tail cut
+    off beyond the last node is largest as that sum nears 1/2: about 1e-13
+    relative at 0.55.
     """
     if not 0.0 <= a_minus <= a_plus:
         raise ValueError("need 0 <= a_minus <= a_plus")
     if not a_plus + a_minus > 0.5:
         raise ValueError("integral diverges unless a_plus + a_minus > 1/2")
-    # imported here, not at module level, to keep scipy off plsim's import path
-    from scipy.integrate import quad
 
-    def integrand(y: float) -> float:
+    def integrand(y: np.ndarray) -> np.ndarray:
         return (1.0 + (y - s) ** 2) ** (-a_plus) * (1.0 + (y + s) ** 2) ** (-a_minus)
 
+    t = np.linspace(-DE_HALF_RANGE, DE_HALF_RANGE, round(2 * DE_HALF_RANGE / DE_STEP) + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    du = 0.5 * np.pi * np.cosh(t)
     edge = abs(s)
-    total = 0.0
-    pieces = [(-np.inf, -edge), (-edge, edge), (edge, np.inf)]
-    for lo, hi in pieces:
-        if lo == hi:
-            continue
-        value, _ = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-        total += value
-    return total
+    growth = np.exp(u)
+    total = np.sum((integrand(edge + growth) + integrand(-edge - growth)) * (growth * du))
+    if edge > 0.0:
+        total += np.sum(integrand(edge * np.tanh(u)) * (edge * du / np.cosh(u) ** 2))
+    return float(total * DE_STEP)

@@ -219,8 +219,10 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
 
 
 def write_json(path, obj) -> None:
+    """Strict JSON: a non-finite float raises ValueError before the file is touched."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _replacing(path) as handle:
-        handle.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        handle.write(text.encode("utf-8"))
 
 
 def _stale_lock_owner(lock_path) -> int | None:

@@ -33,6 +33,14 @@ TWO_PI = 2.0 * np.pi
 MISSING = object()
 
 
+def read_strict_json(path):
+    """Parsed JSON file, failing on the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -393,6 +401,39 @@ class TestPicard:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [cgpe_doc(checks=[]), ep_doc(checks=[])], ids=["cgpe", "ep"])
+    @pytest.mark.parametrize("delta, sweeps", [("1e30", 3), ("1e300", 1)],
+                             ids=["overflows_on_third_sweep", "overflows_on_first_sweep"])
+    def test_overflowing_iterates_are_divergence(self, tmp_path, capsys, doc, delta, sweeps):
+        # under warnings-as-errors an overflow warning would escape main as a
+        # traceback; the history records the overflow as divergence instead
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "pic"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["picard", "--config", config, "--out", str(out), "--delta", delta])
+        assert code == 0
+        report = read_strict_json(out / "picard_report.json")
+        assert report["diverged"] and not report["converged"]
+        assert report["iterations"] == sweeps
+        # an overflowed distance is no contraction: null, never a rate of 0
+        assert report["rate"] is None and report["final_residual"] is None
+        assert len(report["ratios"]) == sweeps - 1
+        assert report["ratios"][-1:] in ([], [None])
+        assert "rate inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", [cgpe_doc(checks=[]), ep_doc(checks=[])], ids=["cgpe", "ep"])
+    def test_bisect_from_overflowing_delta_gives_up_in_one_line(self, tmp_path, capsys, doc):
+        # every halving overflows too, so each verdict is "not converged"
+        config = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["picard", "--config", config, "--out", str(tmp_path / "pic"),
+                         "--bisect", "--delta", "1e308"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: no convergence found down to delta = 2.44140625e+304\n")
+
     def test_bisect_writes_bracket(self, tmp_path):
         doc = cgpe_doc(checks=[])
         doc["initial"] = {"u": {"kind": "gaussian", "amplitude": 0.8, "width": 0.5}}
@@ -581,6 +622,26 @@ class TestCheck:
         assert code == 0
         reports = json.loads((recheck_out / "reports.json").read_text())
         assert all(r["passed"] for r in reports)
+
+    def test_out_of_range_csv_fails_check_with_null_margin(self, tmp_path):
+        # a row near the float range makes the mass-balance margin overflow:
+        # the check fails, and reports.json stays strict JSON with a null margin
+        config = write_config(tmp_path, cgpe_doc())
+        out = tmp_path / "run"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",1e308,1e308"
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join(lines) + "\n")
+        recheck = tmp_path / "recheck"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--csv", str(huge), "--config", config, "--out", str(recheck)])
+        assert code == 1
+        reports = read_strict_json(recheck / "reports.json")
+        assert [r["name"] for r in reports] == ["f1_residual", "abs_set"]
+        assert not any(r["passed"] for r in reports)
+        assert reports[0]["worst_margin"] is None
 
     def test_corrupted_csv_fails_check(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())

@@ -6,19 +6,17 @@ import pytest
 from plsim.grid import (
     Field,
     dealias_mask,
-    dealiased_cubic,
     dealiased_cubic_spectral,
     free_propagator,
     hs_norm,
     hs_norm_spectral,
-    laplacian,
-    lp_norm,
     make_grid,
     random_band_limited,
     real_field,
 )
-from plsim.models import CgpeParams, cgpe_rhs
-from plsim.spacetime import free_evolution
+from plsim.models import CgpeParams
+
+from oracles import cgpe_rhs, dealiased_cubic, free_evolution, laplacian, lp_norm
 
 TWO_PI = 2.0 * np.pi
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plsim.grid import Field, free_propagator, lp_norm, make_grid, random_band_limited, smooth_bump
+from plsim.grid import Field, free_propagator, make_grid, random_band_limited, smooth_bump
 from plsim.integrators import (
     DENSE_HALF_STEP_MAX_POINTS,
     HALF_STEP_CACHE_SIZE,
@@ -33,6 +33,8 @@ from plsim.models import (
     cgpe_flat_closed_form,
     ep_homogeneous_fixed_point,
 )
+
+from oracles import lp_norm
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps

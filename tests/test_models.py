@@ -12,11 +12,11 @@ from plsim.models import (
     CgpeParams,
     EpParams,
     cgpe_flat_closed_form,
-    cgpe_rhs,
     ep_homogeneous_fixed_point,
-    ep_rhs,
     _gain_scalars,
 )
+
+from oracles import cgpe_rhs, ep_rhs
 
 TWO_PI = 2.0 * np.pi
 

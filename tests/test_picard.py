@@ -6,7 +6,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from plsim.grid import (
     Field,
-    dealiased_cubic,
     free_propagator,
     hs_norm,
     hs_norm_spectral,
@@ -21,6 +20,7 @@ from plsim.models import (
     ep_homogeneous_fixed_point,
 )
 from plsim.picard import (
+    BRACKET_DOUBLINGS,
     ContractionReport,
     IterateHistory,
     TimeMesh,
@@ -31,6 +31,8 @@ from plsim.picard import (
     picard_cgpe,
     picard_ep,
 )
+
+from oracles import dealiased_cubic
 
 TWO_PI = 2.0 * np.pi
 
@@ -297,6 +299,26 @@ class TestContractionReport:
         with pytest.raises(ValueError):
             contraction_report(history)
 
+    @pytest.mark.parametrize(
+        "diffs", [[np.inf], [np.nan], [1.0, 1e300, np.nan], [1.0, 1e-300, 1e300, np.inf]]
+    )
+    def test_overflowed_distances_report_no_contraction(self, diffs):
+        history = IterateHistory(
+            final=None, diffs=diffs, initial_norm=1.0, converged=False, diverged=True
+        )
+        with np.errstate(all="raise"):
+            report = contraction_report(history)
+        assert not report.converged
+        assert len(report.ratios) == len(diffs) - 1
+        assert not np.any(report.ratios == 0.0)
+        assert measured_contraction_rate(history) == np.inf
+
+    def test_identical_iterates_contract_with_ratio_zero(self):
+        history = IterateHistory(
+            final=None, diffs=[0.0, 0.0], initial_norm=0.0, converged=True, diverged=False
+        )
+        np.testing.assert_array_equal(contraction_report(history).ratios, [0.0])
+
 
 class TestIterateHistory:
     def test_final_is_last_sweep_and_budget_is_not_convergence(self):
@@ -384,3 +406,18 @@ class TestDivergenceAndBracket:
         assert ok >= 0.05
         assert contraction_report(run(ok)).converged
         assert not contraction_report(run(fail)).converged
+
+    def test_first_sweep_overflow_is_a_false_bracket_verdict(self):
+        grid = make_grid(64, TWO_PI)
+        u0 = h1_normalized(grid, 2)
+        asked = []
+
+        def converges(delta):
+            asked.append(delta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                history = picard_cgpe(u0, TimeMesh(delta, 33), CgpeParams(1.0, 1.0), s=1.0)
+            return contraction_report(history).converged
+
+        with pytest.raises(RuntimeError, match="no convergence found down to"):
+            existence_time_bracket(converges, 1e308)
+        assert len(asked) == 1 + BRACKET_DOUBLINGS

@@ -1,27 +1,29 @@
 """Space-time norms, the quartic ratio, trilinear sums, and the bracket integral."""
 
+import math
+
 import numpy as np
 import pytest
 
 import plsim.spacetime
-from plsim.grid import Field, bracket, lp_norm, make_grid, random_band_limited
+from plsim.grid import Field, bracket, make_grid, random_band_limited
 from plsim.spacetime import (
     SpaceTimeField,
     TrilinearParams,
     bracket_pair_integral,
     constrained_pair_sum,
     default_trilinear_params,
-    free_evolution,
     l4_strichartz_ratio,
     random_spacetime_field,
     spacetime_transform,
-    tau_values,
     time_window_profile,
     trilinear_form,
     trilinear_ratio_scan,
     xsb_norm,
     ys_norm,
 )
+
+from oracles import bracket_pair_integral_quad, free_evolution, lp_norm, tau_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -404,7 +406,24 @@ class TestTrilinearScan:
 
 class TestBracketPairIntegral:
     def test_arctangent_value(self):
-        assert bracket_pair_integral(0.0, 0.5, 0.5) == pytest.approx(np.pi, abs=1e-9)
+        assert bracket_pair_integral(0.0, 0.5, 0.5) == pytest.approx(np.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("a_plus", [0.55, 0.75, 1.0, 1.5, 2.0, 3.0])
+    def test_single_bracket_closed_form(self, a_plus):
+        # with a_minus = 0 the integral is a beta function, whatever the shift
+        exact = math.sqrt(math.pi) * math.gamma(a_plus - 0.5) / math.gamma(a_plus)
+        for s in (0.0, 0.3, -2.0, 5.0, 100.0):
+            assert bracket_pair_integral(s, a_plus, 0.0) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("a_plus, a_minus", [
+        (0.3, 0.25), (0.5, 0.25), (0.5, 0.5), (0.75, 0.5), (1.0, 0.5), (1.5, 0.5), (1.0, 1.0),
+        (2.0, 0.0),
+    ])
+    def test_matches_adaptive_quadrature(self, a_plus, a_minus):
+        # a_plus + a_minus from 0.55, next to the divergence edge, to 2
+        for s in (0.0, 0.3, -0.3, 1.0, 2.0, 4.0, 8.0, 16.0, 100.0):
+            reference = bracket_pair_integral_quad(s, a_plus, a_minus)
+            assert bracket_pair_integral(s, a_plus, a_minus) == pytest.approx(reference, rel=1e-10)
 
     def test_symmetry_in_s(self):
         for s in (0.5, 3.0, 10.0):

@@ -17,6 +17,7 @@ from plsim.storage import (
     read_diagnostics_csv,
     write_checkpoint,
     write_diagnostics_csv,
+    write_json,
 )
 
 
@@ -232,6 +233,16 @@ class TestDiagnosticsCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="columns"):
             read_diagnostics_csv(path)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected_before_any_file_is_written(self, tmp_path, value):
+        # strict JSON has no NaN or Infinity token
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"ok": 1.0, "bad": [value]})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLock:
