@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -143,10 +144,11 @@ def cmd_run(args) -> int:
         saved.append(os.path.basename(path))
 
     # each sample goes to disk as it comes and only the latest state is
-    # held: its row is appended, its checkpoint written when due.  A step
-    # that overflows is a blow-up, which iter_samples reports by raising,
-    # so numpy's overflow warnings on the way there carry nothing more
-    rows = []
+    # held: its row is appended, its checkpoint written when due, and its
+    # values kept for the checks as 8-byte floats, not a tuple of floats.
+    # A step that overflows is a blow-up, which iter_samples reports by
+    # raising, so numpy's overflow warnings on the way there carry nothing more
+    rows = array("d")
     blow_up = None
     with output_lock(out_dir):
         os.makedirs(ckpt_dir, exist_ok=True)
@@ -159,7 +161,7 @@ def cmd_run(args) -> int:
             ):
                 for index, (steps, state, row) in enumerate(samples):
                     table.append(row)
-                    rows.append(row)
+                    rows.extend(row)
                     if due(index):
                         save(index, state)
         except BlowUpError as err:
@@ -168,7 +170,7 @@ def cmd_run(args) -> int:
         if not due(index):  # the last sample is always saved
             save(index, state)
 
-        diagnostics = DiagnosticsSeries.from_rows(rows)
+        diagnostics = DiagnosticsSeries.from_rows(np.reshape(rows, (index + 1, -1)))
         partial = _stops_early(diagnostics, config)
         passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
         write_json(
@@ -234,15 +236,21 @@ def cmd_picard(args) -> int:
                     return report.converged
                 return contraction_report(run_at(delta)).converged
 
-            ok, fail = existence_time_bracket(converges, args.delta)
-            payload["bracket"] = {"delta_ok": ok, "delta_fail": fail}
-            print(f"empirical existence bracket: converges at {ok:.6g}, fails at {fail:.6g}")
+            try:
+                ok, fail = existence_time_bracket(converges, args.delta)
+            except RuntimeError as err:  # the search gave up; the run at --delta still stands
+                payload.update(bracket=None, bracket_error=str(err))
+            else:
+                payload["bracket"] = {"delta_ok": ok, "delta_fail": fail}
+                print(f"empirical existence bracket: converges at {ok:.6g}, fails at {fail:.6g}")
         write_json(os.path.join(out_dir, "picard_report.json"), payload)
         print(
             f"picard: {'converged' if report.converged else 'not converged'} "
             f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
             f"rate {rate:.3f}"
         )
+    if payload.get("bracket_error"):
+        return _fail(payload["bracket_error"])
     if args.assert_ and not report.converged:
         return 1
     return 0

@@ -148,25 +148,38 @@ def hs_norm(field: Field, s: float) -> float:
     return float(hs_norm_spectral(np.fft.fft(field.values), field.grid, s))
 
 
-def hs_norm_spectral(amps: np.ndarray, grid: Grid1D, s: float) -> np.ndarray:
-    """Sobolev norm of each row, given the rows' DFTs along the last axis."""
-    power = amps.real**2
-    power += amps.imag**2
+def hs_norm_spectral(
+    amps: np.ndarray, grid: Grid1D, s: float, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Sobolev norm of each row, given the rows' DFTs along the last axis.
+
+    ``work``, a float64 array of shape (2, *amps.shape), holds the power
+    spectrum instead of fresh temporaries.
+    """
+    if work is None:
+        work = np.empty((2, *amps.shape))
+    power = np.square(amps.real, out=work[0])
+    power += np.square(amps.imag, out=work[1])
     power *= sobolev_weight(grid, s)
     # the DFT is N times the Fourier-series amplitudes: scale the row sums, not the spectrum
     return np.sqrt(np.sum(power, axis=-1) * (grid.length / grid.n_points**2))
 
 
 def dealiased_cubic_spectral(
-    rows: np.ndarray, grid: Grid1D, density: np.ndarray | None = None
+    rows: np.ndarray,
+    grid: Grid1D,
+    density: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """DFT of |u|^2 u of each physical row, with the top third of the spectrum zeroed.
 
-    ``density`` is |rows|^2 when the caller needs it too and has it already.
+    ``density`` is |rows|^2 when the caller needs it too and has it already;
+    ``work``, a complex128 array of rows' shape, receives |u|^2 u before its
+    transform instead of a fresh temporary.
     """
     if density is None:
         density = np.abs(rows) ** 2
-    hat = np.fft.fft(density * rows, axis=-1)
+    hat = np.fft.fft(np.multiply(density, rows, out=work), axis=-1)
     hat[..., _aliased_modes(grid)] = 0.0
     return hat
 

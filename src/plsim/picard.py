@@ -101,35 +101,58 @@ def _diverging(diffs: list[float]) -> bool:
     return d > c > b > a
 
 
-def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running trapezoidal integral of y along axis 0, starting from 0."""
-    out = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
-    out[0] = 0.0
+def _cumulative_trapezoid(y: np.ndarray, initial, out: np.ndarray) -> np.ndarray:
+    """Running trapezoidal sum of y along axis 0 from ``initial``, written into ``out``.
+
+    The quadrature weight h/2 is already folded into y, so row m is
+    initial + sum_{j<m} (y[j] + y[j+1]).  ``out`` must not overlap y.
+    """
+    out[0] = initial
     np.add(y[1:], y[:-1], out=out[1:])
-    out[1:] *= dx / 2
-    np.cumsum(out[1:], axis=0, out=out[1:])
-    return out
+    return np.cumsum(out, axis=0, out=out)
 
 
-def _l2_rows(rows: np.ndarray, dx: float) -> np.ndarray:
+def _modulus_squared(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|rows|^2 written into the float64 array ``out``."""
+    np.abs(rows, out=out)
+    return np.square(out, out=out)
+
+
+def _l2_rows(rows: np.ndarray, dx: float, work: np.ndarray) -> np.ndarray:
     """Plain L^2 norm (sum_j |u_j|^2 dx)^(1/2) of each physical row; equal to
-    the s = 0 Sobolev norm by Parseval, without its transform."""
-    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1) * dx)
+    the s = 0 Sobolev norm by Parseval, without its transform.  ``work`` is
+    a float64 array of rows' shape, and may be rows itself when they are real."""
+    return np.sqrt(np.sum(_modulus_squared(rows, work), axis=-1) * dx)
+
+
+def _workspace(shape: tuple[int, int], n_complex: int, n_real: int) -> list[np.ndarray]:
+    """n_complex complex128 arrays of ``shape`` and then one float64 array of
+    shape (n_real, *shape): views into one block, which the calling
+    iteration allocates once and drops when it returns.
+
+    One block rather than one array each: the sweeps then allocate nothing
+    but their transforms' outputs, and a freed block this large also
+    raises glibc's dynamic mmap and trim thresholds past the size of those
+    outputs, so they are reused from the heap instead of faulted in anew.
+    """
+    rows, cols = shape
+    block = np.empty((2 * n_complex + n_real, rows, cols))
+    spectra = block[: 2 * n_complex].reshape(n_complex, rows, 2 * cols).view(np.complex128)
+    return [*spectra, block[2 * n_complex :]]
 
 
 def _duhamel(
-    prop: np.ndarray, unwind: np.ndarray, u0_hat: np.ndarray, rhs_hat: np.ndarray, spacing: float
+    prop: np.ndarray, forcing_hat: np.ndarray, u0_hat: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node, and its DFT.
 
-    Takes the DFT of the forcing at every node and overwrites it.  The
-    forcing is unwound into the interaction picture (``unwind`` is the
-    conjugate of ``prop``), integrated with trapezoidal weights, and
-    propagated back; the only transform is the inverse one at the end.
+    ``forcing_hat`` is the DFT of the forcing at every node, already unwound
+    into the interaction picture and weighted for the trapezoidal rule:
+    multiplied by (h/2) conj(S(tau)).  It is integrated from u0_hat into
+    ``out`` and propagated back there; the only transform is the inverse
+    one at the end.
     """
-    rhs_hat *= unwind
-    hat = _cumulative_trapezoid(rhs_hat, spacing)
-    hat += u0_hat
+    hat = _cumulative_trapezoid(forcing_hat, u0_hat, out)
     hat *= prop
     return np.fft.ifft(hat, axis=-1), hat
 
@@ -172,23 +195,34 @@ def picard_cgpe(
     """
     grid = u0.grid
     prop = free_propagator(mesh.nodes, grid)
-    unwind = np.conj(prop)
     u0_hat = np.fft.fft(u0.values)
-
     # an iterate is its node samples and their DFT: the sweep reads both,
     # so it transforms only the cubic term forward and the new iterate back,
-    # and the distance is taken of the spectra
+    # and the distance is taken of the spectra.  The spectra alternate
+    # between two buffers; the scratch holds |u|^2 u, then the xi term,
+    # then the distance's difference, and the real pair |u|^2, then the
+    # distance's power spectrum
+    xi_weight, cubic_weight, free_hat, next_hat, scratch, real_work = _workspace(prop.shape, 5, 2)
+    # the forcing -(sigma + i) |u|^2 u + xi u, unwound and weighted: each
+    # term's scalar is folded into the unwind weights (h/2) conj(S(t))
+    np.conj(prop, out=xi_weight)
+    xi_weight *= 0.5 * mesh.spacing
+    np.multiply(xi_weight, -(p.sigma + 1j), out=cubic_weight)
+    xi_weight *= p.xi
+    np.multiply(prop, u0_hat, out=free_hat)
+
     def sweep(current):
         values, hat = current
-        rhs_hat = dealiased_cubic_spectral(values, grid)
-        rhs_hat *= -(p.sigma + 1j)
-        rhs_hat += p.xi * hat
-        return _duhamel(prop, unwind, u0_hat, rhs_hat, mesh.spacing)
+        density = _modulus_squared(values, real_work[0])
+        forcing = dealiased_cubic_spectral(values, grid, density, work=scratch)
+        forcing *= cubic_weight
+        forcing += np.multiply(xi_weight, hat, out=scratch)
+        return _duhamel(prop, forcing, u0_hat, next_hat if hat is free_hat else free_hat)
 
     def distance(new, current):
-        return float(np.max(hs_norm_spectral(new[1] - current[1], grid, s)))
+        step = np.subtract(new[1], current[1], out=scratch)
+        return float(np.max(hs_norm_spectral(step, grid, s, work=real_work)))
 
-    free_hat = prop * u0_hat[None, :]
     history = _iterate(
         (np.fft.ifft(free_hat, axis=-1), free_hat), sweep, distance, hs_norm(u0, s), max_iter
     )
@@ -208,40 +242,48 @@ def picard_ep(
         raise ValueError("u0 and n0 must share a grid")
     n0 = real_field(n0, "n0")
     grid = u0.grid
+    half = 0.5 * mesh.spacing
     prop = free_propagator(mesh.nodes, grid)
-    unwind = np.conj(prop)
     u0_hat = np.fft.fft(u0.values)
-    pump = p.pump.values[None, :]
+    pump = half * p.pump.values
+    # the condensate iterate comes fresh from each inverse transform and
+    # the reservoir iterate alternates between two buffers; the scratch
+    # holds |u|^2 u, then the linear forcing, then the distance's difference
+    weight, hat, scratch, (real_work, free_n, next_n) = _workspace(prop.shape, 3, 3)
+    np.conj(prop, out=weight)  # the unwind weights (h/2) conj(S(t))
+    weight *= half
+    free_n[:] = n0.values
 
     def sweep(current):
         cur_u, cur_n = current
         # |u|^2 feeds both the cubic term and the reservoir forcing
-        density = np.abs(cur_u) ** 2
-        rhs_hat = dealiased_cubic_spectral(cur_u, grid, density)
-        rhs_hat *= -1j * p.g
-        linear = (p.R - 1j * p.lam) * cur_n
+        density = _modulus_squared(cur_u, real_work)
+        forcing = dealiased_cubic_spectral(cur_u, grid, density, work=scratch)
+        forcing *= -1j * p.g
+        linear = np.multiply(cur_n, p.R - 1j * p.lam, out=scratch)
         linear -= p.alpha
         linear *= cur_u
-        rhs_hat += np.fft.fft(linear, axis=-1)
-        new_u, _ = _duhamel(prop, unwind, u0_hat, rhs_hat, mesh.spacing)
-        # pump - (R |u|^2 + beta) n, built in the density's buffer
-        density *= p.R
-        density += p.beta
+        forcing += np.fft.fft(linear, axis=-1)
+        forcing *= weight
+        new_u, _ = _duhamel(prop, forcing, u0_hat, hat)
+        # (h/2) (pump - (R |u|^2 + beta) n), built in the density's buffer
+        density *= half * p.R
+        density += half * p.beta
         density *= cur_n
-        rhs_n = np.subtract(pump, density, out=density)
-        new_n = _cumulative_trapezoid(rhs_n, mesh.spacing)
-        new_n += n0.values
+        forcing_n = np.subtract(pump, density, out=density)
+        new_n = _cumulative_trapezoid(forcing_n, n0.values, next_n if cur_n is free_n else free_n)
         return new_u, new_n
 
     def distance(new, current):
-        return float(
-            np.max(_l2_rows(new[0] - current[0], grid.dx))
-            + np.max(_l2_rows(new[1] - current[1], grid.dx))
-        )
+        du = _l2_rows(np.subtract(new[0], current[0], out=scratch), grid.dx, real_work)
+        dn = _l2_rows(np.subtract(new[1], current[1], out=real_work), grid.dx, real_work)
+        return float(np.max(du) + np.max(dn))
 
-    free = (np.fft.ifft(prop * u0_hat[None, :], axis=-1), np.tile(n0.values, (mesh.n_nodes, 1)))
+    free = (np.fft.ifft(np.multiply(prop, u0_hat, out=hat), axis=-1), free_n)
     initial_norm = hs_norm(u0, 0.0) + hs_norm(n0, 0.0)
-    return _iterate(free, sweep, distance, initial_norm, max_iter)
+    history = _iterate(free, sweep, distance, initial_norm, max_iter)
+    final_u, final_n = history.final
+    return replace(history, final=(final_u, final_n.copy()))  # not a view into the workspace
 
 
 def contraction_report(history: IterateHistory) -> ContractionReport:

@@ -3,15 +3,16 @@
 Each is the textbook form of something ``src/`` computes a faster way, and
 no code in the package calls them: the model right-hand sides in physical
 space, the spectral Laplacian, the dealiased cubic term back in physical
-space, the plain L^p norms, the sampled free flow, and the labels of the
-time-frequency lattice; and scipy's adaptive quadrature of the bracket
+space, the plain L^p norms, the sampled free flow, the labels of the
+time-frequency lattice, and the Picard sweeps of both models built from
+out-of-place temporaries; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from plsim.grid import Field, dealiased_cubic_spectral, free_propagator
+from plsim.grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm_spectral
 from plsim.models import CgpeParams, EpParams
 from plsim.spacetime import SpaceTimeField
 
@@ -92,3 +93,62 @@ def free_evolution(u0: Field, n_time: int, t_span: float) -> SpaceTimeField:
 def tau_values(f: SpaceTimeField) -> np.ndarray:
     """Time-frequency lattice, spacing 2*pi/t_span, DFT ordering."""
     return 2.0 * np.pi * np.fft.fftfreq(f.n_time, d=f.t_span / f.n_time)
+
+
+def cumulative_trapezoid_rows(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoidal integral of y along axis 0, starting from 0."""
+    out = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
+    out[0] = 0.0
+    np.add(y[1:], y[:-1], out=out[1:])
+    out[1:] *= dx / 2
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
+
+
+def duhamel_spectral(prop, u0_hat, rhs_hat, spacing):
+    """S(t) u0 + int_0^t S(t - tau) rhs(tau) dtau at every mesh node, and its
+    DFT, from the DFT of the forcing at every node."""
+    hat = cumulative_trapezoid_rows(np.conj(prop) * rhs_hat, spacing) + u0_hat
+    hat *= prop
+    return np.fft.ifft(hat, axis=-1), hat
+
+
+def picard_cgpe_sweeps(u0: Field, mesh, p: CgpeParams, s: float, sweeps: int):
+    """The last of ``sweeps`` Picard iterates of the gain-saturated model from
+    the free evolution, and the H^s distances between successive ones."""
+    grid = u0.grid
+    prop = free_propagator(mesh.nodes, grid)
+    u0_hat = np.fft.fft(u0.values)
+    hat = prop * u0_hat
+    values = np.fft.ifft(hat, axis=-1)
+    diffs = []
+    for _ in range(sweeps):
+        rhs_hat = -(p.sigma + 1j) * dealiased_cubic_spectral(values, grid) + p.xi * hat
+        values, new_hat = duhamel_spectral(prop, u0_hat, rhs_hat, mesh.spacing)
+        diffs.append(float(np.max(hs_norm_spectral(new_hat - hat, grid, s))))
+        hat = new_hat
+    return values, diffs
+
+
+def picard_ep_sweeps(u0: Field, n0: Field, mesh, p: EpParams, sweeps: int):
+    """The last of ``sweeps`` Picard iterates (u, n) of the two-field model
+    from the free evolution, and the summed L^2 distances between successive ones."""
+    grid = u0.grid
+    prop = free_propagator(mesh.nodes, grid)
+    u0_hat = np.fft.fft(u0.values)
+    u = np.fft.ifft(prop * u0_hat, axis=-1)
+    n = np.tile(n0.values, (mesh.n_nodes, 1))
+
+    def l2_rows(rows):
+        return np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1) * grid.dx)
+
+    diffs = []
+    for _ in range(sweeps):
+        rhs_hat = -1j * p.g * dealiased_cubic_spectral(u, grid)
+        rhs_hat += np.fft.fft(((p.R - 1j * p.lam) * n - p.alpha) * u, axis=-1)
+        new_u, _ = duhamel_spectral(prop, u0_hat, rhs_hat, mesh.spacing)
+        rhs_n = p.pump.values - (p.R * np.abs(u) ** 2 + p.beta) * n
+        new_n = n0.values + cumulative_trapezoid_rows(rhs_n, mesh.spacing)
+        diffs.append(float(np.max(l2_rows(new_u - u)) + np.max(l2_rows(new_n - n))))
+        u, n = new_u, new_n
+    return (u, n), diffs

@@ -434,6 +434,22 @@ class TestPicard:
         assert capsys.readouterr().err == (
             "error: no convergence found down to delta = 2.44140625e+304\n")
 
+    @pytest.mark.parametrize("doc", [cgpe_doc(checks=[]), ep_doc(checks=[])], ids=["cgpe", "ep"])
+    def test_bisect_that_gives_up_still_writes_the_report(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "pic"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["picard", "--config", config, "--out", str(out),
+                         "--bisect", "--delta", "1e30"])
+        assert code == 2
+        message = "no convergence found down to delta = 2.44140625e+26"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        report = read_strict_json(out / "picard_report.json")
+        assert report["diverged"] and not report["converged"]
+        assert report["bracket"] is None
+        assert report["bracket_error"] == message
+
     def test_bisect_writes_bracket(self, tmp_path):
         doc = cgpe_doc(checks=[])
         doc["initial"] = {"u": {"kind": "gaussian", "amplitude": 0.8, "width": 0.5}}

@@ -32,7 +32,12 @@ from plsim.picard import (
     picard_ep,
 )
 
-from oracles import dealiased_cubic
+from oracles import (
+    cumulative_trapezoid_rows,
+    dealiased_cubic,
+    picard_cgpe_sweeps,
+    picard_ep_sweeps,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,12 +73,25 @@ class TestCumulativeTrapezoid:
     @pytest.mark.parametrize("shape", [(65, 256), (3, 64)])
     @pytest.mark.parametrize("dx", [0.1, 1.0 / 3.0, 2.5e-3])
     def test_equals_scipy(self, shape, dx):
+        # the out-of-place oracle is scipy's rule bit for bit; the kernel,
+        # with h/2 folded into its data, agrees to rounding
         rng = np.random.default_rng(7)
         real = rng.standard_normal(shape)
         for y in (real, real + 1j * rng.standard_normal(shape)):
-            np.testing.assert_array_equal(
-                _cumulative_trapezoid(y, dx), cumulative_trapezoid(y, dx=dx, axis=0, initial=0.0)
-            )
+            want = cumulative_trapezoid(y, dx=dx, axis=0, initial=0.0)
+            np.testing.assert_array_equal(cumulative_trapezoid_rows(y, dx), want)
+            got = _cumulative_trapezoid(0.5 * dx * y, 0.0, np.empty_like(y))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_starts_from_initial_row_in_the_given_buffer(self):
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((9, 16)) + 1j * rng.standard_normal((9, 16))
+        initial = rng.standard_normal(16)
+        out = np.empty_like(y)
+        got = _cumulative_trapezoid(y, initial, out)
+        assert got is out
+        np.testing.assert_array_equal(got[0], initial)
+        np.testing.assert_allclose(got, initial + cumulative_trapezoid_rows(y, 2.0), rtol=1e-14)
 
 
 class TestPicardCgpe:
@@ -281,6 +299,33 @@ class TestSpectralSweep:
         assert _relative_error(history.final[0], u) <= 1e-12
         assert _relative_error(history.final[1], n) <= 1e-12
 
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_cgpe_sweeps_match_out_of_place_oracle(self, s):
+        grid = make_grid(64, TWO_PI)
+        mesh = TimeMesh(0.05, 17)
+        p = CgpeParams(1.0, 0.5)
+        u0 = h1_normalized(grid, 6)
+        want, want_diffs = picard_cgpe_sweeps(u0, mesh, p, s, 3)
+        history = picard_cgpe(u0, mesh, p, s=s, max_iter=3)
+        assert _relative_error(history.final, want) <= 1e-13
+        # distances shrink by cancellation: compare them on the iterates' scale
+        scale = 1.0 + hs_norm(u0, s)
+        np.testing.assert_allclose(history.diffs, want_diffs, rtol=0, atol=1e-13 * scale)
+
+    def test_ep_sweeps_match_out_of_place_oracle(self):
+        grid = make_grid(64, TWO_PI)
+        mesh = TimeMesh(0.05, 17)
+        pump = Field(grid, 1.0 + 0.5 * np.cos(grid.x))
+        p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
+        u0 = h1_normalized(grid, 7)
+        n0 = Field(grid, 0.3 + 0.1 * np.sin(grid.x))
+        (want_u, want_n), want_diffs = picard_ep_sweeps(u0, n0, mesh, p, 3)
+        history = picard_ep(u0, n0, mesh, p, max_iter=3)
+        assert _relative_error(history.final[0], want_u) <= 1e-13
+        assert _relative_error(history.final[1], want_n) <= 1e-13
+        scale = 1.0 + hs_norm(u0, 0.0) + hs_norm(n0, 0.0)
+        np.testing.assert_allclose(history.diffs, want_diffs, rtol=0, atol=1e-13 * scale)
+
 
 class TestContractionReport:
     def test_synthetic_geometric_diffs(self):
@@ -336,6 +381,25 @@ class TestIterateHistory:
         step_hat = np.fft.fft(longer.final - short.final, axis=-1)
         step = float(np.max(hs_norm_spectral(step_hat, grid, 1.0)))
         assert step == pytest.approx(longer.diffs[-1], rel=1e-12)
+
+
+    def test_final_is_not_overwritten_by_a_later_call(self):
+        # each call owns its workspace: a second call on the same shape
+        # writes into none of the arrays the first one returned
+        grid = make_grid(32, TWO_PI)
+        mesh = TimeMesh(0.05, 17)
+        u0 = h1_normalized(grid, 5)
+        first = picard_cgpe(u0, mesh, CgpeParams(1.0, 1.0), s=1.0, max_iter=4)
+        kept = first.final.copy()
+        picard_cgpe(u0.with_values(2.0 * u0.values), mesh, CgpeParams(0.5, 2.0), max_iter=4)
+        np.testing.assert_array_equal(first.final, kept)
+
+        p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=constant_field(grid, 1.0))
+        first = picard_ep(u0, constant_field(grid, 0.3), mesh, p, max_iter=4)
+        kept = [part.copy() for part in first.final]
+        picard_ep(u0.with_values(2.0 * u0.values), constant_field(grid, 0.7), mesh, p, max_iter=4)
+        for part, copy in zip(first.final, kept):
+            np.testing.assert_array_equal(part, copy)
 
 
 class TestConsistencyWithStrang:

@@ -254,6 +254,13 @@ class TestL4Ratio:
         with pytest.raises(ValueError):
             l4_strichartz_ratio(SpaceTimeField(grid, 1.0, np.zeros((8, 16))))
 
+    def test_quartic_term_is_the_modulus_to_the_fourth(self):
+        grid = make_grid(16, TWO_PI)
+        f = random_spacetime_field(grid, 16, TWO_PI, 3, 4, np.random.default_rng(9))
+        quartic = float(np.sum(np.abs(windowed(f)) ** 4) * grid.dx * f.dt) ** 0.25
+        want = quartic / xsb_norm(f, 0.0, 0.375)
+        assert l4_strichartz_ratio(f) == pytest.approx(want, rel=1e-14)
+
     def test_ensemble_max_stable_between_lattices(self):
         def ensemble_max(n_points, n_time, samples=50):
             g = make_grid(n_points, TWO_PI)
@@ -269,6 +276,27 @@ class TestL4Ratio:
         fine = ensemble_max(64, 128)
         factor = max(fine / coarse, coarse / fine)
         assert factor < 2.0
+
+
+class TestRandomSpacetimeField:
+    @pytest.mark.parametrize("k_band, tau_band", [(4, 2), (0, 0), (7, 3), (8, 4), (20, 20)])
+    def test_is_the_masked_draw(self, k_band, tau_band):
+        # both draws in order, real parts first, then every mode off the band zeroed
+        grid = make_grid(16, TWO_PI)
+        f = random_spacetime_field(grid, 8, 1.0, k_band, tau_band, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        draw = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+        k_index = np.fft.fftfreq(16, d=1.0 / 16)
+        tau_index = np.fft.fftfreq(8, d=1.0 / 8)
+        mask = (np.abs(tau_index)[:, None] <= tau_band) & (np.abs(k_index)[None, :] <= k_band)
+        want = np.fft.ifft2(np.where(mask, draw, 0.0)) * np.sqrt(8 * 16)
+        np.testing.assert_array_equal(f.values, want)
+
+    @pytest.mark.parametrize("k_band, tau_band", [(-1, 2), (4, -2)])
+    def test_negative_band_rejected(self, k_band, tau_band):
+        with pytest.raises(ValueError, match="bands must be nonnegative"):
+            random_spacetime_field(make_grid(16, TWO_PI), 8, 1.0, k_band, tau_band,
+                                   np.random.default_rng(4))
 
 
 class TestConvolutionProfileProperty:
