@@ -20,6 +20,7 @@ __all__ = [
     "real_field",
     "make_grid",
     "dealias_mask",
+    "modulus_squared",
     "hs_norm",
     "hs_norm_spectral",
     "sobolev_weight",
@@ -116,6 +117,21 @@ def real_field(field: Field, name: str) -> Field:
     return Field(field.grid, field.values.real.copy())
 
 
+def modulus_squared(
+    values: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """|values|^2 as re^2 + im^2, without the modulus; float64 values are squared as they are.
+
+    ``out`` receives the result and ``work``, a float64 array of values'
+    shape, the squared imaginary parts, instead of fresh temporaries.
+    """
+    if values.dtype != _COMPLEX128:
+        return np.square(values, out=out)
+    out = np.square(values.real, out=out)
+    out += np.square(values.imag, out=work)
+    return out
+
+
 def dealias_mask(grid: Grid1D) -> np.ndarray:
     """Boolean mask keeping modes with |k| <= (2/3) of the Nyquist wavenumber."""
     k = grid.wavenumbers
@@ -158,8 +174,7 @@ def hs_norm_spectral(
     """
     if work is None:
         work = np.empty((2, *amps.shape))
-    power = np.square(amps.real, out=work[0])
-    power += np.square(amps.imag, out=work[1])
+    power = modulus_squared(amps, work[0], work[1])
     power *= sobolev_weight(grid, s)
     # the DFT is N times the Fourier-series amplitudes: scale the row sums, not the spectrum
     return np.sqrt(np.sum(power, axis=-1) * (grid.length / grid.n_points**2))
@@ -178,7 +193,7 @@ def dealiased_cubic_spectral(
     transform instead of a fresh temporary.
     """
     if density is None:
-        density = np.abs(rows) ** 2
+        density = modulus_squared(rows)
     hat = np.fft.fft(np.multiply(density, rows, out=work), axis=-1)
     hat[..., _aliased_modes(grid)] = 0.0
     return hat

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
-from .grid import Field, Grid1D, free_propagator, real_field
+from .grid import Field, Grid1D, free_propagator, modulus_squared, real_field
 from .models import CgpeParams, EpParams, _local_flow_factors
 
 __all__ = [
@@ -45,13 +45,14 @@ BLOWUP_MASS_FACTOR = 1e6
 
 # Distinct (grid, dt) pairs whose half-step multipliers, and half-step
 # matrices on grids up to DENSE_HALF_STEP_MAX_POINTS, are kept.  A run
-# steps with one pair and a dt-halving study with a few; one entry of
-# either kind holds at most 64 KiB (a multiplier at N=4096, a matrix at N=64).
+# steps with one pair and a dt-halving study with a few; a multiplier holds
+# at most 64 KiB (N=4096) and a matrix at most 128 KiB (N=64).
 HALF_STEP_CACHE_SIZE = 8
 
-# Largest grid whose half-step is one dense real matrix product instead of
-# an FFT pair.  Up to it numpy's per-call FFT overhead, not arithmetic, sets
-# the FFT pair's cost; the (2N, N) float64 matrix takes 16 N^2 bytes, 64 KiB at N=64.
+# Largest grid whose half-step is one dense real matrix-vector product
+# instead of an FFT pair.  Up to it numpy's per-call FFT overhead, not
+# arithmetic, sets the FFT pair's cost; the (2N, 2N) float64 matrix takes
+# 32 N^2 bytes, 128 KiB at N=64, and grows fourfold per doubling of N.
 DENSE_HALF_STEP_MAX_POINTS = 64
 
 
@@ -109,11 +110,16 @@ def _half_step_multiplier(grid: Grid1D, dt: float) -> np.ndarray:
 
 @lru_cache(maxsize=HALF_STEP_CACHE_SIZE)
 def _half_step_matrix(grid: Grid1D, dt: float) -> np.ndarray:
-    """[Re C; Im C] for the circulant C = F^-1 diag(multiplier) F, shape (2N, N), shared read-only."""
+    """The circulant C = F^-1 diag(multiplier) F as the real (2N, 2N) matrix
+    that acts on u's interleaved (re, im) samples, shared read-only: each
+    entry c of C is the 2x2 block [[Re c, -Im c], [Im c, Re c]]."""
     n = grid.n_points
     column = np.fft.ifft(_half_step_multiplier(grid, dt))
     circulant = column[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-    matrix = np.concatenate([circulant.real, circulant.imag])
+    matrix = np.empty((2 * n, 2 * n))
+    matrix[0::2, 0::2] = matrix[1::2, 1::2] = circulant.real
+    matrix[1::2, 0::2] = circulant.imag
+    np.negative(circulant.imag, out=matrix[0::2, 1::2])
     matrix.setflags(write=False)
     return matrix
 
@@ -123,29 +129,19 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
 
     Unitary, so the discrete L^2 norm is preserved to rounding.  Negative
     dt gives the adjoint step.  Up to DENSE_HALF_STEP_MAX_POINTS points it
-    is one real matrix product; above, an FFT pair.
+    is one real matrix-vector product; above, an FFT pair.
     """
     if dt == 0.0:
         return f
-    n = f.grid.n_points
-    if n <= DENSE_HALF_STEP_MAX_POINTS:
-        # (re, im) pairs as an (N, 2) real matrix: a dgemm that OpenBLAS keeps on
-        # one thread at this size, where it threads a complex matrix-vector product
-        pairs = np.ascontiguousarray(f.values, dtype=np.complex128).view(np.float64).reshape(n, 2)
-        products = np.dot(_half_step_matrix(f.grid, dt), pairs)
-        values = np.empty(n, dtype=np.complex128)
-        np.subtract(products[:n, 0], products[n:, 1], out=values.real)
-        np.add(products[:n, 1], products[n:, 0], out=values.imag)
-        return f.with_values(values)
+    if f.grid.n_points <= DENSE_HALF_STEP_MAX_POINTS:
+        # a real dgemv on the float64 view, which OpenBLAS keeps on one thread
+        # at this size, where it threads a complex matrix-vector product
+        pairs = np.ascontiguousarray(f.values, dtype=np.complex128).view(np.float64)
+        return f.with_values(np.dot(_half_step_matrix(f.grid, dt), pairs).view(np.complex128))
     hat = np.fft.fft(f.values)
     # m * hat, not hat * m: numpy's SIMD paths can round the two differently
     np.multiply(_half_step_multiplier(f.grid, dt), hat, out=hat)
     return f.with_values(np.fft.ifft(hat))
-
-
-def _density(values: np.ndarray) -> np.ndarray:
-    """|values|^2 as re^2 + im^2, without the modulus."""
-    return np.square(values.real) + np.square(values.imag)
 
 
 def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
@@ -162,7 +158,7 @@ def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
 
 def cgpe_local_step(u: Field, dt: float, p: CgpeParams) -> Field:
     """Exact pointwise flow of du/dt = -i|u|^2 u + (xi - sigma|u|^2) u."""
-    amplitude, phase = _local_flow_factors(_density(u.values), dt, p.xi, p.sigma)
+    amplitude, phase = _local_flow_factors(modulus_squared(u.values), dt, p.xi, p.sigma)
     return u.with_values(_rotate(u.values, amplitude, phase))
 
 
@@ -193,7 +189,7 @@ def reservoir_exact_update(n: Field, u_frozen: Field, dt: float, p: EpParams, de
     """
     if n.grid is not u_frozen.grid and n.grid != u_frozen.grid:
         raise ValueError("n and u must share a grid")
-    density = _density(u_frozen.values) if density is None else density
+    density = modulus_squared(u_frozen.values) if density is None else density
     gamma = p.R * density + p.beta
     decay = np.multiply(gamma, -dt)
     np.expm1(decay, out=decay)
@@ -207,7 +203,7 @@ def _ep_local_u_update(u: Field, n: Field, dt: float, p: EpParams, density=None)
     |u|^2 grows exponentially at rate 2 mu, mu = Rn - alpha; the accumulated
     nonlinear phase integral is |u0|^2 dt expm1(x)/x, x = 2 mu dt.
     """
-    density = _density(u.values) if density is None else density
+    density = modulus_squared(u.values) if density is None else density
     x = (p.R * n.values - p.alpha) * (2.0 * dt)
     phase = np.full(x.shape, 1.0)  # expm1(x)/x; its limit 1 where x is 0 or underflowed
     np.divide(np.expm1(x), x, out=phase, where=x != 0.0)
@@ -225,7 +221,7 @@ def strang_step_ep(state: EpState, dt: float, p: EpParams) -> EpState:
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     u = dispersion_half_step(state.u, dt)
-    density = _density(u.values)
+    density = modulus_squared(u.values)
     n = reservoir_exact_update(state.n, u, 0.5 * dt, p, density)
     u = _ep_local_u_update(u, n, dt, p, density)
     n = reservoir_exact_update(n, u, 0.5 * dt, p)
@@ -244,14 +240,14 @@ def _square_sum(values: np.ndarray) -> float:
 def _diagnostics_row(state, mass_cap: float = np.inf) -> tuple | None:
     """Row of COLUMNS for state, or None when its mass exceeds mass_cap.
 
-    mass and l4 come from one density abs(u)**2: mass is sum(density) dx,
+    mass and l4 come from one density |u|^2: mass is sum(density) dx,
     and l4, sum(density**2) dx, is formed only under the cap, so a runaway
     state cannot overflow it.  Every column is a numpy reduction, never a
     BLAS dot, so its bits do not depend on the BLAS thread count.
     """
     u = state.u
     dx = u.grid.dx
-    density = np.abs(u.values) ** 2
+    density = modulus_squared(u.values)
     mass = float(density.sum() * dx)
     if mass > mass_cap:
         return None

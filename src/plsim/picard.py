@@ -26,6 +26,7 @@ from .grid import (
     free_propagator,
     hs_norm,
     hs_norm_spectral,
+    modulus_squared,
     real_field,
 )
 from .models import CgpeParams, EpParams
@@ -112,17 +113,12 @@ def _cumulative_trapezoid(y: np.ndarray, initial, out: np.ndarray) -> np.ndarray
     return np.cumsum(out, axis=0, out=out)
 
 
-def _modulus_squared(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|rows|^2 written into the float64 array ``out``."""
-    np.abs(rows, out=out)
-    return np.square(out, out=out)
-
-
-def _l2_rows(rows: np.ndarray, dx: float, work: np.ndarray) -> np.ndarray:
+def _l2_rows(rows: np.ndarray, dx: float, out: np.ndarray, work=None) -> np.ndarray:
     """Plain L^2 norm (sum_j |u_j|^2 dx)^(1/2) of each physical row; equal to
-    the s = 0 Sobolev norm by Parseval, without its transform.  ``work`` is
-    a float64 array of rows' shape, and may be rows itself when they are real."""
-    return np.sqrt(np.sum(_modulus_squared(rows, work), axis=-1) * dx)
+    the s = 0 Sobolev norm by Parseval, without its transform.  ``out`` and
+    ``work`` are float64 arrays of rows' shape for |rows|^2; ``out`` may be
+    rows itself when they are real, and then no ``work`` is needed."""
+    return np.sqrt(np.sum(modulus_squared(rows, out, work), axis=-1) * dx)
 
 
 def _workspace(shape: tuple[int, int], n_complex: int, n_real: int) -> list[np.ndarray]:
@@ -200,8 +196,8 @@ def picard_cgpe(
     # so it transforms only the cubic term forward and the new iterate back,
     # and the distance is taken of the spectra.  The spectra alternate
     # between two buffers; the scratch holds |u|^2 u, then the xi term,
-    # then the distance's difference, and the real pair |u|^2, then the
-    # distance's power spectrum
+    # then the distance's difference, and the real pair |u|^2 and the
+    # squared imaginary parts, then the distance's power spectrum
     xi_weight, cubic_weight, free_hat, next_hat, scratch, real_work = _workspace(prop.shape, 5, 2)
     # the forcing -(sigma + i) |u|^2 u + xi u, unwound and weighted: each
     # term's scalar is folded into the unwind weights (h/2) conj(S(t))
@@ -213,7 +209,7 @@ def picard_cgpe(
 
     def sweep(current):
         values, hat = current
-        density = _modulus_squared(values, real_work[0])
+        density = modulus_squared(values, real_work[0], real_work[1])
         forcing = dealiased_cubic_spectral(values, grid, density, work=scratch)
         forcing *= cubic_weight
         forcing += np.multiply(xi_weight, hat, out=scratch)
@@ -248,8 +244,10 @@ def picard_ep(
     pump = half * p.pump.values
     # the condensate iterate comes fresh from each inverse transform and
     # the reservoir iterate alternates between two buffers; the scratch
-    # holds |u|^2 u, then the linear forcing, then the distance's difference
-    weight, hat, scratch, (real_work, free_n, next_n) = _workspace(prop.shape, 3, 3)
+    # holds |u|^2 u, then the linear forcing, then the distance's difference;
+    # the first real plane holds |u|^2, then the reservoir forcing, and the
+    # second the squared imaginary parts
+    weight, hat, scratch, (real_work, im_work, free_n, next_n) = _workspace(prop.shape, 3, 4)
     np.conj(prop, out=weight)  # the unwind weights (h/2) conj(S(t))
     weight *= half
     free_n[:] = n0.values
@@ -257,7 +255,7 @@ def picard_ep(
     def sweep(current):
         cur_u, cur_n = current
         # |u|^2 feeds both the cubic term and the reservoir forcing
-        density = _modulus_squared(cur_u, real_work)
+        density = modulus_squared(cur_u, real_work, im_work)
         forcing = dealiased_cubic_spectral(cur_u, grid, density, work=scratch)
         forcing *= -1j * p.g
         linear = np.multiply(cur_n, p.R - 1j * p.lam, out=scratch)
@@ -275,7 +273,7 @@ def picard_ep(
         return new_u, new_n
 
     def distance(new, current):
-        du = _l2_rows(np.subtract(new[0], current[0], out=scratch), grid.dx, real_work)
+        du = _l2_rows(np.subtract(new[0], current[0], out=scratch), grid.dx, real_work, im_work)
         dn = _l2_rows(np.subtract(new[1], current[1], out=real_work), grid.dx, real_work)
         return float(np.max(du) + np.max(dn))
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid1D, bracket, smooth_bump, sobolev_weight
+from .grid import Grid1D, bracket, modulus_squared, smooth_bump, sobolev_weight
 
 __all__ = [
     "SpaceTimeField",
@@ -171,7 +171,9 @@ def _ys_weight(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.
 def _xsb(f: SpaceTimeField, coeff: np.ndarray, s: float, b: float, dispersion: str) -> float:
     weight = _xsb_weight(f.grid, f.n_time, f.t_span, s, b, dispersion)
     dk, dtau = _lattice_measures(f)
-    return float(np.sqrt(np.sum(weight * np.abs(coeff) ** 2) * dk * dtau))
+    power = modulus_squared(coeff)
+    power *= weight
+    return float(np.sqrt(np.sum(power) * dk * dtau))
 
 
 def xsb_norm(f: SpaceTimeField, s: float, b: float, dispersion: str = "schroedinger") -> float:
@@ -203,9 +205,8 @@ def l4_strichartz_ratio(f: SpaceTimeField) -> float:
     denominator = _xsb(f, _coefficients(f, windowed), 0.0, 0.375, "schroedinger")
     if denominator == 0.0:
         raise ValueError("zero field has no quartic ratio")
-    # |w|^4 as the square of re^2 + im^2: no modulus, no general power
-    density = np.square(windowed.real)
-    density += np.square(windowed.imag)
+    # |w|^4 as the square of |w|^2: no modulus, no general power
+    density = modulus_squared(windowed)
     quartic = float(np.sum(np.square(density, out=density)) * f.grid.dx * f.dt) ** 0.25
     return quartic / denominator
 

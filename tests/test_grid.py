@@ -11,6 +11,7 @@ from plsim.grid import (
     hs_norm,
     hs_norm_spectral,
     make_grid,
+    modulus_squared,
     random_band_limited,
     real_field,
 )
@@ -127,8 +128,36 @@ class TestTransform:
         assert grid.wavenumbers[1] == pytest.approx(1.0)
 
 
+def _density(u):
+    # |u|^2 as re^2 + im^2, the rounding the spectral kernel's default density has
+    return np.square(u.real) + np.square(u.imag)
+
+
 def _cubic(u):
-    return np.abs(u) ** 2 * u
+    return _density(u) * u
+
+
+class TestModulusSquared:
+    def test_is_re_squared_plus_im_squared_into_given_buffers(self):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        expected = _density(rows)
+        np.testing.assert_array_equal(modulus_squared(rows), expected)
+        out, work = np.empty((3, 16)), np.empty((3, 16))
+        assert modulus_squared(rows, out, work) is out
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(work, np.square(rows.imag))
+        # a few ulp from abs(rows)**2, which squares a rounded modulus
+        np.testing.assert_allclose(expected, np.abs(rows) ** 2, rtol=4 * np.finfo(float).eps)
+        strided = rows[:, ::2]
+        np.testing.assert_array_equal(modulus_squared(strided), _density(strided))
+
+    def test_real_samples_are_squared_in_place_if_asked(self):
+        rows = np.random.default_rng(5).standard_normal((2, 8))
+        expected = np.square(rows)
+        np.testing.assert_array_equal(modulus_squared(rows), expected)
+        assert modulus_squared(rows, rows) is rows
+        np.testing.assert_array_equal(rows, expected)
 
 
 class TestDealias:
@@ -173,7 +202,7 @@ class TestDealias:
         hat = dealiased_cubic_spectral(u, grid)
         np.testing.assert_array_equal(hat, np.where(mask, np.fft.fft(_cubic(u)), 0.0))
         # a caller that already has |u|^2 passes it in and gets the same bits
-        np.testing.assert_array_equal(dealiased_cubic_spectral(u, grid, np.abs(u) ** 2), hat)
+        np.testing.assert_array_equal(dealiased_cubic_spectral(u, grid, _density(u)), hat)
 
 
 class TestNorms:

@@ -1,5 +1,6 @@
 """Strang steppers: exact substeps, splitting order, positivity, blow-up."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,17 +130,42 @@ class TestDispersionHalfStep:
         np.testing.assert_array_equal(dispersion_half_step(real, 0.2).values,
                                       dispersion_half_step(Field(grid, u.real + 0j), 0.2).values)
 
+    def test_dense_step_allocates_little_beyond_its_output(self):
+        # the 1 KiB output, its Field and a view come to ~1.6 KB; a step that
+        # assembles its result from separate (re, im) products takes ~3.6 KB
+        grid = make_grid(64, TWO_PI)
+        rng = np.random.default_rng(5)
+        f = Field(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        dispersion_half_step(f, 1e-3)  # the memo entry is built outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = dispersion_half_step(f, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == 1024
+        assert peak < 2560
+
+
+def interleaved_circulant(grid, dt):
+    """C = F^-1 diag(exp(-i k^2 dt/2)) F, built afresh, as the real (2N, 2N)
+    operator on interleaved (re, im) samples: [[Re C, -Im C], [Im C, Re C]]
+    on the stacked (re, im) halves, with rows and columns interleaved."""
+    n = grid.n_points
+    column = np.fft.ifft(free_propagator(0.5 * dt, grid))
+    circulant = np.array([np.roll(column, j) for j in range(n)]).T  # C[i, j] = column[i - j]
+    stacked = np.block([[circulant.real, -circulant.imag], [circulant.imag, circulant.real]])
+    interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+    return stacked[np.ix_(interleave, interleave)]
+
 
 def uncached_half_step(values, grid, dt):
     """The half-step through a freshly built operator of the kind production picks for grid."""
-    n = grid.n_points
-    if n > DENSE_HALF_STEP_MAX_POINTS:
+    if grid.n_points > DENSE_HALF_STEP_MAX_POINTS:
         return np.fft.ifft(free_propagator(0.5 * dt, grid) * np.fft.fft(values))
-    products = _half_step_matrix.__wrapped__(grid, dt) @ np.column_stack([values.real, values.imag])
-    out = np.empty(n, dtype=complex)
-    out.real = products[:n, 0] - products[n:, 1]
-    out.imag = products[:n, 1] + products[n:, 0]
-    return out
+    pairs = np.column_stack([values.real, values.imag]).ravel()
+    return (interleaved_circulant(grid, dt) @ pairs).view(complex)
 
 
 class TestHalfStepMultiplierCache:
@@ -150,9 +176,23 @@ class TestHalfStepMultiplierCache:
 
     def test_shared_matrix_is_read_only(self):
         matrix = _half_step_matrix(make_grid(16, TWO_PI), 0.1)
-        assert matrix.shape == (32, 16)
+        assert matrix.shape == (32, 32)
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n_points", [4, 16, 64])
+    def test_matrix_is_the_circulant_in_two_by_two_blocks(self, n_points):
+        # entry c of C = F^-1 diag(m) F is the block [[Re c, -Im c], [Im c, Re c]]
+        grid = make_grid(n_points, 3.0)
+        matrix = _half_step_matrix(grid, 0.37)
+        column = np.fft.ifft(_half_step_multiplier(grid, 0.37))
+        rows, cols = np.indices((n_points, n_points))
+        circulant = column[(rows - cols) % n_points]
+        assert matrix.shape == (2 * n_points, 2 * n_points)
+        np.testing.assert_array_equal(matrix[0::2, 0::2], circulant.real)
+        np.testing.assert_array_equal(matrix[1::2, 1::2], circulant.real)
+        np.testing.assert_array_equal(matrix[1::2, 0::2], circulant.imag)
+        np.testing.assert_array_equal(matrix[0::2, 1::2], -circulant.imag)
 
     def test_equal_n_different_length_get_different_entries(self):
         short, wide = make_grid(64, 1.0), make_grid(64, 2.0)
@@ -575,7 +615,9 @@ class TestIntegrate:
             CgpeState(u=gaussian_field(grid, 0.8)), dt=1e-2, t_end=0.5, sample_every=7,
             params=CgpeParams(1.0, 1.0),
         )
-        expected = [float(np.sum(np.abs(s.u.values) ** 2) * grid.dx) for s in traj.states]
+        # the density is re^2 + im^2, so the sum matches bit for bit
+        expected = [float(np.sum(np.square(s.u.values.real) + np.square(s.u.values.imag)) * grid.dx)
+                    for s in traj.states]
         np.testing.assert_array_equal(traj.diagnostics.mass, expected)
 
     def test_sampled_l4_is_fourth_power_sum_of_sampled_state(self):
