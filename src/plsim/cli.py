@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from array import array
+from functools import cache
 
 import numpy as np
 
@@ -413,7 +414,9 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="plsim",
         description="Spectral simulation and verification toolkit for "

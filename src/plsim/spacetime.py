@@ -56,6 +56,13 @@ WEIGHT_CACHE_SIZE = 8
 DE_STEP = 1.0 / 64
 DE_HALF_RANGE = 6.0
 
+# Padded lattice points (see constrained_pair_sum) per stack of scan samples.
+# A stack pays the per-call cost of the kernel once for all its samples,
+# but once its arrays pass the allocator's 128 KiB mmap threshold every
+# stack is paged in afresh and loses to smaller ones: at this cap size 8
+# goes through 85 samples at a time, size 32 five, and size 64 and up one.
+SCAN_STACK_POINTS = 3 * 2**12
+
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
@@ -90,16 +97,25 @@ class SpaceTimeField:
         return self.t_span / self.n_time
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def time_window_profile(n_time: int) -> np.ndarray:
     """Smooth bump over the sampled span: 1 on the middle half, tapering
-    as exp(1 - 1/(1 - r^2)) across the outer quarter on each side."""
+    as exp(1 - 1/(1 - r^2)) across the outer quarter on each side.
+
+    Built once per n_time and shared read-only.
+    """
     u = np.arange(n_time) / n_time
     r = np.zeros(n_time)
     left = u < 0.25
     right = u > 0.75
     r[left] = (0.25 - u[left]) / 0.25
     r[right] = (u[right] - 0.75) / 0.25
-    return smooth_bump(r)
+    return _read_only(smooth_bump(r))
 
 
 def _windowed(f: SpaceTimeField) -> np.ndarray:
@@ -135,11 +151,6 @@ def _phi(kind: str, k: np.ndarray) -> np.ndarray:
 
 def _lattice_measures(f: SpaceTimeField) -> tuple[float, float]:
     return 2.0 * np.pi / f.grid.length, 2.0 * np.pi / f.t_span
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def _modulation_bracket(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.ndarray:
@@ -292,7 +303,14 @@ def _fast_length(n: int) -> int:
         n += 1
 
 
-def constrained_pair_sum(outer: np.ndarray, difference: np.ndarray, inner: np.ndarray) -> float:
+def _padded_shape(n_xi: int, n_tau: int) -> tuple[int, int]:
+    """The FFT lengths of constrained_pair_sum on an n_xi x n_tau lattice."""
+    return _fast_length(n_xi + n_xi // 2), _fast_length(n_tau + n_tau // 2)
+
+
+def constrained_pair_sum(
+    outer: np.ndarray, difference: np.ndarray, inner: np.ndarray
+) -> float | np.ndarray:
     """Sum of outer[p1] * difference[p1 - p2] * inner[p2] over a common lattice.
 
     Indices run over a centered integer (xi, tau) lattice; pairs whose
@@ -304,17 +322,22 @@ def constrained_pair_sum(outer: np.ndarray, difference: np.ndarray, inner: np.nd
     linear convolution at offsets n//2 ... n//2 + n - 1, and from that
     length on no term of the full (2n - 1)-long convolution wraps onto it,
     so the direct O(N^2 M^2) sum is reproduced up to rounding.
+
+    The lattice is the last two axes.  A stack (..., n_xi, n_tau) of
+    samples is transformed as one and gives an array of one sum per
+    sample; a single (n_xi, n_tau) lattice gives a float.
     """
-    if not (outer.shape == difference.shape == inner.shape) or outer.ndim != 2:
+    if not (outer.shape == difference.shape == inner.shape) or outer.ndim < 2:
         raise ValueError(
             f"lattice mismatch: {outer.shape}, {difference.shape}, {inner.shape}"
         )
-    n_xi, n_tau = outer.shape
-    padded = tuple(_fast_length(n + n // 2) for n in outer.shape)
+    n_xi, n_tau = outer.shape[-2:]
+    padded = _padded_shape(n_xi, n_tau)
     spectrum = np.fft.rfft2(difference, padded) * np.fft.rfft2(inner, padded)
     conv = np.fft.irfft2(spectrum, padded)
-    core = conv[n_xi // 2 : n_xi // 2 + n_xi, n_tau // 2 : n_tau // 2 + n_tau]
-    return float(np.sum(outer * core))
+    core = conv[..., n_xi // 2 : n_xi // 2 + n_xi, n_tau // 2 : n_tau // 2 + n_tau]
+    sums = np.sum(outer * core, axis=(-2, -1))
+    return float(sums) if outer.ndim == 2 else sums
 
 
 @lru_cache(maxsize=WEIGHT_CACHE_SIZE)
@@ -333,7 +356,7 @@ def _trilinear_weights(
 
 def trilinear_form(
     v: np.ndarray, v1: np.ndarray, v2: np.ndarray, params: TrilinearParams
-) -> float:
+) -> float | np.ndarray:
     """Constrained double lattice sum with modulation-bracket weights.
 
     The three arrays live on a common centered integer (xi, tau) lattice,
@@ -342,15 +365,18 @@ def trilinear_form(
     with the first factor evaluated at (xi1 - xi2, tau1 - tau2), weighted
 
         <xi1>^k / (<tau>^a <tau1 + xi1^2>^a1 <tau2 + xi2^2>^a2 <xi2>^k <xi>^l).
+
+    Stacks (..., n_xi, n_tau) of samples give one sum per sample, as in
+    constrained_pair_sum.
     """
     v = np.asarray(v, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if not (v.shape == v1.shape == v2.shape) or v.ndim != 2:
+    if not (v.shape == v1.shape == v2.shape) or v.ndim < 2:
         raise ValueError(f"lattice mismatch: {v.shape}, {v1.shape}, {v2.shape}")
-    if np.any(v < 0) or np.any(v1 < 0) or np.any(v2 < 0):
+    if min(v.min(), v1.min(), v2.min()) < 0.0:
         raise ValueError("lattice data must be nonnegative")
-    w1, w0, w2 = _trilinear_weights(*v.shape, params)
+    w1, w0, w2 = _trilinear_weights(*v.shape[-2:], params)
     return constrained_pair_sum(v1 * w1, v * w0, v2 * w2)
 
 
@@ -369,7 +395,9 @@ def trilinear_ratio_scan(
 
     Each sample draws three nonnegative square lattices from a generator
     keyed by (seed, size, sample index), so results are reproducible and
-    independent of the size list ordering.
+    independent of the size list ordering.  Samples go through
+    trilinear_form in stacks of at most SCAN_STACK_POINTS padded lattice
+    points; the stacking changes the sums at most in rounding.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -377,14 +405,24 @@ def trilinear_ratio_scan(
     for size in sizes:
         if size < 4:
             raise ValueError(f"lattice size must be >= 4, got {size}")
+        p_xi, p_tau = _padded_shape(size, size)
+        stack = max(1, SCAN_STACK_POINTS // (p_xi * p_tau))
         best = 0.0
-        for j in range(samples):
-            rng = np.random.default_rng([seed, size, j])
-            v, v1, v2 = (np.abs(rng.standard_normal((size, size))) for _ in range(3))
-            denom = float(np.linalg.norm(v) * np.linalg.norm(v1) * np.linalg.norm(v2))
-            if denom == 0.0:
-                continue
-            best = max(best, trilinear_form(v, v1, v2, params) / denom)
+        for first in range(0, samples, stack):
+            # draws[b] holds sample first + b's v, v1 and v2, in draw order
+            draws = np.empty((min(stack, samples - first), 3, size, size))
+            for b, sample in enumerate(draws):
+                np.random.default_rng([seed, size, first + b]).standard_normal(out=sample)
+            np.abs(draws, out=draws)
+            # the squared L^2 norms as one stack of row-by-column products:
+            # per lattice the BLAS dot of np.linalg.norm, in a single call
+            flat = draws.reshape(-1, size * size)
+            norms = np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(-1, 3)
+            denoms = norms[:, 0] * norms[:, 1] * norms[:, 2]
+            sums = trilinear_form(draws[:, 0], draws[:, 1], draws[:, 2], params)
+            for total, denom in zip(sums.tolist(), denoms.tolist()):
+                if denom > 0.0:
+                    best = max(best, total / denom)
         rows.append(ScanRow(size=size, seed=seed, ratio=best, admissible=params.admissible()))
     return rows
 

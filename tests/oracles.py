@@ -3,7 +3,8 @@
 Each is the textbook form of something ``src/`` computes a faster way, and
 no code in the package calls them: the model right-hand sides in physical
 space, the spectral Laplacian, the dealiased cubic term back in physical
-space, the plain L^p norms, the sampled free flow, the labels of the
+space, the plain L^p norms, the free propagator as one complex
+exponential, the sampled free flow, the labels of the
 time-frequency lattice, and the Picard sweeps of both models built from
 out-of-place temporaries; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
@@ -49,6 +50,11 @@ def laplacian(field: Field) -> Field:
     k = field.grid.wavenumbers
     hat = np.fft.fft(field.values)
     return field.with_values(np.fft.ifft(-(k**2) * hat))
+
+
+def free_propagator_exp(times, grid) -> np.ndarray:
+    """exp(-i k^2 t) as one complex exponential over every mode, one row per time."""
+    return np.exp(-1j * np.multiply.outer(times, grid.wavenumbers**2))
 
 
 def dealiased_cubic(rows: np.ndarray, grid) -> np.ndarray:

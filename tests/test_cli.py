@@ -27,6 +27,7 @@ from plsim.picard import (
     picard_cgpe,
     picard_ep,
 )
+from plsim.spacetime import default_trilinear_params, trilinear_ratio_scan
 from plsim.storage import CHECKPOINT_MAGIC, read_checkpoint, read_diagnostics_csv, write_checkpoint
 
 TWO_PI = 2.0 * np.pi
@@ -538,6 +539,25 @@ class TestNorms:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "l4_scan.csv").read_bytes() == (out2 / "l4_scan.csv").read_bytes()
+
+    def test_scans_in_one_process_share_no_state(self, tmp_path):
+        # the parser is built once per process: the second command must see
+        # its own defaults, not the first one's options
+        assert plsim.cli.build_parser() is plsim.cli.build_parser()
+        l4_out, tri_out = tmp_path / "l4", tmp_path / "tri"
+        assert main(["norms", "--l4-scan", "16:16", "--samples", "3", "--seed", "9",
+                     "--out", str(l4_out)]) == 0
+        assert main(["norms", "--trilinear-scan", "8,16", "--out", str(tri_out)]) == 0
+        assert sorted(p.name for p in l4_out.glob("*.csv")) == ["l4_scan.csv"]
+        assert sorted(p.name for p in tri_out.glob("*.csv")) == ["trilinear_scan.csv"]
+        l4_rows = (l4_out / "l4_scan.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[:4] for row in l4_rows] == [["16", "16", "3", "9"]]
+        # the trilinear defaults: 50 samples, seed 0, eps 0.05
+        expected = trilinear_ratio_scan(default_trilinear_params(0.05), [8, 16], 50, 0)
+        tri_rows = (tri_out / "trilinear_scan.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[:2] for row in tri_rows] == [["8", "0"], ["16", "0"]]
+        for row, ref in zip(tri_rows, expected, strict=True):
+            assert float(row.split(",")[2]) == pytest.approx(ref.ratio, rel=1e-12)
 
     @pytest.mark.parametrize("argv, message", [
         (["--l4-scan", "16:16", "--samples", "0"], "--samples: need at least one sample, got 0"),

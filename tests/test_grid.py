@@ -17,7 +17,14 @@ from plsim.grid import (
 )
 from plsim.models import CgpeParams
 
-from oracles import cgpe_rhs, dealiased_cubic, free_evolution, laplacian, lp_norm
+from oracles import (
+    cgpe_rhs,
+    dealiased_cubic,
+    free_evolution,
+    free_propagator_exp,
+    laplacian,
+    lp_norm,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,8 +294,27 @@ class TestFreePropagator:
     def test_matches_outer_product_form(self):
         grid = make_grid(16, TWO_PI)
         times = np.linspace(0.0, 0.4, 5)
-        expected = np.exp(-1j * np.outer(times, grid.wavenumbers**2))
-        np.testing.assert_array_equal(free_propagator(times, grid), expected)
+        np.testing.assert_array_equal(free_propagator(times, grid), free_propagator_exp(times, grid))
+
+    # cos and sin of the half-spectrum phase are the parts numpy's complex
+    # exponential takes, so the bits agree, signed zeros included
+    @pytest.mark.parametrize("n_points", [4, 64, 4096])
+    @pytest.mark.parametrize("times", [
+        0.0,
+        -0.0,
+        -2.5,
+        1e6,
+        np.linspace(0.0, 0.02, 65),
+        np.linspace(-1e6, 1e6, 9),
+        np.array([-1e6, -0.0, 0.0, 1e-300, 0.7, 3.3e5, 1e6]),
+        np.random.default_rng(5).uniform(-1e6, 1e6, (3, 11)),
+    ], ids=["zero", "negative_zero", "negative", "1e6", "picard_65", "wide_9", "edges_7", "block_3x11"])
+    def test_bitwise_equal_to_complex_exponential(self, n_points, times):
+        grid = make_grid(n_points, 7.3)
+        rows = free_propagator(times, grid)
+        expected = free_propagator_exp(times, grid)
+        assert rows.shape == expected.shape and rows.dtype == np.complex128
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestRandomBandLimited:

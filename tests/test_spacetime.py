@@ -77,6 +77,13 @@ class TestWindow:
         assert np.all(psi >= 0.0) and np.all(psi <= 1.0)
         np.testing.assert_allclose(psi[1:], psi[:0:-1], atol=1e-15)  # even about center
 
+    def test_profile_built_once_per_length_and_read_only(self):
+        psi = time_window_profile(48)
+        assert time_window_profile(48) is psi
+        assert time_window_profile(40) is not psi
+        with pytest.raises(ValueError, match="read-only"):
+            psi[0] = 1.0
+
     def test_transform_windows_unwindowed_input(self):
         # exactly once: the transform of the once-windowed samples, bit for bit
         grid = make_grid(16, TWO_PI)
@@ -339,6 +346,69 @@ class TestConstrainedPairSum:
         )
 
 
+def random_stacks(shape, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(np.abs(rng.standard_normal(shape)) for _ in range(3))
+
+
+class TestStackedKernels:
+    """A (..., n_xi, n_tau) stack gives, per sample, the sum of that sample alone."""
+
+    @pytest.mark.parametrize("shape", [(7, 4, 4), (3, 9, 16), (2, 3, 13, 6), (1, 8, 8)])
+    def test_constrained_pair_sum_per_sample(self, shape):
+        outer, difference, inner = random_stacks(shape, list(shape))
+        sums = constrained_pair_sum(outer, difference, inner)
+        assert sums.shape == shape[:-2]
+        for index in np.ndindex(*shape[:-2]):
+            single = constrained_pair_sum(outer[index], difference[index], inner[index])
+            assert sums[index] == pytest.approx(single, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (4, 5, 7), (2, 2, 6, 6)])
+    def test_trilinear_form_per_sample(self, shape):
+        p = TrilinearParams(k=0.4, l=-0.3, a=0.35, a1=0.45, a2=0.55)
+        v, v1, v2 = random_stacks(shape, 11)
+        sums = trilinear_form(v, v1, v2, p)
+        assert sums.shape == shape[:-2]
+        for index in np.ndindex(*shape[:-2]):
+            assert sums[index] == pytest.approx(
+                trilinear_form(v[index], v1[index], v2[index], p), rel=1e-14, abs=0.0
+            )
+
+    def test_strided_stack_matches_contiguous(self):
+        p = default_trilinear_params()
+        draws = np.abs(np.random.default_rng(4).standard_normal((6, 3, 8, 8)))
+        sums = trilinear_form(draws[:, 0], draws[:, 1], draws[:, 2], p)
+        contiguous = trilinear_form(*(np.ascontiguousarray(draws[:, i]) for i in range(3)), p)
+        np.testing.assert_array_equal(sums, contiguous)
+
+    def test_single_lattice_gives_python_float(self):
+        outer, difference, inner = random_stacks((6, 5), 2)
+        assert type(constrained_pair_sum(outer, difference, inner)) is float
+        assert type(trilinear_form(outer, difference, inner, default_trilinear_params())) is float
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4, 4), (3, 4, 4), (2, 4, 4)),
+        ((3, 4, 4), (4, 4), (3, 4, 4)),
+        ((2, 4, 5), (2, 4, 5), (2, 5, 4)),
+        ((4,), (4,), (4,)),
+        ((), (), ()),
+    ], ids=["stack_count", "stack_vs_single", "lattice", "one_axis", "scalar"])
+    def test_mismatch_and_too_few_axes_rejected(self, shapes):
+        p = default_trilinear_params()
+        arrays = [np.ones(shape) for shape in shapes]
+        with pytest.raises(ValueError, match="mismatch"):
+            constrained_pair_sum(*arrays)
+        with pytest.raises(ValueError, match="mismatch"):
+            trilinear_form(*arrays, p)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_negative_entry_of_any_sample_rejected(self, position):
+        arrays = [np.ones((4, 5, 5)) for _ in range(3)]
+        arrays[position][3, 2, 1] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            trilinear_form(*arrays, default_trilinear_params())
+
+
 class TestTrilinearForm:
     def test_delta_masses(self):
         n = 4
@@ -423,6 +493,37 @@ class TestTrilinearScan:
         growth_bad = bad[1].ratio / bad[0].ratio
         # comparative observation, recorded rather than asserted as a theorem
         assert growth_bad > growth_good
+
+    def test_rows_do_not_depend_on_size_order(self):
+        p = default_trilinear_params()
+        forward = trilinear_ratio_scan(p, [8, 16, 24], samples=12, seed=3)
+        backward = trilinear_ratio_scan(p, [24, 16, 8], samples=12, seed=3)
+        assert forward == backward[::-1]
+
+    @pytest.mark.parametrize("stack_points", [1, 1000, 2**30], ids=["one", "several", "all"])
+    def test_rows_do_not_depend_on_stacking(self, monkeypatch, stack_points):
+        # 1000 padded points hold 6 samples of size 8 (12 x 12 padded) and
+        # 2 of size 16 (24 x 24): 12 samples fill several stacks, one short
+        p = default_trilinear_params()
+        reference = trilinear_ratio_scan(p, [8, 16], samples=12, seed=5)
+        monkeypatch.setattr(plsim.spacetime, "SCAN_STACK_POINTS", stack_points)
+        rows = trilinear_ratio_scan(p, [8, 16], samples=12, seed=5)
+        for row, ref in zip(rows, reference, strict=True):
+            assert (row.size, row.seed, row.admissible) == (ref.size, ref.seed, ref.admissible)
+            assert row.ratio == pytest.approx(ref.ratio, rel=1e-14, abs=0.0)
+
+    def test_ratio_is_max_over_per_sample_draws(self):
+        # each sample draws v, v1, v2 in turn from its own generator
+        p = default_trilinear_params()
+        for size in (8, 16):
+            ratios = []
+            for j in range(7):
+                rng = np.random.default_rng([2, size, j])
+                v, v1, v2 = (np.abs(rng.standard_normal((size, size))) for _ in range(3))
+                norms = np.linalg.norm(v) * np.linalg.norm(v1) * np.linalg.norm(v2)
+                ratios.append(trilinear_form(v, v1, v2, p) / norms)
+            (row,) = trilinear_ratio_scan(p, [size], samples=7, seed=2)
+            assert row.ratio == pytest.approx(max(ratios), rel=1e-14, abs=0.0)
 
     def test_parameter_validation(self):
         p = default_trilinear_params()
