@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from array import array
-from functools import cache
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .config import (
     load_config,
 )
 from .diagnostics import DiagnosticsSeries
-from .grid import hs_norm, make_grid
+from .grid import hs_norm, make_grid, memo
 from .integrators import BlowUpError, CgpeState, EpState, iter_samples, step_count
 from .picard import (
     TimeMesh,
@@ -81,6 +80,15 @@ def _fail(message: str) -> int:
 def _finite_or_none(value: float) -> float | None:
     """value, or None (JSON null) when it is not finite."""
     return value if np.isfinite(value) else None
+
+
+def _not_finite(args, *names: str) -> str | None:
+    """An error naming the first of the float options that is nan or infinite."""
+    for name in names:
+        value = getattr(args, name)
+        if not np.isfinite(value):
+            return f"--{name} must be finite, got {value}"
+    return None
 
 
 def _stops_early(diagnostics: DiagnosticsSeries, config) -> bool:
@@ -192,6 +200,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_picard(args) -> int:
+    if message := _not_finite(args, "s"):
+        return _fail(message)
     config = load_config(args.config)
     if config.model == "ep" and args.s != 0.0:
         return _fail("--s applies to the cgpe model only; ep distances are plain L2")
@@ -203,6 +213,10 @@ def cmd_picard(args) -> int:
         return _fail(f"--n-nodes: {args.n_nodes} nodes x {grid.n_points} points exceeds "
                      f"{MAX_N_POINTS} lattice points")
     u0 = build_initial_u(config, grid, args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial_norm = hs_norm(u0, args.s)
+    if not np.isfinite(initial_norm):  # <k>^(2s) overflows: every distance would too
+        return _fail(f"--s {args.s:g}: the H^s norm of the initial data overflows")
 
     def run_at(delta: float):
         mesh = TimeMesh(delta, args.n_nodes)
@@ -258,15 +272,21 @@ def cmd_picard(args) -> int:
 
 
 def _norms_from_checkpoints(args, out_dir: str) -> int:
-    rows = []
+    if message := _not_finite(args, "s", "b"):
+        return _fail(message)
     loaded = []
     for path in args.checkpoints:
         u, n, header = read_checkpoint(path)
         loaded.append((path, u, header))
-        rows.append((os.path.basename(path), header["time"], hs_norm(u, args.s)))
-    write_csv(os.path.join(out_dir, "spatial_norms.csv"), ["file", "t", "hs_norm"], rows)
-    print(f"wrote spatial norms for {len(rows)} checkpoints")
+    # every norm is taken before any table is written; a weight that
+    # overflows for a large --s or --b is an error, not an inf in a table
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [(os.path.basename(path), header["time"], hs_norm(u, args.s))
+                for path, u, header in loaded]
+    if not all(np.isfinite(row[2]) for row in rows):
+        return _fail(f"--s {args.s:g}: an H^s norm overflows")
 
+    spacetime_row = None
     if len(loaded) >= 8:
         times = np.array([header["time"] for _, _, header in loaded])
         spacing = np.diff(times)
@@ -278,21 +298,21 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         values = np.stack([u.values for _, u, _ in loaded])
         t_span = float(spacing[0] * len(loaded))
         f = SpaceTimeField(loaded[0][1].grid, t_span, values)
-        row = (
-            len(loaded),
-            t_span,
-            args.s,
-            args.b,
-            args.dispersion,
-            xsb_norm(f, args.s, args.b, args.dispersion),
-            ys_norm(f, args.s, args.dispersion),
-            l4_strichartz_ratio(f),
-            "windowed_surrogate",
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = (xsb_norm(f, args.s, args.b, args.dispersion),
+                        ys_norm(f, args.s, args.dispersion))
+        if not np.all(np.isfinite(weighted)):
+            return _fail(f"--s {args.s:g} with --b {args.b:g}: a space-time norm overflows")
+        spacetime_row = (len(loaded), t_span, args.s, args.b, args.dispersion, *weighted,
+                         l4_strichartz_ratio(f), "windowed_surrogate")
+
+    write_csv(os.path.join(out_dir, "spatial_norms.csv"), ["file", "t", "hs_norm"], rows)
+    print(f"wrote spatial norms for {len(rows)} checkpoints")
+    if spacetime_row is not None:
         write_csv(
             os.path.join(out_dir, "spacetime_norms.csv"),
             ["n_time", "t_span", "s", "b", "dispersion", "xsb_norm", "ys_norm", "l4_ratio", "norm_kind"],
-            [row],
+            [spacetime_row],
         )
         print("wrote space-time norms (windowed surrogate of the restricted norms)")
     return 0
@@ -414,7 +434,7 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-@cache
+@memo
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(

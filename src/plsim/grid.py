@@ -10,7 +10,7 @@ the resolution grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -36,14 +36,31 @@ __all__ = [
 _FLOAT64 = np.dtype(np.float64)
 _COMPLEX128 = np.dtype(np.complex128)
 
-# Distinct grids (and Sobolev indices) whose data-independent spectral
-# arrays are kept; an analysis uses one or two grids.
-GRID_CACHE_SIZE = 8
+# Distinct arguments whose results each memo keeps: an analysis uses one to
+# three lattices, a run one (grid, dt) pair and a dt-halving study a few.
+MEMO_SIZE = 8
 
 
 def bracket(x):
     """Japanese bracket <x> = (1 + |x|^2)^(1/2), elementwise."""
     return np.sqrt(1.0 + np.abs(np.asarray(x, dtype=float)) ** 2)
+
+
+def memo(builder):
+    """builder memoised on its arguments, keeping the MEMO_SIZE most recently
+    used results; every ndarray of a result (one array or a tuple of them) is
+    made read-only when built, since callers share it.  The lru_cache is the
+    outer layer, so a hit costs what a bare lru_cache hit costs."""
+
+    @wraps(builder)
+    def build(*args):
+        result = builder(*args)
+        for part in result if isinstance(result, tuple) else (result,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        return result
+
+    return lru_cache(maxsize=MEMO_SIZE)(build)
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ def dealias_mask(grid: Grid1D) -> np.ndarray:
     return np.abs(k) <= cutoff
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
+@memo
 def _aliased_modes(grid: Grid1D) -> slice:
     """The modes dealias_mask drops, built once per grid as one slice: |k|
     peaks mid-array in DFT order, so they are contiguous."""
@@ -147,12 +164,10 @@ def _aliased_modes(grid: Grid1D) -> slice:
     return slice(int(dropped[0]), int(dropped[-1]) + 1)
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
+@memo
 def sobolev_weight(grid: Grid1D, s: float) -> np.ndarray:
     """<k>^(2s) on the grid's wavenumbers, built once per (grid, s) and shared read-only."""
-    weight = bracket(grid.wavenumbers) ** (2.0 * s)
-    weight.setflags(write=False)
-    return weight
+    return bracket(grid.wavenumbers) ** (2.0 * s)
 
 
 def hs_norm(field: Field, s: float) -> float:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries
-from .grid import Field, Grid1D, free_propagator, modulus_squared, real_field
+from .grid import Field, Grid1D, free_propagator, memo, modulus_squared, real_field
 from .models import CgpeParams, EpParams, _local_flow_factors
 
 __all__ = [
@@ -42,12 +41,6 @@ __all__ = [
 # A run is declared blown up once its mass exceeds this multiple of the
 # initial mass, or any state value stops being finite.
 BLOWUP_MASS_FACTOR = 1e6
-
-# Distinct (grid, dt) pairs whose half-step multipliers, and half-step
-# matrices on grids up to DENSE_HALF_STEP_MAX_POINTS, are kept.  A run
-# steps with one pair and a dt-halving study with a few; a multiplier holds
-# at most 64 KiB (N=4096) and a matrix at most 128 KiB (N=64).
-HALF_STEP_CACHE_SIZE = 8
 
 # Largest grid whose half-step is one dense real matrix-vector product
 # instead of an FFT pair.  Up to it numpy's per-call FFT overhead, not
@@ -100,15 +93,13 @@ class BlowUpError(RuntimeError):
         self.steps = steps
 
 
-@lru_cache(maxsize=HALF_STEP_CACHE_SIZE)
+@memo
 def _half_step_multiplier(grid: Grid1D, dt: float) -> np.ndarray:
     """exp(-i k^2 dt / 2) on grid, built once per (grid, dt) and shared read-only."""
-    multiplier = free_propagator(0.5 * dt, grid)
-    multiplier.setflags(write=False)
-    return multiplier
+    return free_propagator(0.5 * dt, grid)
 
 
-@lru_cache(maxsize=HALF_STEP_CACHE_SIZE)
+@memo
 def _half_step_matrix(grid: Grid1D, dt: float) -> np.ndarray:
     """The circulant C = F^-1 diag(multiplier) F as the real (2N, 2N) matrix
     that acts on u's interleaved (re, im) samples, shared read-only: each
@@ -120,7 +111,6 @@ def _half_step_matrix(grid: Grid1D, dt: float) -> np.ndarray:
     matrix[0::2, 0::2] = matrix[1::2, 1::2] = circulant.real
     matrix[1::2, 0::2] = circulant.imag
     np.negative(circulant.imag, out=matrix[0::2, 1::2])
-    matrix.setflags(write=False)
     return matrix
 
 

@@ -18,11 +18,10 @@ rest of the package uses as exact test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, real_field
+from .grid import Field, memo, real_field
 
 __all__ = [
     "CgpeParams",
@@ -31,10 +30,6 @@ __all__ = [
     "cgpe_flat_closed_form",
     "ep_homogeneous_fixed_point",
 ]
-
-# Distinct (dt, xi) pairs whose local-flow gain scalars are kept: a run
-# steps with one pair, a dt-halving study with a few.
-FLOW_SCALAR_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ class EpParams:
             raise ValueError("pump must be nonnegative")
 
 
-@lru_cache(maxsize=FLOW_SCALAR_CACHE_SIZE)
+@memo
 def _gain_scalars(dt: float, xi: float):
     """(dt expm1(x)/x, e^{xi dt}) with x = 2 xi dt, built once per (dt, xi).
 

@@ -18,11 +18,10 @@ two-bracket line integral J used to control its kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid1D, bracket, modulus_squared, smooth_bump, sobolev_weight
+from .grid import Grid1D, bracket, memo, modulus_squared, smooth_bump, sobolev_weight
 
 __all__ = [
     "SpaceTimeField",
@@ -44,10 +43,6 @@ __all__ = [
 
 # dispersion relations phi(k) of the modulation weight <tau + phi(k)>
 DISPERSIONS = ("schroedinger", "none")
-
-# Distinct lattices (with exponents) whose norm weights are kept: a norms
-# table or a scan uses one to three of them.
-WEIGHT_CACHE_SIZE = 8
 
 # Step and half-range in t of bracket_pair_integral's double-exponential
 # rule: 769 nodes.  The outermost tail node sits at |y| ~ 1e137, inside the
@@ -97,12 +92,7 @@ class SpaceTimeField:
         return self.t_span / self.n_time
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
-@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+@memo
 def time_window_profile(n_time: int) -> np.ndarray:
     """Smooth bump over the sampled span: 1 on the middle half, tapering
     as exp(1 - 1/(1 - r^2)) across the outer quarter on each side.
@@ -115,7 +105,7 @@ def time_window_profile(n_time: int) -> np.ndarray:
     right = u > 0.75
     r[left] = (0.25 - u[left]) / 0.25
     r[right] = (u[right] - 0.75) / 0.25
-    return _read_only(smooth_bump(r))
+    return smooth_bump(r)
 
 
 def _windowed(f: SpaceTimeField) -> np.ndarray:
@@ -153,30 +143,25 @@ def _lattice_measures(f: SpaceTimeField) -> tuple[float, float]:
     return 2.0 * np.pi / f.grid.length, 2.0 * np.pi / f.t_span
 
 
-def _modulation_bracket(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.ndarray:
-    """<tau + phi(k)> on the (k, tau) lattice."""
-    modulation = _tau(n_time, t_span)[None, :] + _phi(dispersion, grid.wavenumbers)[:, None]
-    return bracket(modulation)
-
-
 # The norm weights depend on the lattice (grid, n_time, t_span), the
 # exponents and the dispersion only, so each is built once and shared
 # read-only by every field on that lattice.
 
 
-@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+@memo
+def _modulation_bracket(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.ndarray:
+    """<tau + phi(k)> on the (k, tau) lattice, the divisor of the inner l^1 sum of ys_norm."""
+    modulation = _tau(n_time, t_span)[None, :] + _phi(dispersion, grid.wavenumbers)[:, None]
+    return bracket(modulation)
+
+
+@memo
 def _xsb_weight(
     grid: Grid1D, n_time: int, t_span: float, s: float, b: float, dispersion: str
 ) -> np.ndarray:
     """<k>^(2s) <tau + phi(k)>^(2b) on the (k, tau) lattice."""
     modulation = _modulation_bracket(grid, n_time, t_span, dispersion)
-    return _read_only(sobolev_weight(grid, s)[:, None] * modulation ** (2.0 * b))
-
-
-@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
-def _ys_weight(grid: Grid1D, n_time: int, t_span: float, dispersion: str) -> np.ndarray:
-    """<tau + phi(k)>, the divisor of the inner l^1 sum of ys_norm."""
-    return _read_only(_modulation_bracket(grid, n_time, t_span, dispersion))
+    return sobolev_weight(grid, s)[:, None] * modulation ** (2.0 * b)
 
 
 def _xsb(f: SpaceTimeField, coeff: np.ndarray, s: float, b: float, dispersion: str) -> float:
@@ -199,7 +184,7 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float, dispersion: str = "schroedin
 def ys_norm(f: SpaceTimeField, s: float, dispersion: str = "schroedinger") -> float:
     """l^1 in the modulation variable inside, weighted l^2 over k outside."""
     coeff = spacetime_transform(f)
-    modulation = _ys_weight(f.grid, f.n_time, f.t_span, dispersion)
+    modulation = _modulation_bracket(f.grid, f.n_time, f.t_span, dispersion)
     dk, dtau = _lattice_measures(f)
     inner = np.sum(np.abs(coeff) / modulation, axis=1) * dtau
     outer = sobolev_weight(f.grid, s) * inner**2
@@ -308,6 +293,14 @@ def _padded_shape(n_xi: int, n_tau: int) -> tuple[int, int]:
     return _fast_length(n_xi + n_xi // 2), _fast_length(n_tau + n_tau // 2)
 
 
+def _check_lattices(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """ValueError unless the arrays share one shape of two or more axes and hold data."""
+    if not (a.shape == b.shape == c.shape) or a.ndim < 2:
+        raise ValueError(f"lattice mismatch: {a.shape}, {b.shape}, {c.shape}")
+    if a.size == 0:
+        raise ValueError(f"empty lattice: shape {a.shape}")
+
+
 def constrained_pair_sum(
     outer: np.ndarray, difference: np.ndarray, inner: np.ndarray
 ) -> float | np.ndarray:
@@ -327,10 +320,7 @@ def constrained_pair_sum(
     samples is transformed as one and gives an array of one sum per
     sample; a single (n_xi, n_tau) lattice gives a float.
     """
-    if not (outer.shape == difference.shape == inner.shape) or outer.ndim < 2:
-        raise ValueError(
-            f"lattice mismatch: {outer.shape}, {difference.shape}, {inner.shape}"
-        )
+    _check_lattices(outer, difference, inner)
     n_xi, n_tau = outer.shape[-2:]
     padded = _padded_shape(n_xi, n_tau)
     spectrum = np.fft.rfft2(difference, padded) * np.fft.rfft2(inner, padded)
@@ -340,7 +330,7 @@ def constrained_pair_sum(
     return float(sums) if outer.ndim == 2 else sums
 
 
-@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+@memo
 def _trilinear_weights(
     n_xi: int, n_tau: int, params: TrilinearParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,7 +341,7 @@ def _trilinear_weights(
     w1 = bracket(xi) ** params.k / bracket(sigma_shifted) ** params.a1
     w0 = 1.0 / (bracket(xi) ** params.l * bracket(tau) ** params.a)
     w2 = 1.0 / (bracket(xi) ** params.k * bracket(sigma_shifted) ** params.a2)
-    return _read_only(w1), _read_only(w0), _read_only(w2)
+    return w1, w0, w2
 
 
 def trilinear_form(
@@ -372,8 +362,7 @@ def trilinear_form(
     v = np.asarray(v, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if not (v.shape == v1.shape == v2.shape) or v.ndim < 2:
-        raise ValueError(f"lattice mismatch: {v.shape}, {v1.shape}, {v2.shape}")
+    _check_lattices(v, v1, v2)
     if min(v.min(), v1.min(), v2.min()) < 0.0:
         raise ValueError("lattice data must be nonnegative")
     w1, w0, w2 = _trilinear_weights(*v.shape[-2:], params)

@@ -33,7 +33,6 @@ __all__ = [
     "read_checkpoint",
     "write_csv",
     "DiagnosticsAppender",
-    "write_diagnostics_csv",
     "read_diagnostics_csv",
     "write_json",
     "output_lock",
@@ -183,14 +182,8 @@ class DiagnosticsAppender:
         self._handle.close()
 
 
-def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
-    with DiagnosticsAppender(path, d.has_reservoir) as table:
-        for row in zip(*d.columns()):
-            table.append(row)
-
-
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
-    """Series stored by write_diagnostics_csv; ValueError naming path (and line) if malformed."""
+    """Series stored by a DiagnosticsAppender; ValueError naming path (and line) if malformed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header = handle.readline().strip().split(",")

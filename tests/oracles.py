@@ -8,14 +8,18 @@ exponential, the sampled free flow, the labels of the
 time-frequency lattice, and the Picard sweeps of both models built from
 out-of-place temporaries; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
+Also the writer of a whole diagnostics series, which the tests use to make
+CSV fixtures: a run appends its rows one at a time instead.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
 from plsim.grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm_spectral
+from plsim.diagnostics import DiagnosticsSeries
 from plsim.models import CgpeParams, EpParams
 from plsim.spacetime import SpaceTimeField
+from plsim.storage import DiagnosticsAppender
 
 
 def bracket_pair_integral_quad(s: float, a_plus: float, a_minus: float) -> float:
@@ -158,3 +162,10 @@ def picard_ep_sweeps(u0: Field, n0: Field, mesh, p: EpParams, sweeps: int):
         diffs.append(float(np.max(l2_rows(new_u - u)) + np.max(l2_rows(new_n - n))))
         u, n = new_u, new_n
     return (u, n), diffs
+
+
+def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
+    """The whole series d as a diagnostics CSV, in the layout a run writes."""
+    with DiagnosticsAppender(path, d.has_reservoir) as table:
+        for row in zip(*d.columns()):
+            table.append(row)

@@ -16,6 +16,7 @@ import plsim.cli
 from plsim.checks import f1_residual
 from plsim.cli import main
 from plsim.config import build_grid, build_initial_n, build_initial_u, build_params, load_config
+from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import iter_samples
 from plsim.models import CgpeParams
@@ -29,6 +30,8 @@ from plsim.picard import (
 )
 from plsim.spacetime import default_trilinear_params, trilinear_ratio_scan
 from plsim.storage import CHECKPOINT_MAGIC, read_checkpoint, read_diagnostics_csv, write_checkpoint
+
+from oracles import write_diagnostics_csv
 
 TWO_PI = 2.0 * np.pi
 MISSING = object()
@@ -392,7 +395,10 @@ class TestPicard:
         (["--delta", "inf"], "delta must be positive and finite, got inf"),
         (["--n-nodes", "100000000"],
          "--n-nodes: 100000000 nodes x 64 points exceeds 1048576 lattice points"),
-    ], ids=["infinite_delta", "lattice_too_large"])
+        (["--s", "nan"], "--s must be finite, got nan"),
+        (["--s", "inf"], "--s must be finite, got inf"),
+        (["--s", "400"], "--s 400: the H^s norm of the initial data overflows"),
+    ], ids=["infinite_delta", "lattice_too_large", "nan_s", "infinite_s", "overflowing_s"])
     def test_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
         config = write_config(tmp_path, cgpe_doc(checks=[]))
         out = tmp_path / "pic"
@@ -532,6 +538,24 @@ class TestNorms:
         assert (norm_out / "spacetime_norms.csv").exists()
         header, row = (norm_out / "spacetime_norms.csv").read_text().strip().splitlines()
         assert "windowed_surrogate" in row
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--s", "nan"], "--s must be finite, got nan"),
+        (["--b", "inf"], "--b must be finite, got inf"),
+        (["--s", "1e308"], "--s 1e+308: an H^s norm overflows"),
+        (["--s", "400"], "--s 400: an H^s norm overflows"),
+        (["--b", "200"], "--s 0 with --b 200: a space-time norm overflows"),
+    ], ids=["nan_s", "infinite_b", "huge_s", "overflowing_s", "overflowing_b"])
+    def test_checkpoint_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
+        # rejected before any table is written, under warnings-as-errors too
+        _, paths = self.make_checkpoints(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norms", "--checkpoints", *paths, "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.glob("*.csv"))
 
     def test_l4_scan_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "n1", tmp_path / "n2"
@@ -685,9 +709,6 @@ class TestCheck:
         assert main(["run", "--config", config, "--out", str(out)]) == 0
         d = read_diagnostics_csv(out / "diagnostics.csv")
         corrupted = out / "bad.csv"
-        from plsim.diagnostics import DiagnosticsSeries
-        from plsim.storage import write_diagnostics_csv
-
         bad = DiagnosticsSeries(times=d.times, mass=d.mass, l4_fourth=d.l4_fourth + 0.5)
         write_diagnostics_csv(corrupted, bad)
         code = main([

@@ -1,9 +1,14 @@
-"""Spectral lattice: wavenumber layout, dealiasing, propagator, and discrete norms."""
+"""Spectral lattice: wavenumber layout, dealiasing, propagator, discrete norms, and the memos."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import plsim
 from plsim.grid import (
+    MEMO_SIZE,
     Field,
     dealias_mask,
     dealiased_cubic_spectral,
@@ -16,6 +21,7 @@ from plsim.grid import (
     real_field,
 )
 from plsim.models import CgpeParams
+from plsim.spacetime import default_trilinear_params
 
 from oracles import (
     cgpe_rhs,
@@ -33,6 +39,61 @@ def random_field(grid, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
     return Field(grid, values)
+
+
+def _memos() -> dict:
+    """Each memoised builder of the package by module-qualified name, with
+    the argument tuples of its test: MEMO_SIZE + 3 distinct ones where it
+    takes arguments."""
+    grid = make_grid(16, TWO_PI)
+    calls = range(MEMO_SIZE + 3)
+    arguments = {
+        "cli.build_parser": [()],
+        "grid._aliased_modes": [(make_grid(4 + 2 * j, TWO_PI),) for j in calls],
+        "grid.sobolev_weight": [(grid, 0.5 * j) for j in calls],
+        "integrators._half_step_multiplier": [(grid, 1e-3 * (j + 1)) for j in calls],
+        "integrators._half_step_matrix": [(grid, 1e-3 * (j + 1)) for j in calls],
+        "models._gain_scalars": [(1e-3 * (j + 1), 1.0) for j in calls],
+        "spacetime.time_window_profile": [(8 + j,) for j in calls],
+        "spacetime._modulation_bracket": [(grid, 8 + j, 1.0, "schroedinger") for j in calls],
+        "spacetime._xsb_weight": [(grid, 8, 1.0, 0.5 * j, 0.5, "schroedinger") for j in calls],
+        "spacetime._trilinear_weights": [(4, 4 + j, default_trilinear_params()) for j in calls],
+    }
+    memos = {}
+    for name, args in arguments.items():
+        module, attr = name.split(".")
+        memos[name] = (getattr(importlib.import_module(f"plsim.{module}"), attr), args)
+    return memos
+
+
+MEMOS = _memos()
+
+
+class TestMemo:
+    def test_every_memo_of_the_package_is_tested(self):
+        found = set()
+        for info in pkgutil.iter_modules(plsim.__path__):
+            module = importlib.import_module(f"plsim.{info.name}")
+            found.update(
+                f"{info.name}.{name}" for name, value in vars(module).items()
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__
+            )
+        assert found == set(MEMOS)
+
+    @pytest.mark.parametrize("name", sorted(MEMOS))
+    def test_shares_one_read_only_result_and_keeps_at_most_memo_size(self, name):
+        builder, arguments = MEMOS[name]
+        builder.cache_clear()
+        first = builder(*arguments[0])
+        assert builder(*arguments[0]) is first
+        for part in first if isinstance(first, tuple) else (first,):
+            if isinstance(part, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    part.flat[0] = 0.0
+        for args in arguments:
+            builder(*args)
+            assert builder.cache_info().currsize <= MEMO_SIZE
+        assert builder.cache_info().currsize == min(len(arguments), MEMO_SIZE)
 
 
 class TestMakeGrid:

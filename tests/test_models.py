@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from plsim.grid import Field, dealias_mask, make_grid
 from plsim.models import (
-    FLOW_SCALAR_CACHE_SIZE,
     CgpeParams,
     EpParams,
     cgpe_flat_closed_form,
@@ -230,12 +229,6 @@ class TestFlatClosedForm:
 
 
 class TestGainScalars:
-    def test_memo_is_bounded(self):
-        _gain_scalars.cache_clear()
-        for k in range(3 * FLOW_SCALAR_CACHE_SIZE):
-            _gain_scalars(1e-3 * (k + 1), 1.0)
-        assert _gain_scalars.cache_info().currsize == FLOW_SCALAR_CACHE_SIZE
-
     @pytest.mark.parametrize("dt, xi", [(1e-3, 1.0), (0.37, 2.3), (5.0, 30.0), (0.5, 0.0),
                                         (1e-3, 5e-322)])
     def test_bit_equal_to_uncached_expression(self, dt, xi):

@@ -1,11 +1,15 @@
 """Space-time norms, the quartic ratio, trilinear sums, and the bracket integral."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import plsim.spacetime
+from plsim.acceptance import _brute_force_trilinear as brute_force_trilinear
 from plsim.grid import Field, bracket, make_grid, random_band_limited
 from plsim.spacetime import (
     SpaceTimeField,
@@ -45,30 +49,6 @@ def lattice_mode(grid, n_time, k0, tau0, amplitude=1.0):
     return SpaceTimeField(grid, TWO_PI, values)
 
 
-def brute_force_trilinear(v, v1, v2, p):
-    n_xi, n_tau = v.shape
-    xs = np.arange(n_xi) - n_xi // 2
-    ts = np.arange(n_tau) - n_tau // 2
-    total = 0.0
-    for i1, x1 in enumerate(xs):
-        for j1, t1 in enumerate(ts):
-            for i2, x2 in enumerate(xs):
-                for j2, t2 in enumerate(ts):
-                    xd, td = x1 - x2, t1 - t2
-                    ii, jj = int(xd + n_xi // 2), int(td + n_tau // 2)
-                    if not (0 <= ii < n_xi and 0 <= jj < n_tau):
-                        continue
-                    weight = bracket(x1) ** p.k / (
-                        bracket(td) ** p.a
-                        * bracket(t1 + x1**2) ** p.a1
-                        * bracket(t2 + x2**2) ** p.a2
-                        * bracket(x2) ** p.k
-                        * bracket(xd) ** p.l
-                    )
-                    total += v[ii, jj] * v1[i1, j1] * v2[i2, j2] * weight
-    return total
-
-
 class TestWindow:
     def test_profile_shape(self):
         psi = time_window_profile(64)
@@ -76,13 +56,6 @@ class TestWindow:
         np.testing.assert_array_equal(psi[16:49], np.ones(33))  # middle half
         assert np.all(psi >= 0.0) and np.all(psi <= 1.0)
         np.testing.assert_allclose(psi[1:], psi[:0:-1], atol=1e-15)  # even about center
-
-    def test_profile_built_once_per_length_and_read_only(self):
-        psi = time_window_profile(48)
-        assert time_window_profile(48) is psi
-        assert time_window_profile(40) is not psi
-        with pytest.raises(ValueError, match="read-only"):
-            psi[0] = 1.0
 
     def test_transform_windows_unwindowed_input(self):
         # exactly once: the transform of the once-windowed samples, bit for bit
@@ -163,7 +136,7 @@ class TestXsbNorm:
         xsb_norm(f, 1.0, 0.5)
         ys_norm(f, 1.0)
         weight = plsim.spacetime._xsb_weight(grid, 16, 1.0, 1.0, 0.5, "schroedinger")
-        modulation = plsim.spacetime._ys_weight(grid, 16, 1.0, "schroedinger")
+        modulation = plsim.spacetime._modulation_bracket(grid, 16, 1.0, "schroedinger")
         for shared in (weight, modulation):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = 0.0
@@ -400,6 +373,26 @@ class TestStackedKernels:
             constrained_pair_sum(*arrays)
         with pytest.raises(ValueError, match="mismatch"):
             trilinear_form(*arrays, p)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 4, 4)], ids=["no_xi", "no_tau", "no_samples"])
+    def test_empty_lattice_rejected(self, shape):
+        # in a child process with a timeout, so that an endless search for the
+        # padded length of an empty axis fails the test instead of hanging it
+        code = "\n".join([
+            "import numpy as np",
+            "from plsim.spacetime import constrained_pair_sum, default_trilinear_params, trilinear_form",
+            f"empty = np.zeros({shape})",
+            "for call in (lambda: constrained_pair_sum(empty, empty, empty),",
+            "             lambda: trilinear_form(empty, empty, empty, default_trilinear_params())):",
+            "    try:",
+            "        call()",
+            "    except ValueError as err:",
+            "        print(err)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plsim.spacetime.__file__)))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=30)
+        assert child.stdout == f"empty lattice: shape {shape}\n" * 2
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_negative_entry_of_any_sample_rejected(self, position):

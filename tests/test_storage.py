@@ -16,9 +16,10 @@ from plsim.storage import (
     read_checkpoint,
     read_diagnostics_csv,
     write_checkpoint,
-    write_diagnostics_csv,
     write_json,
 )
+
+from oracles import write_diagnostics_csv
 
 
 def random_field(grid, seed):
