@@ -9,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from plsim.grid import Field, free_propagator, make_grid, random_band_limited, smooth_bump
+from plsim.grid import (
+    MEMO_SIZE,
+    Field,
+    free_propagator,
+    make_grid,
+    random_band_limited,
+    smooth_bump,
+)
 from plsim.integrators import (
     DENSE_HALF_STEP_MAX_POINTS,
     BlowUpError,
@@ -168,6 +175,17 @@ def uncached_half_step(values, grid, dt):
 
 
 class TestHalfStepMultiplierCache:
+    def test_shared_multiplier_is_read_only(self):
+        multiplier = _half_step_multiplier(make_grid(16, TWO_PI), 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            multiplier[0] = 0.0
+
+    def test_shared_matrix_is_read_only(self):
+        matrix = _half_step_matrix(make_grid(16, TWO_PI), 0.1)
+        assert matrix.shape == (32, 32)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
+
     @pytest.mark.parametrize("n_points", [4, 16, 64])
     def test_matrix_is_the_circulant_in_two_by_two_blocks(self, n_points):
         # entry c of C = F^-1 diag(m) F is the block [[Re c, -Im c], [Im c, Re c]]
@@ -195,6 +213,14 @@ class TestHalfStepMultiplierCache:
         np.testing.assert_array_equal(forward, free_propagator(0.15, grid))
         np.testing.assert_array_equal(backward, free_propagator(-0.15, grid))
         assert not np.array_equal(forward, backward)
+
+    def test_entry_count_bounded(self):
+        for grid in (make_grid(16, TWO_PI), make_grid(128, TWO_PI)):
+            f = gaussian_field(grid)
+            for j in range(MEMO_SIZE + 3):
+                f = dispersion_half_step(f, 1e-3 * (j + 1))
+                assert _half_step_multiplier.cache_info().currsize <= MEMO_SIZE
+                assert _half_step_matrix.cache_info().currsize <= MEMO_SIZE
 
     def test_interleaved_grids_and_dts_match_uncached_loop(self):
         # equal N on two grids: a key that ignored the length would collide;
