@@ -496,9 +496,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the float options of picard and norms, whose values may be negative
+FLOAT_OPTIONS = frozenset({"--s", "--b", "--delta", "--eps"})
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """argv with each float option joined to a following negative number, as
+    in ``--s=-1e-3``: after a space argparse takes a token that starts with
+    '-' for an option unless it is a plain negative number such as -0.5, so
+    -1e-3, -inf and -nan would be refused."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in FLOAT_OPTIONS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{joined[-1]}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, CheckpointError, ValueError, RuntimeError, OSError) as err:

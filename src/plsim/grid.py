@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "Field",
+    "with_spectrum",
     "real_field",
     "make_grid",
     "dealias_mask",
@@ -102,10 +103,16 @@ def make_grid(n_points: int, length: float) -> Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Samples at the sites of a Grid1D: float64 stays float64, anything else is complex128."""
+    """Samples at the sites of a Grid1D: float64 stays float64, anything else is complex128.
+
+    ``spectrum`` is None, or, on a Field made by ``with_spectrum``, the DFT
+    of the values.  It is a class attribute, not a dataclass field, so
+    building a Field sets nothing more.
+    """
 
     grid: Grid1D
     values: np.ndarray
+    spectrum = None
 
     def __post_init__(self) -> None:
         values = self.values
@@ -123,6 +130,22 @@ class Field:
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
+
+
+class _SpectralField(Field):
+    """A Field that carries its spectrum.  Its own class, so that the extra
+    instance attribute does not widen every plain Field's attribute storage."""
+
+
+def with_spectrum(grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> Field:
+    """A Field of values that carries spectrum, their DFT, for the next transform
+    to reuse.  Both arrays are made read-only, so the spectrum cannot go
+    stale: an in-place write to the values raises instead."""
+    values.setflags(write=False)
+    spectrum.setflags(write=False)
+    field = _SpectralField(grid, values)
+    object.__setattr__(field, "spectrum", spectrum)
+    return field
 
 
 def real_field(field: Field, name: str) -> Field:

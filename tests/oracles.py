@@ -5,7 +5,8 @@ no code in the package calls them: the model right-hand sides in physical
 space, the spectral Laplacian, the dealiased cubic term back in physical
 space, the plain L^p norms, the free propagator as one complex
 exponential, the sampled free flow, the labels of the
-time-frequency lattice, and the Picard sweeps of both models built from
+time-frequency lattice, the Strang stepping with a fresh FFT pair per
+half-step, and the Picard sweeps of both models built from
 out-of-place temporaries; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
 Also the writer of a whole diagnostics series, which the tests use to make
@@ -17,6 +18,13 @@ from scipy.integrate import quad
 
 from plsim.grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm_spectral
 from plsim.diagnostics import DiagnosticsSeries
+from plsim.integrators import (
+    EpState,
+    _ep_local_u_update,
+    cgpe_local_step,
+    reservoir_exact_update,
+    step_count,
+)
 from plsim.models import CgpeParams, EpParams
 from plsim.spacetime import SpaceTimeField
 from plsim.storage import DiagnosticsAppender
@@ -98,6 +106,34 @@ def free_evolution(u0: Field, n_time: int, t_span: float) -> SpaceTimeField:
     hat = np.fft.fft(u0.values)
     rows = np.fft.ifft(free_propagator(times, u0.grid) * hat[None, :], axis=-1)
     return SpaceTimeField(u0.grid, t_span, rows)
+
+
+def strang_samples_fft_pairs(initial, dt: float, t_end: float, sample_every: int, params):
+    """(step index, u, n or None) at the samples of ``iter_samples``, stepped
+    with 4 transforms per Strang step: each half-step is a fresh FFT pair,
+    ifft(m * fft(u)), and no step reuses the last one's spectrum."""
+    grid = initial.u.grid
+    m = free_propagator(0.5 * dt, grid)
+
+    def half_step(u):
+        return Field(grid, np.fft.ifft(m * np.fft.fft(u.values)))
+
+    ep = isinstance(initial, EpState)
+    u, n = initial.u, initial.n if ep else None
+    n_steps = step_count(dt, t_end)
+    samples = [(0, u.values, n.values if ep else None)]
+    for i in range(1, n_steps + 1):
+        u = half_step(u)
+        if ep:
+            n = reservoir_exact_update(n, u, 0.5 * dt, params)
+            u = _ep_local_u_update(u, n, dt, params)
+            n = reservoir_exact_update(n, u, 0.5 * dt, params)
+        else:
+            u = cgpe_local_step(u, dt, params)
+        u = half_step(u)
+        if i % sample_every == 0 or i == n_steps:
+            samples.append((i, u.values, n.values if ep else None))
+    return samples
 
 
 def tau_values(f: SpaceTimeField) -> np.ndarray:

@@ -398,7 +398,10 @@ class TestPicard:
         (["--s", "nan"], "--s must be finite, got nan"),
         (["--s", "inf"], "--s must be finite, got inf"),
         (["--s", "400"], "--s 400: the H^s norm of the initial data overflows"),
-    ], ids=["infinite_delta", "lattice_too_large", "nan_s", "infinite_s", "overflowing_s"])
+        (["--s", "-inf"], "--s must be finite, got -inf"),
+        (["--delta", "-1e-3"], "delta must be positive and finite, got -0.001"),
+    ], ids=["infinite_delta", "lattice_too_large", "nan_s", "infinite_s", "overflowing_s",
+            "negative_infinite_s", "negative_delta_in_exponent_form"])
     def test_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
         config = write_config(tmp_path, cgpe_doc(checks=[]))
         out = tmp_path / "pic"
@@ -407,6 +410,22 @@ class TestPicard:
             assert main(["picard", "--config", config, "--out", str(out), *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_negative_s_after_a_space_reads_as_joined(self, tmp_path):
+        config = write_config(tmp_path, cgpe_doc(checks=[]))
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert main(["picard", "--config", config, "--out", str(spaced), "--s", "-1e-3"]) == 0
+        assert main(["picard", "--config", config, "--out", str(joined), "--s=-1e-3"]) == 0
+        report = (spaced / "picard_report.json").read_bytes()
+        assert report == (joined / "picard_report.json").read_bytes()
+        assert json.loads(report)["s"] == -1e-3
+
+    def test_option_in_place_of_a_value_still_fails(self, tmp_path, capsys):
+        config = write_config(tmp_path, cgpe_doc(checks=[]))
+        with pytest.raises(SystemExit) as exited:
+            main(["picard", "--config", config, "--s", "--delta", "0.01"])
+        assert exited.value.code == 2
+        assert "argument --s: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [cgpe_doc(checks=[]), ep_doc(checks=[])], ids=["cgpe", "ep"])
     @pytest.mark.parametrize("delta, sweeps", [("1e30", 3), ("1e300", 1)],
@@ -557,6 +576,15 @@ class TestNorms:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("flag, value", [("--s", "-1e-3"), ("--b", "-1e308")])
+    def test_negative_value_after_a_space_reads_as_joined(self, tmp_path, flag, value):
+        _, paths = self.make_checkpoints(tmp_path)
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert main(["norms", "--checkpoints", *paths, "--out", str(spaced), flag, value]) == 0
+        assert main(["norms", "--checkpoints", *paths, "--out", str(joined), f"{flag}={value}"]) == 0
+        for name in ("spatial_norms.csv", "spacetime_norms.csv"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
     def test_l4_scan_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "n1", tmp_path / "n2"
         args = ["norms", "--l4-scan", "16:16", "--samples", "5", "--seed", "7"]
@@ -667,6 +695,22 @@ class TestNorms:
         bad.write_bytes(CHECKPOINT_MAGIC + np.array(len(text), dtype="<u4").tobytes() + text + raw[end:])
         code = main(["norms", "--checkpoints", str(bad), "--out", str(tmp_path / "n")])
         assert code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("picard", "--s"), ("picard", "--delta"), ("norms", "--s"), ("norms", "--b"), ("norms", "--eps"),
+])
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-inf", "-nan", "-0.5", "1e-3", "nan"])
+def test_float_option_reads_a_value_after_a_space_as_joined(command, flag, value):
+    parser = plsim.cli.build_parser()
+    required = ["--config", "c.json"] if command == "picard" else []
+
+    def parsed(*option):
+        args = parser.parse_args(plsim.cli._attach_float_values([command, *required, *option]))
+        return getattr(args, flag[2:])
+
+    np.testing.assert_equal(parsed(flag, value), float(value))
+    np.testing.assert_equal(parsed(flag, value), parsed(f"{flag}={value}"))
 
 
 class TestCheck:

@@ -40,8 +40,9 @@ from plsim.models import (
     cgpe_flat_closed_form,
     ep_homogeneous_fixed_point,
 )
+from plsim.storage import read_checkpoint, write_checkpoint
 
-from oracles import lp_norm
+from oracles import lp_norm, strang_samples_fft_pairs
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -174,6 +175,16 @@ def uncached_half_step(values, grid, dt):
     return (interleaved_circulant(grid, dt) @ pairs).view(complex)
 
 
+def uncached_carrying_half_step(values, spectrum, grid, dt):
+    """uncached_half_step with production's spectrum carry: (values, spectrum)
+    after the step.  Above the dense cut it takes ``spectrum``, unless None,
+    in place of the forward FFT, and returns m * hat; the dense path carries none."""
+    if grid.n_points <= DENSE_HALF_STEP_MAX_POINTS:
+        return uncached_half_step(values, grid, dt), None
+    hat = free_propagator(0.5 * dt, grid) * (np.fft.fft(values) if spectrum is None else spectrum)
+    return np.fft.ifft(hat), hat
+
+
 class TestHalfStepMultiplierCache:
     def test_shared_multiplier_is_read_only(self):
         multiplier = _half_step_multiplier(make_grid(16, TWO_PI), 0.1)
@@ -234,24 +245,24 @@ class TestHalfStepMultiplierCache:
             u0 = gaussian_field(grid, amplitude=0.7, width=0.8)
             n0 = real_constant(grid, 0.4)
             for dt in dts:
-                runs.append(("cgpe", grid, dt, cgpe, CgpeState(u=u0), u0.values))
-                runs.append(("ep", grid, dt, ep, EpState(u=u0, n=n0), (u0.values, n0)))
+                runs.append(("cgpe", grid, dt, cgpe, CgpeState(u=u0), (u0.values, None)))
+                runs.append(("ep", grid, dt, ep, EpState(u=u0, n=n0), (u0.values, None, n0)))
         for _ in range(5):
             for j, (model, grid, dt, p, state, ref) in enumerate(runs):
                 if model == "cgpe":
                     state = strang_step_cgpe(state, dt, p)
-                    u = uncached_half_step(ref, grid, dt)
+                    u, _ = uncached_carrying_half_step(*ref, grid, dt)
                     u = cgpe_local_step(Field(grid, u), dt, p)
-                    ref = uncached_half_step(u.values, grid, dt)
-                    np.testing.assert_array_equal(state.u.values, ref)
+                    ref = uncached_carrying_half_step(u.values, None, grid, dt)
+                    np.testing.assert_array_equal(state.u.values, ref[0])
                 else:
                     state = strang_step_ep(state, dt, p)
-                    u_values, n = ref
-                    u = Field(grid, uncached_half_step(u_values, grid, dt))
+                    u_values, spectrum, n = ref
+                    u = Field(grid, uncached_carrying_half_step(u_values, spectrum, grid, dt)[0])
                     n = reservoir_exact_update(n, u, 0.5 * dt, p)
                     u = _ep_local_u_update(u, n, dt, p)
                     n = reservoir_exact_update(n, u, 0.5 * dt, p)
-                    ref = (uncached_half_step(u.values, grid, dt), n)
+                    ref = (*uncached_carrying_half_step(u.values, None, grid, dt), n)
                     np.testing.assert_array_equal(state.u.values, ref[0])
                     np.testing.assert_array_equal(state.n.values, n.values)
                 runs[j] = (model, grid, dt, p, state, ref)
@@ -265,22 +276,157 @@ class TestHalfStepMultiplierCache:
         ep = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
         cgpe = CgpeParams(1.0, 1.0)
         cgpe_state, ep_state = CgpeState(u=u0), EpState(u=u0, n=real_constant(grid, 0.3))
-        cgpe_ref, ep_ref = u0, (u0, ep_state.n)
+        cgpe_ref, ep_ref = (u0.values, None), (u0.values, None, ep_state.n)
         for _ in range(5):
             cgpe_state = strang_step_cgpe(cgpe_state, dt, cgpe)
-            u = cgpe_local_step(Field(grid, uncached_half_step(cgpe_ref.values, grid, dt)), dt, cgpe)
-            cgpe_ref = Field(grid, uncached_half_step(u.values, grid, dt))
-            np.testing.assert_array_equal(cgpe_state.u.values, cgpe_ref.values)
+            u, _ = uncached_carrying_half_step(*cgpe_ref, grid, dt)
+            u = cgpe_local_step(Field(grid, u), dt, cgpe)
+            cgpe_ref = uncached_carrying_half_step(u.values, None, grid, dt)
+            np.testing.assert_array_equal(cgpe_state.u.values, cgpe_ref[0])
 
             ep_state = strang_step_ep(ep_state, dt, ep)
-            u, n = ep_ref
-            u = Field(grid, uncached_half_step(u.values, grid, dt))
+            u_values, spectrum, n = ep_ref
+            u = Field(grid, uncached_carrying_half_step(u_values, spectrum, grid, dt)[0])
             n = reservoir_exact_update(n, u, 0.5 * dt, ep)
             u = _ep_local_u_update(u, n, dt, ep)
             n = reservoir_exact_update(n, u, 0.5 * dt, ep)
-            ep_ref = (Field(grid, uncached_half_step(u.values, grid, dt)), n)
-            np.testing.assert_array_equal(ep_state.u.values, ep_ref[0].values)
+            ep_ref = (*uncached_carrying_half_step(u.values, None, grid, dt), n)
+            np.testing.assert_array_equal(ep_state.u.values, ep_ref[0])
             np.testing.assert_array_equal(ep_state.n.values, n.values)
+
+
+def band_state(model, n_points, seed):
+    """A state on a (n_points, 2 pi) grid with band-4 random u; n = 0.3 for ep."""
+    grid = make_grid(n_points, TWO_PI)
+    u0 = random_band_limited(grid, 4, np.random.default_rng(seed))
+    return CgpeState(u=u0) if model == "cgpe" else EpState(u=u0, n=real_constant(grid, 0.3))
+
+
+def bump_params(model, grid, rng=None):
+    """The benchmark run's parameters: unit cgpe gains, or ep with a bump pump."""
+    if model == "cgpe":
+        return CgpeParams(1.0, 1.0)
+    center, height = (3.0, 1.2) if rng is None else (rng.uniform(2.0, 4.3), rng.uniform(0.5, 1.5))
+    pump = Field(grid, height * smooth_bump((grid.x - center) / 0.6))
+    return EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3, pump=pump)
+
+
+def strang_step(state, dt, p):
+    return (strang_step_cgpe if isinstance(state, CgpeState) else strang_step_ep)(state, dt, p)
+
+
+MODELS = ["cgpe", "ep"]
+
+
+class TestSpectrumCarry:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_carried_spectrum_is_the_read_only_dft_of_the_values(self, model):
+        state = band_state(model, 256, 1)
+        p = bump_params(model, state.u.grid)
+        for _ in range(3):
+            state = strang_step(state, 1e-3, p)
+            spectrum = state.u.spectrum
+            assert spectrum is not None and not spectrum.flags.writeable
+            drift = np.linalg.norm(spectrum - np.fft.fft(state.u.values))
+            assert drift <= 4 * EPS * np.linalg.norm(spectrum)
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum[0] = 0.0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_in_place_write_to_carrying_values_raises(self, model):
+        state = strang_step(band_state(model, 128, 2), 1e-3, bump_params(model, make_grid(128, TWO_PI)))
+        values = state.u.values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(values, 2.0, out=values)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_dense_steps_and_built_fields_carry_none(self, model):
+        state = band_state(model, DENSE_HALF_STEP_MAX_POINTS, 3)
+        p = bump_params(model, state.u.grid)
+        for _ in range(3):
+            state = strang_step(state, 1e-3, p)
+            assert state.u.spectrum is None and state.u.values.flags.writeable
+        carrying = dispersion_half_step(band_state(model, 128, 3).u, 1e-3)
+        assert carrying.spectrum is not None
+        assert carrying.with_values(carrying.values).spectrum is None
+        assert Field(carrying.grid, carrying.values).spectrum is None
+        assert "spectrum" not in vars(Field(carrying.grid, carrying.values))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sampled_states_carry_none(self, model):
+        state = band_state(model, 256, 4)
+        p = bump_params(model, state.u.grid)
+        carrying = strang_step(state, 1e-3, p)
+        assert carrying.u.spectrum is not None
+        samples = list(iter_samples(carrying, 1e-3, 0.02, 3, p))
+        assert [i for i, _, _ in samples] == [0, 3, 6, 9, 12, 15, 18, 20]
+        for _, sampled, _ in samples:
+            assert sampled.u.spectrum is None
+        assert samples[0][1].u.values is carrying.u.values
+        assert samples[0][1].t == carrying.t
+        assert all(s.u.spectrum is None for s in integrate(carrying, 1e-3, 0.02, 3, p).states)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_restart_from_a_sample_or_its_checkpoint_is_bit_identical(self, model, tmp_path):
+        state = band_state(model, 256, 5)
+        p = bump_params(model, state.u.grid)
+        dt = 1e-3
+        uninterrupted = list(iter_samples(state, dt, 40 * dt, 10, p))
+        _, sample, _ = uninterrupted[2]
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, sample.u, getattr(sample, "n", None), sample.t, "hash")
+        u, n, header = read_checkpoint(path)
+        from_checkpoint = CgpeState(u, header["time"]) if n is None else EpState(u, n, header["time"])
+        for restart in (sample, from_checkpoint):
+            resumed = list(iter_samples(restart, dt, 20 * dt, 10, p))
+            assert [i + 20 for i, _, _ in resumed] == [i for i, _, _ in uninterrupted[2:]]
+            for (_, got, _), (_, want, _) in zip(resumed, uninterrupted[2:], strict=True):
+                np.testing.assert_array_equal(got.u.values, want.u.values)
+                if model == "ep":
+                    np.testing.assert_array_equal(got.n.values, want.n.values)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_kept_samples_hold_only_their_values(self, model):
+        # a trajectory of 1,000 samples retains what plain states of the same
+        # values do, plus its diagnostics; a spectrum per sample would add 4 KiB
+        state = band_state(model, 256, 6)
+        p = bump_params(model, state.u.grid)
+        integrate(state, 1e-3, 2e-3, 1, p)  # the memo entries are built outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(state, 1e-3, 1.0, 1, p)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            before = tracemalloc.get_traced_memory()[0]
+            plain = [CgpeState(Field(s.u.grid, s.u.values.copy()), s.t) if model == "cgpe"
+                     else EpState(Field(s.u.grid, s.u.values.copy()),
+                                  Field(s.n.grid, s.n.values.copy()), s.t)
+                     for s in traj.states]
+            baseline = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(plain) == 1001
+        assert retained <= baseline + 1001 * 512
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_run_large_shape_matches_four_transform_loop(self, model, seed):
+        # 500 N = 4096 steps: samples at the same step indices, with states
+        # within 1e-12 relative of the loop that transforms afresh each half-step
+        rng = np.random.default_rng(seed)
+        grid = make_grid(4096, TWO_PI)
+        u0 = random_band_limited(grid, 4, rng)
+        p = bump_params(model, grid, rng)
+        state = CgpeState(u=u0) if model == "cgpe" else EpState(u=u0, n=real_constant(grid, 0.3))
+        samples = list(iter_samples(state, 1e-3, 0.5, 10, p))
+        expected = strang_samples_fft_pairs(state, 1e-3, 0.5, 10, p)
+        assert [i for i, _, _ in samples] == [i for i, _, _ in expected]
+        for (_, got, _), (_, u, n) in zip(samples, expected, strict=True):
+            assert np.max(np.abs(got.u.values - u)) <= 1e-12 * np.max(np.abs(u))
+            if model == "ep":
+                assert np.max(np.abs(got.n.values - n)) <= 1e-12 * np.max(np.abs(n))
 
 
 def _rotated(phase, values=None, amplitude=1.0):
