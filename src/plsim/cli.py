@@ -31,17 +31,14 @@ from .checks import run_check
 from .config import (
     MAX_N_POINTS,
     ConfigError,
-    build_grid,
-    build_initial_n,
-    build_initial_u,
-    build_params,
+    build_run,
     config_hash,
     initial_seed,
     load_config,
 )
 from .diagnostics import DiagnosticsSeries
 from .grid import hs_norm, make_grid, memo
-from .integrators import BlowUpError, CgpeState, EpState, iter_samples, step_count
+from .integrators import BlowUpError, EpState, iter_samples, step_count
 from .picard import (
     TimeMesh,
     contraction_report,
@@ -131,13 +128,7 @@ def cmd_run(args) -> int:
     out_dir = args.out or config.output or "plsim-out"
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    grid = build_grid(config)
-    params = build_params(config, grid)
-    u0 = build_initial_u(config, grid, args.seed)
-    if config.model == "ep":
-        initial = EpState(u=u0, n=build_initial_n(config, grid))
-    else:
-        initial = CgpeState(u=u0)
+    grid, params, initial = build_run(config, args.seed)
 
     digest = config_hash(config)
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -206,23 +197,21 @@ def cmd_picard(args) -> int:
     if config.model == "ep" and args.s != 0.0:
         return _fail("--s applies to the cgpe model only; ep distances are plain L2")
     out_dir = args.out or config.output or "plsim-out"
-    grid = build_grid(config)
-    params = build_params(config, grid)
     TimeMesh(args.delta, args.n_nodes)  # rejects a bad --delta or --n-nodes before any work
-    if args.n_nodes * grid.n_points > MAX_N_POINTS:
-        return _fail(f"--n-nodes: {args.n_nodes} nodes x {grid.n_points} points exceeds "
+    if args.n_nodes * config.n_points > MAX_N_POINTS:
+        return _fail(f"--n-nodes: {args.n_nodes} nodes x {config.n_points} points exceeds "
                      f"{MAX_N_POINTS} lattice points")
-    u0 = build_initial_u(config, grid, args.seed)
+    _, params, initial = build_run(config, args.seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        initial_norm = hs_norm(u0, args.s)
+        initial_norm = hs_norm(initial.u, args.s)
     if not np.isfinite(initial_norm):  # <k>^(2s) overflows: every distance would too
         return _fail(f"--s {args.s:g}: the H^s norm of the initial data overflows")
 
     def run_at(delta: float):
         mesh = TimeMesh(delta, args.n_nodes)
-        if config.model == "ep":
-            return picard_ep(u0, build_initial_n(config, grid), mesh, params, args.max_iter)
-        return picard_cgpe(u0, mesh, params, s=args.s, max_iter=args.max_iter)
+        if isinstance(initial, EpState):
+            return picard_ep(initial.u, initial.n, mesh, params, args.max_iter)
+        return picard_cgpe(initial.u, mesh, params, s=args.s, max_iter=args.max_iter)
 
     # an iterate that overflows is divergence, which the history records;
     # the warnings on the way there say nothing more
@@ -405,8 +394,7 @@ def cmd_check(args) -> int:
     if partial:
         print(f"{args.csv} stops before t_end = {config.t_end:.6g}: checking the rows of a "
               "run that blew up", file=sys.stderr)
-    grid = build_grid(config)
-    params = build_params(config, grid)
+    grid, params, _ = build_run(config)
     with output_lock(out_dir):
         passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
     return 0 if (passed and not partial) else 1
@@ -436,22 +424,27 @@ def cmd_selftest(args) -> int:
 
 @memo
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps no state in it."""
+    """The command-line parser, built once per process: parse_args keeps no state in it.
+
+    Options are spelled in full (allow_abbrev=False on every parser): an
+    abbreviation such as --del would escape _attach_float_values, so
+    ``--del -1e-3`` and ``--del=-1e-3`` would not read alike."""
     parser = argparse.ArgumentParser(
         prog="plsim",
         description="Spectral simulation and verification toolkit for "
         "driven-damped condensate models",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"plsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate a configured trajectory")
+    run_p = sub.add_parser("run", help="simulate a configured trajectory", allow_abbrev=False)
     run_p.add_argument("--config", required=True, help="config path")
     run_p.add_argument("--seed", type=int, default=None, help="override a random initial seed")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.set_defaults(func=cmd_run)
 
-    pic_p = sub.add_parser("picard", help="fixed-point iteration on the integral form")
+    pic_p = sub.add_parser("picard", help="fixed-point iteration on the integral form", allow_abbrev=False)
     pic_p.add_argument("--config", required=True)
     pic_p.add_argument("--delta", type=float, default=0.05, help="interval half-width")
     pic_p.add_argument("--n-nodes", type=int, default=33)
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     pic_p.add_argument("--assert", dest="assert_", action="store_true")
     pic_p.set_defaults(func=cmd_picard)
 
-    norms_p = sub.add_parser("norms", help="norm tables and ensemble scans")
+    norms_p = sub.add_parser("norms", help="norm tables and ensemble scans", allow_abbrev=False)
     norms_p.add_argument("--checkpoints", nargs="+", default=None,
                          help="checkpoint files (>= 8 uniformly spaced adds space-time norms)")
     norms_p.add_argument("--l4-scan", nargs="+", default=None, metavar="N:M",
@@ -483,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     norms_p.add_argument("--assert", dest="assert_", action="store_true", default=None)
     norms_p.set_defaults(func=cmd_norms)
 
-    check_p = sub.add_parser("check", help="re-run checks on a stored diagnostics CSV")
+    check_p = sub.add_parser("check", help="re-run checks on a stored diagnostics CSV", allow_abbrev=False)
     check_p.add_argument("--csv", required=True)
     check_p.add_argument("--config", required=True)
     check_p.add_argument("--out", default=None)
     check_p.set_defaults(func=cmd_check)
 
-    self_p = sub.add_parser("selftest", help="run the acceptance experiments")
+    self_p = sub.add_parser("selftest", help="run the acceptance experiments", allow_abbrev=False)
     self_p.add_argument("--assert", dest="assert_", action="store_true",
                         help="nonzero exit on failed soft criteria too")
     self_p.set_defaults(func=cmd_selftest)

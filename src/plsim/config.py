@@ -1,4 +1,4 @@
-"""Run configuration: strict JSON schema, presets, and builders.
+"""Run configuration: strict JSON schema, presets, and the run they build.
 
 A configuration document selects the model, grid, physical constants,
 initial data presets, stepping parameters, and the list of bound checks to
@@ -18,12 +18,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .checks import CHECKS_BY_MODEL
 from .grid import Field, Grid1D, gaussian, make_grid, random_band_limited, smooth_bump
-from .integrators import step_count
+from .integrators import CgpeState, EpState, step_count
 from .models import CgpeParams, EpParams
 
 __all__ = [
@@ -33,10 +34,7 @@ __all__ = [
     "load_config",
     "canonical_json",
     "config_hash",
-    "build_grid",
-    "build_params",
-    "build_initial_u",
-    "build_initial_n",
+    "build_run",
 ]
 
 DEFAULTS = {
@@ -55,8 +53,10 @@ DEFAULTS = {
 MAX_N_POINTS = 2**20
 MAX_STEPS = 10**9
 
-_CGPE_PARAM_DEFAULTS = {"xi": 1.0, "sigma": 1.0}
-_EP_PARAM_DEFAULTS = {"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.0}
+_PARAM_DEFAULTS = {
+    "cgpe": {"xi": 1.0, "sigma": 1.0},
+    "ep": {"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.0},
+}
 
 
 class ConfigError(ValueError):
@@ -122,6 +122,15 @@ class _Validator:
             if key not in known:
                 self.fail(f"{where}: unknown key {key!r}")
 
+    def section(self, doc: dict, name: str, known: set) -> dict:
+        """The object doc[name] ({} when absent or not an object), its unknown keys reported."""
+        obj = doc.get(name, {})
+        if not isinstance(obj, dict):
+            self.fail(f"{name}: expected an object")
+            obj = {}
+        self.expect_keys(obj, name, known)
+        return obj
+
     def number(self, obj, where, key, default=None, positive=False, nonnegative=False):
         if key not in obj:
             if default is None:
@@ -163,39 +172,46 @@ class _Validator:
         return value
 
 
-def _validate_profile(val, where, kinds, v: _Validator) -> dict | None:
-    """Validate a preset dict like {"kind": "bump", ...} against known kinds."""
+def _validate_profile(val, where, presets: dict, v: _Validator) -> dict | None:
+    """Validate a preset dict like {"kind": "bump", ...} against the declared presets."""
     if not isinstance(val, dict):
         v.fail(f"{where}: expected an object")
         return None
     kind = val.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        v.fail(f"{where}.kind: expected one of {sorted(kinds)}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in presets:
+        v.fail(f"{where}.kind: expected one of {sorted(presets)}, got {kind!r}")
         return None
-    spec = {"kind": kind}
-    if kind == "zero":
-        v.expect_keys(val, where, {"kind"})
-    elif kind == "constant":
-        v.expect_keys(val, where, {"kind", "level"})
-        spec["level"] = v.number(val, where, "level", nonnegative=True)
-    elif kind == "bump":
-        v.expect_keys(val, where, {"kind", "center", "width", "height"})
-        spec["center"] = v.number(val, where, "center")
-        spec["width"] = v.number(val, where, "width", positive=True)
-        spec["height"] = v.number(val, where, "height", nonnegative=True)
-    elif kind == "flat":
-        v.expect_keys(val, where, {"kind", "rho", "theta"})
-        spec["rho"] = v.number(val, where, "rho", default=1.0, nonnegative=True)
-        spec["theta"] = v.number(val, where, "theta", default=0.0)
-    elif kind == "gaussian":
-        v.expect_keys(val, where, {"kind", "amplitude", "width"})
-        spec["amplitude"] = v.number(val, where, "amplitude", default=1.0)
-        spec["width"] = v.number(val, where, "width", default=0.5, positive=True)
-    elif kind == "random":
-        v.expect_keys(val, where, {"kind", "seed", "band"})
-        spec["seed"] = v.integer(val, where, "seed", default=0, minimum=0)
-        spec["band"] = v.integer(val, where, "band", default=4, minimum=0)
-    return spec
+    keys, _ = presets[kind]
+    v.expect_keys(val, where, {"kind", *keys})
+    return {"kind": kind, **{key: read(v, val, where, key) for key, read in keys.items()}}
+
+
+# Each preset kind, declared once: how each of its keys is read (its
+# default, when it has one, and its rule) and how the kind builds its
+# samples on a grid.  A pump or reservoir density is a real profile; the
+# condensate has presets of its own.
+_DENSITY_PRESETS = {
+    "zero": ({}, lambda spec, grid, seed: np.zeros(grid.n_points)),
+    "constant": ({"level": partial(_Validator.number, nonnegative=True)},
+                 lambda spec, grid, seed: np.full(grid.n_points, spec["level"])),
+    "bump": ({"center": _Validator.number,
+              "width": partial(_Validator.number, positive=True),
+              "height": partial(_Validator.number, nonnegative=True)},
+             lambda spec, grid, seed:
+                 spec["height"] * smooth_bump((grid.x - spec["center"]) / spec["width"])),
+}
+_CONDENSATE_PRESETS = {
+    "flat": ({"rho": partial(_Validator.number, default=1.0, nonnegative=True),
+              "theta": partial(_Validator.number, default=0.0)},
+             lambda spec, grid, seed: np.full(grid.n_points, spec["rho"] * np.exp(1j * spec["theta"]))),
+    "gaussian": ({"amplitude": partial(_Validator.number, default=1.0),
+                  "width": partial(_Validator.number, default=0.5, positive=True)},
+                 lambda spec, grid, seed: gaussian(grid, spec["amplitude"], spec["width"]).values),
+    "random": ({"seed": partial(_Validator.integer, default=0, minimum=0),
+                "band": partial(_Validator.integer, default=4, minimum=0)},
+               lambda spec, grid, seed:
+                   random_band_limited(grid, spec["band"], np.random.default_rng(seed)).values),
+}
 
 
 _TOP_KEYS = {
@@ -228,11 +244,7 @@ def parse_config(text: str) -> RunConfig:
         v.fail(f"model: expected 'cgpe' or 'ep', got {model!r}")
         raise ConfigError(v.violations)
 
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        v.fail("grid: expected an object")
-        grid_doc = {}
-    v.expect_keys(grid_doc, "grid", {"n_points", "length"})
+    grid_doc = v.section(doc, "grid", {"n_points", "length"})
     n_points = v.integer(grid_doc, "grid", "n_points", default=DEFAULTS["n_points"], minimum=4)
     length = v.number(grid_doc, "grid", "length", default=DEFAULTS["length"], positive=True)
     if n_points is not None and n_points % 2 != 0:
@@ -240,24 +252,14 @@ def parse_config(text: str) -> RunConfig:
     if n_points is not None and n_points > MAX_N_POINTS:
         v.fail(f"grid.n_points: must be at most {MAX_N_POINTS}, got {n_points}")
 
-    params_doc = doc.get("params", {})
-    if not isinstance(params_doc, dict):
-        v.fail("params: expected an object")
-        params_doc = {}
-    params = {}
-    if model == "cgpe":
-        v.expect_keys(params_doc, "params", set(_CGPE_PARAM_DEFAULTS))
-        for key, default in _CGPE_PARAM_DEFAULTS.items():
-            params[key] = v.number(params_doc, "params", key, default=default, positive=True)
-    else:
-        v.expect_keys(params_doc, "params", set(_EP_PARAM_DEFAULTS))
-        for key, default in _EP_PARAM_DEFAULTS.items():
-            params[key] = v.number(params_doc, "params", key, default=default, positive=True)
+    params_doc = v.section(doc, "params", set(_PARAM_DEFAULTS[model]))
+    params = {key: v.number(params_doc, "params", key, default=default, positive=True)
+              for key, default in _PARAM_DEFAULTS[model].items()}
 
     pump = None
     if model == "ep":
         pump_doc = doc.get("pump", {"kind": "constant", "level": 1.0})
-        pump = _validate_profile(pump_doc, "pump", {"constant", "bump", "zero"}, v)
+        pump = _validate_profile(pump_doc, "pump", _DENSITY_PRESETS, v)
         if pump and pump["kind"] == "bump" and length is not None:
             support = 2.0 * pump["width"] if pump.get("width") else 0.0
             if support > length:
@@ -272,25 +274,11 @@ def parse_config(text: str) -> RunConfig:
     elif "pump" in doc:
         v.fail("pump: only meaningful for the ep model")
 
-    initial_doc = doc.get("initial", {})
-    if not isinstance(initial_doc, dict):
-        v.fail("initial: expected an object")
-        initial_doc = {}
-    v.expect_keys(initial_doc, "initial", {"u", "n"})
-    initial_u = _validate_profile(
-        initial_doc.get("u", {"kind": "flat", "rho": 1.0, "theta": 0.0}),
-        "initial.u",
-        {"flat", "gaussian", "random"},
-        v,
-    )
+    initial_doc = v.section(doc, "initial", {"u", "n"})
+    initial_u = _validate_profile(initial_doc.get("u", {"kind": "flat"}), "initial.u", _CONDENSATE_PRESETS, v)
     initial_n = None
     if model == "ep":
-        initial_n = _validate_profile(
-            initial_doc.get("n", {"kind": "zero"}),
-            "initial.n",
-            {"constant", "bump", "zero"},
-            v,
-        )
+        initial_n = _validate_profile(initial_doc.get("n", {"kind": "zero"}), "initial.n", _DENSITY_PRESETS, v)
     elif "n" in initial_doc:
         v.fail("initial.n: only meaningful for the ep model")
 
@@ -333,6 +321,14 @@ def parse_config(text: str) -> RunConfig:
             v.fail(f"sample_every: f1_residual needs 3 samples, so sample_every must be at "
                    f"most half the {n_steps} steps, got {sample_every}")
 
+    # d/dt (M/2 + int n) = int P - 2 alpha M/2 - beta int n, so at 2 alpha = beta
+    # the Lyapunov envelope is the exact solution and its margin is the O(dt^2)
+    # splitting error, which can fall below the check's tolerance
+    alpha = params.get("alpha")
+    if "ep_lyapunov" in checks and alpha is not None and 2.0 * alpha == params["beta"]:
+        v.warnings.append("ep_lyapunov: with 2 * alpha == beta the Lyapunov bound holds with "
+                          "equality, so the check reads the O(dt^2) splitting error and may fail")
+
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         v.fail(f"output: expected a path string, got {output!r}")
@@ -367,34 +363,6 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def build_grid(config: RunConfig) -> Grid1D:
-    return make_grid(config.n_points, config.length)
-
-
-def _profile_values(spec: dict, grid: Grid1D) -> np.ndarray:
-    if spec["kind"] == "zero":
-        return np.zeros(grid.n_points)
-    if spec["kind"] == "constant":
-        return np.full(grid.n_points, spec["level"])
-    if spec["kind"] == "bump":
-        return spec["height"] * smooth_bump((grid.x - spec["center"]) / spec["width"])
-    raise ValueError(f"unsupported profile kind {spec['kind']!r}")
-
-
-def build_params(config: RunConfig, grid: Grid1D):
-    if config.model == "cgpe":
-        return CgpeParams(xi=config.params["xi"], sigma=config.params["sigma"])
-    pump = Field(grid, _profile_values(config.pump, grid))
-    return EpParams(
-        g=config.params["g"],
-        lam=config.params["lambda"],
-        R=config.params["R"],
-        alpha=config.params["alpha"],
-        beta=config.params["beta"],
-        pump=pump,
-    )
-
-
 def initial_seed(config: RunConfig, seed_override: int | None = None) -> int | None:
     """The seed that draws random initial data (the override, else the
     config's own), or None when the initial data is not random."""
@@ -407,18 +375,20 @@ def initial_seed(config: RunConfig, seed_override: int | None = None) -> int | N
     return spec["seed"] if seed_override is None else seed_override
 
 
-def build_initial_u(config: RunConfig, grid: Grid1D, seed_override: int | None = None) -> Field:
-    spec = config.initial_u
-    seed = initial_seed(config, seed_override)
-    if spec["kind"] == "flat":
-        value = spec["rho"] * np.exp(1j * spec["theta"])
-        return Field(grid, np.full(grid.n_points, value))
-    if spec["kind"] == "gaussian":
-        return gaussian(grid, spec["amplitude"], spec["width"])
-    if spec["kind"] == "random":
-        return random_band_limited(grid, spec["band"], np.random.default_rng(seed))
-    raise ValueError(f"unsupported initial kind {spec['kind']!r}")
+def _samples(presets: dict, spec: dict, grid: Grid1D, seed: int | None = None) -> Field:
+    if spec["kind"] not in presets:
+        raise ValueError(f"unsupported preset kind {spec['kind']!r}")
+    return Field(grid, presets[spec["kind"]][1](spec, grid, seed))
 
 
-def build_initial_n(config: RunConfig, grid: Grid1D) -> Field:
-    return Field(grid, _profile_values(config.initial_n, grid))
+def build_run(config: RunConfig, seed_override: int | None = None):
+    """The (grid, params, initial state) a config describes; seed_override
+    replaces the seed of random initial data (see initial_seed)."""
+    grid = make_grid(config.n_points, config.length)
+    u0 = _samples(_CONDENSATE_PRESETS, config.initial_u, grid, initial_seed(config, seed_override))
+    if config.model == "cgpe":
+        return grid, CgpeParams(**config.params), CgpeState(u=u0)
+    p = config.params
+    params = EpParams(g=p["g"], lam=p["lambda"], R=p["R"], alpha=p["alpha"], beta=p["beta"],
+                      pump=_samples(_DENSITY_PRESETS, config.pump, grid))
+    return grid, params, EpState(u=u0, n=_samples(_DENSITY_PRESETS, config.initial_n, grid))

@@ -15,7 +15,7 @@ import pytest
 import plsim.cli
 from plsim.checks import f1_residual
 from plsim.cli import main
-from plsim.config import build_grid, build_initial_n, build_initial_u, build_params, load_config
+from plsim.config import build_run, load_config
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import iter_samples
@@ -420,6 +420,17 @@ class TestPicard:
         assert report == (joined / "picard_report.json").read_bytes()
         assert json.loads(report)["s"] == -1e-3
 
+    @pytest.mark.parametrize("argv", [["--del", "-1e-3"], ["--del=-1e-3"], ["--n-node", "9"]],
+                             ids=["spaced", "joined", "int_option"])
+    def test_abbreviated_option_is_unrecognized(self, tmp_path, capsys, argv):
+        # options are spelled in full, so an abbreviation reads the same in either form
+        config = write_config(tmp_path, cgpe_doc(checks=[]))
+        with pytest.raises(SystemExit) as exited:
+            main(["picard", "--config", config, "--out", str(tmp_path / "pic"), *argv])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert not (tmp_path / "pic").exists()
+
     def test_option_in_place_of_a_value_still_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, cgpe_doc(checks=[]))
         with pytest.raises(SystemExit) as exited:
@@ -513,16 +524,13 @@ class TestPicard:
         assert len(deltas) >= 2
         assert len(set(deltas)) == len(deltas), deltas
 
-        cfg = load_config(config)
-        grid = build_grid(cfg)
-        params = build_params(cfg, grid)
-        u0 = build_initial_u(cfg, grid, None)
+        _, params, initial = build_run(load_config(config))
 
         def fresh(delta):
             mesh = TimeMesh(delta, 17)
             if model == "ep":
-                return picard_ep(u0, build_initial_n(cfg, grid), mesh, params, 25)
-            return picard_cgpe(u0, mesh, params, s=1.0, max_iter=25)
+                return picard_ep(initial.u, initial.n, mesh, params, 25)
+            return picard_cgpe(initial.u, mesh, params, s=1.0, max_iter=25)
 
         delta = float(argv[1])
         base = fresh(delta)
@@ -531,6 +539,17 @@ class TestPicard:
         assert report["bracket"] == {"delta_ok": ok, "delta_fail": fail}
         assert report["iterations"] == len(base.diffs)
         assert report["rate"] == measured_contraction_rate(base)
+
+
+def with_a_gap(paths, tmp_path):
+    return paths[:4] + paths[5:]  # still 8 checkpoints, one interval twice as long
+
+
+def on_two_grids(paths, tmp_path):
+    u, _, header = read_checkpoint(paths[-1])
+    coarse = tmp_path / "coarse.ckpt"
+    write_checkpoint(coarse, Field(make_grid(32, TWO_PI), u.values[::2]), None, header["time"], "abc")
+    return [*paths[:-1], str(coarse)]
 
 
 class TestNorms:
@@ -558,16 +577,21 @@ class TestNorms:
         header, row = (norm_out / "spacetime_norms.csv").read_text().strip().splitlines()
         assert "windowed_surrogate" in row
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--s", "nan"], "--s must be finite, got nan"),
-        (["--b", "inf"], "--b must be finite, got inf"),
-        (["--s", "1e308"], "--s 1e+308: an H^s norm overflows"),
-        (["--s", "400"], "--s 400: an H^s norm overflows"),
-        (["--b", "200"], "--s 0 with --b 200: a space-time norm overflows"),
-    ], ids=["nan_s", "infinite_b", "huge_s", "overflowing_s", "overflowing_b"])
-    def test_checkpoint_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
+    @pytest.mark.parametrize("argv, message, pick", [
+        (["--s", "nan"], "--s must be finite, got nan", None),
+        (["--b", "inf"], "--b must be finite, got inf", None),
+        (["--s", "1e308"], "--s 1e+308: an H^s norm overflows", None),
+        (["--s", "400"], "--s 400: an H^s norm overflows", None),
+        (["--b", "200"], "--s 0 with --b 200: a space-time norm overflows", None),
+        ([], "space-time norms need uniformly spaced checkpoints", with_a_gap),
+        ([], "checkpoints disagree on the grid", on_two_grids),
+    ], ids=["nan_s", "infinite_b", "huge_s", "overflowing_s", "overflowing_b", "non_uniform",
+            "two_grids"])
+    def test_checkpoint_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message, pick):
         # rejected before any table is written, under warnings-as-errors too
         _, paths = self.make_checkpoints(tmp_path)
+        if pick is not None:
+            paths = pick(paths, tmp_path)
         capsys.readouterr()
         out = tmp_path / "n"
         with warnings.catch_warnings():
@@ -618,7 +642,9 @@ class TestNorms:
         (["--l4-scan", "16:16", "100000:100000"],
          "lattice 100000:100000: 100000 x 100000 exceeds 1048576 lattice points"),
         (["--trilinear-scan", "8,2000"], "lattice size 2000: 2000 x 2000 exceeds 1048576 lattice points"),
-    ], ids=["no_samples", "negative_samples", "no_time_samples", "l4_too_large", "trilinear_too_large"])
+        (["--l4-scan", "16:16", "64x128"], "bad lattice spec '64x128', expected N:M"),
+    ], ids=["no_samples", "negative_samples", "no_time_samples", "l4_too_large", "trilinear_too_large",
+            "bad_lattice_spec"])
     def test_scan_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
         # rejected before any draw: no lattice of the list is scanned
         out = tmp_path / "n"
@@ -677,6 +703,7 @@ class TestNorms:
             ("length", 0.0),
             ("has_reservoir", 1),
             ("time", "0.5"),
+            (None, [1, 2]),  # JSON, but not an object
         ],
     )
     def test_malformed_checkpoint_header_rejected(self, tmp_path, key, value):
@@ -686,7 +713,9 @@ class TestNorms:
         start = len(CHECKPOINT_MAGIC) + 4
         end = start + int(np.frombuffer(raw[len(CHECKPOINT_MAGIC):start], dtype="<u4")[0])
         header = json.loads(raw[start:end])
-        if value is MISSING:
+        if key is None:
+            header = value
+        elif value is MISSING:
             del header[key]
         else:
             header[key] = value
@@ -764,6 +793,9 @@ class TestCheck:
     @pytest.mark.parametrize("second_row, message", [
         ("0.001,1.0", "line 3 has 2 cells, expected 3"),
         ("0.001,x,1.0", "line 3: could not convert string to float: 'x'"),
+        ("0.0,1.0,1.0", "times must be strictly increasing"),
+        ("0.001,nan,1.0", "mass contains non-finite entries"),
+        ("0.001,-1.0,1.0", "mass must be nonnegative"),
     ])
     def test_malformed_csv_row_exits_2_naming_file(self, tmp_path, capsys, second_row, message):
         config = write_config(tmp_path, cgpe_doc())

@@ -1,8 +1,11 @@
-"""Configuration parsing: strict schema, defaults, presets, builders."""
+"""Configuration parsing: strict schema, defaults, presets, and the run they build."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,15 +17,13 @@ from plsim.config import (
     MAX_N_POINTS,
     MAX_STEPS,
     ConfigError,
-    build_grid,
-    build_initial_n,
-    build_initial_u,
-    build_params,
+    build_run,
     config_hash,
     load_config,
     parse_config,
 )
-from plsim.integrators import step_count
+from plsim.grid import random_band_limited, smooth_bump
+from plsim.integrators import CgpeState, EpState, step_count
 from plsim.models import CgpeParams, EpParams
 
 TWO_PI = 2.0 * np.pi
@@ -130,6 +131,15 @@ class TestViolations:
 
 
 class TestWarnings:
+    def test_lyapunov_check_at_two_alpha_equal_beta_warns(self):
+        # the defaults (alpha 0.5, beta 1) are such a case
+        for doc in ({"model": "ep", "checks": ["ep_lyapunov"]},
+                    {"model": "ep", "params": {"alpha": 0.65, "beta": 1.3}, "checks": ["ep_lyapunov"]}):
+            (warning,) = parse(doc).warnings
+            assert warning.startswith("ep_lyapunov: with 2 * alpha == beta")
+        assert parse({"model": "ep", "params": {"beta": 1.3}, "checks": ["ep_lyapunov"]}).warnings == ()
+        assert parse({"model": "ep", "checks": ["reservoir_bounds"]}).warnings == ()
+
     def test_wide_pump_bump_warns(self):
         config = parse(
             {
@@ -154,10 +164,11 @@ class TestWarnings:
 class TestBuilders:
     def test_build_cgpe(self):
         config = parse({"model": "cgpe", "params": {"xi": 2.0, "sigma": 0.5}})
-        grid = build_grid(config)
-        params = build_params(config, grid)
+        grid, params, initial = build_run(config)
         assert isinstance(params, CgpeParams)
         assert params.xi == 2.0 and params.sigma == 0.5
+        assert isinstance(initial, CgpeState) and initial.t == 0.0
+        assert (grid.n_points, grid.length) == (256, TWO_PI)
 
     def test_build_ep_pump_bump(self):
         config = parse(
@@ -168,8 +179,7 @@ class TestBuilders:
                 "pump": {"kind": "bump", "center": 8.0, "width": 1.5, "height": 2.0},
             }
         )
-        grid = build_grid(config)
-        params = build_params(config, grid)
+        grid, params, initial = build_run(config)
         assert isinstance(params, EpParams)
         assert params.lam == 0.7
         pump = params.pump.values
@@ -177,43 +187,57 @@ class TestBuilders:
         assert pump.max() == pytest.approx(2.0, rel=1e-12)  # center value = height
         outside = np.abs(grid.x - 8.0) >= 1.5
         assert np.all(pump[outside] == 0.0)
+        assert isinstance(initial, EpState)
 
-    def test_initial_presets(self):
-        config = parse(
-            {"model": "cgpe", "initial": {"u": {"kind": "flat", "rho": 0.5, "theta": 1.0}}}
-        )
-        grid = build_grid(config)
-        u = build_initial_u(config, grid)
-        np.testing.assert_allclose(u.values, 0.5 * np.exp(1j), atol=1e-15)
-
-        config = parse(
-            {"model": "cgpe", "initial": {"u": {"kind": "gaussian", "amplitude": 2.0, "width": 0.3}}}
-        )
-        u = build_initial_u(config, build_grid(config))
-        assert np.abs(u.values).max() == pytest.approx(2.0, rel=1e-10)
+    # each preset kind, the document slot it fills, and the samples it must build
+    @pytest.mark.parametrize("slot, spec, expected", [
+        ("n", {"kind": "zero"}, lambda grid: np.zeros(64)),
+        ("n", {"kind": "constant", "level": 0.4}, lambda grid: np.full(64, 0.4)),
+        ("n", {"kind": "bump", "center": 3.0, "width": 1.0, "height": 0.5},
+         lambda grid: 0.5 * smooth_bump(grid.x - 3.0)),
+        ("u", {"kind": "flat", "rho": 0.5, "theta": 1.0}, lambda grid: np.full(64, 0.5 * np.exp(1j))),
+        ("u", {"kind": "gaussian", "amplitude": 2.0, "width": 0.3},
+         lambda grid: 2.0 * np.exp(-((grid.x - np.pi) ** 2) / (2.0 * 0.3**2))),  # centered in the box
+        ("u", {"kind": "random", "seed": 11, "band": 3},
+         lambda grid: random_band_limited(grid, 3, np.random.default_rng(11)).values),
+    ], ids=["zero", "constant", "bump", "flat", "gaussian", "random"])
+    def test_every_preset_kind_is_built(self, slot, spec, expected):
+        config = parse({"model": "ep", "grid": {"n_points": 64}, "initial": {slot: spec}})
+        grid, _, initial = build_run(config)
+        field = getattr(initial, slot)
+        assert field.values.dtype == (np.float64 if slot == "n" else np.complex128)
+        np.testing.assert_array_equal(field.values, expected(grid))
 
     def test_random_initial_is_seeded(self):
         config = parse(
             {"model": "cgpe", "initial": {"u": {"kind": "random", "seed": 11, "band": 3}}}
         )
-        grid = build_grid(config)
-        a = build_initial_u(config, grid)
-        b = build_initial_u(config, grid)
+        a = build_run(config)[2].u
+        b = build_run(config)[2].u
         np.testing.assert_array_equal(a.values, b.values)
-        c = build_initial_u(config, grid, seed_override=12)
+        c = build_run(config, seed_override=12)[2].u
         assert np.max(np.abs(a.values - c.values)) > 0
 
     def test_seed_needs_random_initial_data(self):
         config = parse({"model": "cgpe", "initial": {"u": {"kind": "gaussian"}}})
         with pytest.raises(ValueError, match="random initial data only"):
-            build_initial_u(config, build_grid(config), seed_override=7)
+            build_run(config, seed_override=7)
 
-    def test_initial_n_constant(self):
-        config = parse({"model": "ep", "initial": {"n": {"kind": "constant", "level": 0.4}}})
-        grid = build_grid(config)
-        n = build_initial_n(config, grid)
-        np.testing.assert_array_equal(n.values, np.full(256, 0.4))
-        assert n.values.dtype == np.float64
+    def test_unknown_kind_on_a_hand_built_config(self):
+        config = parse({"model": "ep"})
+        for replaced in ({"initial_u": {"kind": "zero"}}, {"pump": {"kind": "flat"}}):
+            with pytest.raises(ValueError, match="unsupported preset kind"):
+                build_run(dataclasses.replace(config, **replaced))
+
+
+class TestReadmeExample:
+    def test_example_document_runs(self, tmp_path):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        path = tmp_path / "run.json"
+        path.write_text(example, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestHashing:
@@ -335,13 +359,22 @@ class TestFuzz:
             '{"model": "cgpe", "initial": {"u": {"kind": ["gaussian"]}}}',  # unhashable kind
             '{"model": "cgpe", "initial": {"u": {"kind": "gaussian", "amplitude": NaN}}}',
             '{"model": "ep", "pump": {"kind": "bump", "center": -Infinity, "width": 1, "height": 1}}',
+            '{"model": "cgpe", "grid": {"n_points": 63}}',
+            '{"model": "cgpe", "schema_version": 2}',
+            '{"model": "cgpe", "initial": {"n": {"kind": "zero"}}}',
+            '[{"model": "cgpe"}]',
         ],
-        ids=["deep", "long_int", "huge_int", "list_kind", "nan", "minus_inf"],
+        ids=["deep", "long_int", "huge_int", "list_kind", "nan", "minus_inf", "odd_n_points",
+             "schema_version_2", "reservoir_on_cgpe", "top_level_array"],
     )
-    def test_malformed_document_is_a_config_error(self, text):
+    def test_malformed_document_is_a_config_error(self, tmp_path, capsys, text):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
         assert "\n" not in str(excinfo.value)
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
     def test_non_utf8_file_exits_2_naming_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
