@@ -276,6 +276,9 @@ def parse_config(text: str) -> RunConfig:
 
     initial_doc = v.section(doc, "initial", {"u", "n"})
     initial_u = _validate_profile(initial_doc.get("u", {"kind": "flat"}), "initial.u", _CONDENSATE_PRESETS, v)
+    band = initial_u and initial_u.get("band")
+    if band is not None and n_points is not None and band > n_points // 2 - 1:
+        v.fail(f"initial.u.band: must be at most n_points / 2 - 1 = {n_points // 2 - 1}, got {band}")
     initial_n = None
     if model == "ep":
         initial_n = _validate_profile(initial_doc.get("n", {"kind": "zero"}), "initial.n", _DENSITY_PRESETS, v)

@@ -10,7 +10,7 @@ the resolution grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class Field:
     """Samples at the sites of a Grid1D: float64 stays float64, anything else is complex128.
 
     ``spectrum`` is None, or, on a Field made by ``with_spectrum``, the DFT
-    of the values.  It is a class attribute, not a dataclass field, so
-    building a Field sets nothing more.
+    that defines the values.  It is a class attribute, not a dataclass
+    field, so building a Field sets nothing more.
     """
 
     grid: Grid1D
@@ -133,18 +133,24 @@ class Field:
 
 
 class _SpectralField(Field):
-    """A Field that carries its spectrum.  Its own class, so that the extra
-    instance attribute does not widen every plain Field's attribute storage."""
+    """A Field defined by its spectrum: its values, the inverse DFT, are
+    formed the first time they are read and kept read-only, so a Field
+    whose values are never read costs no inverse transform."""
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.fft.ifft(self.spectrum)
+        values.setflags(write=False)
+        return values
 
 
-def with_spectrum(grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> Field:
-    """A Field of values that carries spectrum, their DFT, for the next transform
-    to reuse.  Both arrays are made read-only, so the spectrum cannot go
-    stale: an in-place write to the values raises instead."""
-    values.setflags(write=False)
+def with_spectrum(grid: Grid1D, spectrum: np.ndarray) -> Field:
+    """The Field on grid defined by spectrum, its DFT, which is made read-only
+    and kept for the next transform to reuse.  The values are read-only
+    too, so the spectrum cannot go stale: a write to them raises instead."""
     spectrum.setflags(write=False)
-    field = _SpectralField(grid, values)
-    object.__setattr__(field, "spectrum", spectrum)
+    field = object.__new__(_SpectralField)  # no values to check: they are not formed yet
+    field.__dict__.update(grid=grid, spectrum=spectrum)
     return field
 
 

@@ -119,10 +119,12 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
 
     Unitary, so the discrete L^2 norm is preserved to rounding.  Negative
     dt gives the adjoint step.  Up to DENSE_HALF_STEP_MAX_POINTS points it
-    is one real matrix-vector product.  Above, it is an FFT pair, and the
-    result carries its spectrum: a half-step given such a Field takes that
-    spectrum in place of the forward FFT, so a Strang step costs 3
-    transforms, not 4.
+    is one real matrix-vector product.  Above, the result is the Field
+    defined by its spectrum m * hat, whose inverse FFT is taken only when
+    its values are first read; a half-step given such a Field takes that
+    spectrum in place of the forward FFT.  So between samples a Strang step
+    costs 2 transforms: the forward FFT of the local substep's values and
+    the inverse FFT that the next local substep reads.
     """
     if dt == 0.0:
         return f
@@ -138,7 +140,7 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
         np.multiply(multiplier, hat, out=hat)
     else:
         hat = np.multiply(multiplier, f.spectrum)  # the carried spectrum is read-only
-    return with_spectrum(f.grid, np.fft.ifft(hat), hat)
+    return with_spectrum(f.grid, hat)
 
 
 def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
@@ -165,11 +167,10 @@ def strang_step_cgpe(state: CgpeState, dt: float, p: CgpeParams) -> CgpeState:
         raise ValueError("dt must be nonnegative")
     u = dispersion_half_step(state.u, dt)
     u = cgpe_local_step(u, dt, p)
-    u = dispersion_half_step(u, dt)
-    t_new = state.t + dt
+    # the unitary trailing half-step keeps a finite square sum finite
     if not math.isfinite(_square_sum(u.values)):
-        raise BlowUpError(t_new)
-    return CgpeState(u=u, t=t_new)
+        raise BlowUpError(state.t + dt)
+    return CgpeState(u=dispersion_half_step(u, dt), t=state.t + dt)
 
 
 def reservoir_exact_update(n: Field, u_frozen: Field, dt: float, p: EpParams, density=None) -> Field:
@@ -222,11 +223,10 @@ def strang_step_ep(state: EpState, dt: float, p: EpParams) -> EpState:
     n = reservoir_exact_update(state.n, u, 0.5 * dt, p, density)
     u = _ep_local_u_update(u, n, dt, p, density)
     n = reservoir_exact_update(n, u, 0.5 * dt, p)
-    u = dispersion_half_step(u, dt)
-    t_new = state.t + dt
+    # the unitary trailing half-step keeps a finite square sum finite
     if not (math.isfinite(_square_sum(u.values)) and math.isfinite(_square_sum(n.values))):
-        raise BlowUpError(t_new)
-    return EpState(u=u, n=n, t=t_new)
+        raise BlowUpError(state.t + dt)
+    return EpState(u=dispersion_half_step(u, dt), n=n, t=state.t + dt)
 
 
 def _square_sum(values: np.ndarray) -> float:
@@ -234,8 +234,20 @@ def _square_sum(values: np.ndarray) -> float:
     return float(np.vdot(values, values).real)
 
 
+def _mass(u: Field) -> float:
+    """sum |u|^2 dx, by Parseval from the spectrum when u has one, so that
+    deferred values stay unformed.  The spectrum's square sum is N times
+    the values', so it can overflow where theirs does not: then the values
+    give it."""
+    if u.spectrum is not None:
+        total = _square_sum(u.spectrum)
+        if math.isfinite(total):
+            return total * (u.grid.dx / u.grid.n_points)
+    return _square_sum(u.values) * u.grid.dx
+
+
 def _plain(u: Field) -> Field:
-    """u rebuilt from its values alone, which stay read-only, when it carries a spectrum.
+    """u rebuilt from its values alone when it has a spectrum; deferred values are formed now.
 
     A run that goes on from a plain sample transforms its values afresh, as
     a run restarted from that sample or its checkpoint does, so the two
@@ -331,7 +343,7 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
             if row is None:
                 raise BlowUpError(t0 + i * dt, steps=i - 1)
             yield i, state, row
-        elif _square_sum(state.u.values) * state.u.grid.dx > mass_cap:
+        elif _mass(state.u) > mass_cap:
             raise BlowUpError(t0 + i * dt, steps=i - 1)
 
 

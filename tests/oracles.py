@@ -14,7 +14,6 @@ CSV fixtures: a run appends its rows one at a time instead.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from plsim.grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm_spectral
 from plsim.diagnostics import DiagnosticsSeries
@@ -34,7 +33,9 @@ def bracket_pair_integral_quad(s: float, a_plus: float, a_minus: float) -> float
     """J(s) = integral of <y - s>^(-2 a_plus) <y + s>^(-2 a_minus) dy.
 
     Adaptive quadrature split at the two bracket centers, tolerance 1e-12.
+    scipy is imported here, so that the other oracles load without it.
     """
+    from scipy.integrate import quad
 
     def integrand(y: float) -> float:
         return (1.0 + (y - s) ** 2) ** (-a_plus) * (1.0 + (y + s) ** 2) ** (-a_minus)

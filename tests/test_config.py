@@ -63,6 +63,20 @@ class TestViolations:
         assert "grdi" in messages
         assert "alpha" in messages
 
+    def test_random_band_beyond_the_grid_is_collected_with_the_others(self):
+        doc = {"model": "cgpe", "grid": {"n_points": 64},
+               "initial": {"u": {"kind": "random", "seed": 1, "band": 40}}}
+        with pytest.raises(ConfigError) as excinfo:
+            parse({**doc, "sample_every": 0})
+        assert excinfo.value.violations == [
+            "initial.u.band: must be at most n_points / 2 - 1 = 31, got 40",
+            "document.sample_every: must be >= 1, got 0",
+        ]
+        fits = {**doc, "initial": {"u": {"kind": "random", "seed": 1, "band": 31}}}
+        assert parse(fits).initial_u["band"] == 31
+        with pytest.raises(ConfigError, match="= 31, got 32"):
+            parse({**doc, "initial": {"u": {"kind": "random", "band": 32}}})
+
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as excinfo:
             parse({"model": "cgpe", "dt": -1.0, "params": {"xi": 0.0}, "sample_every": 0})
@@ -363,9 +377,10 @@ class TestFuzz:
             '{"model": "cgpe", "schema_version": 2}',
             '{"model": "cgpe", "initial": {"n": {"kind": "zero"}}}',
             '[{"model": "cgpe"}]',
+            '{"model": "cgpe", "grid": {"n_points": 64}, "initial": {"u": {"kind": "random", "band": 40}}}',
         ],
         ids=["deep", "long_int", "huge_int", "list_kind", "nan", "minus_inf", "odd_n_points",
-             "schema_version_2", "reservoir_on_cgpe", "top_level_array"],
+             "schema_version_2", "reservoir_on_cgpe", "top_level_array", "band_beyond_grid"],
     )
     def test_malformed_document_is_a_config_error(self, tmp_path, capsys, text):
         with pytest.raises(ConfigError) as excinfo:

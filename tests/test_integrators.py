@@ -1,5 +1,6 @@
 """Strang steppers: exact substeps, splitting order, positivity, blow-up."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -32,7 +33,9 @@ from plsim.integrators import (
     _ep_local_u_update,
     _half_step_matrix,
     _half_step_multiplier,
+    _mass,
     _rotate,
+    _square_sum,
 )
 from plsim.models import (
     CgpeParams,
@@ -318,7 +321,56 @@ def strang_step(state, dt, p):
 MODELS = ["cgpe", "ep"]
 
 
+def count_transforms(monkeypatch):
+    """Count the calls of numpy.fft.fft and ifft from here on, by name."""
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
 class TestSpectrumCarry:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n_points", [128, 4096])
+    @pytest.mark.parametrize("sample_every", [1, 3, 10])
+    def test_two_transforms_per_step_between_samples(self, model, n_points, sample_every,
+                                                     monkeypatch):
+        # n steps sampled every s take (n/s)(2s + 2) transforms: per step the
+        # forward FFT after the local substep and the inverse the next local
+        # substep reads; per sample the inverse that forms it and the forward
+        # FFT that the step after it takes afresh (of the initial state first)
+        state = band_state(model, n_points, 7)
+        p = bump_params(model, state.u.grid)
+        n_steps = 30
+        counts = count_transforms(monkeypatch)
+        samples = list(iter_samples(state, 1e-3, n_steps * 1e-3, sample_every, p))
+        assert [i for i, _, _ in samples] == list(range(0, n_steps + 1, sample_every))
+        per_kind = n_steps + n_steps // sample_every
+        assert counts == {"fft": per_kind, "ifft": per_kind}
+        assert sum(counts.values()) == (n_steps // sample_every) * (2 * sample_every + 2)
+
+    def test_values_never_read_take_no_inverse_transform(self, monkeypatch):
+        u = band_state("cgpe", 128, 8).u
+        counts = count_transforms(monkeypatch)
+        twice = dispersion_half_step(dispersion_half_step(u, 1e-3), 1e-3)
+        assert counts == {"fft": 1, "ifft": 0}
+        values = twice.values
+        assert twice.values is values
+        assert counts == {"fft": 1, "ifft": 1}
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_forced_values_are_the_read_only_inverse_of_the_spectrum(self, model):
+        state = band_state(model, 256, 9)
+        p = bump_params(model, state.u.grid)
+        for carrying in (dispersion_half_step(state.u, 1e-3), strang_step(state, 1e-3, p).u):
+            np.testing.assert_array_equal(carrying.values, np.fft.ifft(carrying.spectrum))
+            assert not carrying.values.flags.writeable
+            assert "values" in vars(carrying)  # formed once, then kept
+
     @pytest.mark.parametrize("model", MODELS)
     def test_carried_spectrum_is_the_read_only_dft_of_the_values(self, model):
         state = band_state(model, 256, 1)
@@ -559,6 +611,16 @@ class TestStrangCgpe:
         for _ in range(1000):
             state = strang_step_cgpe(state, 0.01, p)
         assert lp_norm(state.u, 2) ** 2 == pytest.approx(mass0, rel=1e-12)
+
+    def test_near_overflow_state_is_not_blown_up(self):
+        # |u|^2 sums to 4.1e307 over 4096 sites, inside the float64 range;
+        # the spectrum's square sum, N times as large, is not
+        grid = make_grid(4096, TWO_PI)
+        u = constant_field(grid, 1e152)
+        out = strang_step_cgpe(CgpeState(u=u), 1e-3, CgpeParams(xi=0.0, sigma=0.0))
+        assert not math.isfinite(_square_sum(out.u.spectrum))
+        assert np.all(np.isfinite(out.u.values))
+        assert _mass(out.u) == pytest.approx(_square_sum(u.values) * grid.dx, rel=1e-12)
 
 
 class TestReservoirUpdate:
@@ -815,6 +877,7 @@ class TestIntegrate:
         assert len(err.trajectory.diagnostics) >= 2
         assert err.time <= 5.0
 
+    @pytest.mark.parametrize("n_points", [16, 128, 4096])  # the dense path, then the FFT path
     @pytest.mark.parametrize(
         "params, dt, t_end, sample_every, steps, last_sample",
         [
@@ -827,8 +890,8 @@ class TestIntegrate:
         ids=["mass_cap", "non_finite"],
     )
     def test_blow_up_counts_completed_steps(self, params, dt, t_end, sample_every, steps,
-                                            last_sample):
-        grid = make_grid(16, TWO_PI)
+                                            last_sample, n_points):
+        grid = make_grid(n_points, TWO_PI)
         state = CgpeState(u=constant_field(grid, 1e-3))
         seen = []
         with pytest.raises(BlowUpError) as streamed, np.errstate(over="ignore", invalid="ignore"):
@@ -843,22 +906,25 @@ class TestIntegrate:
         assert len(collected.value.trajectory.states) == len(seen)
 
     def test_times_count_from_the_initial_time(self):
-        grid = make_grid(16, TWO_PI)
-        p = CgpeParams(1.0, 1.0)
-        samples = list(iter_samples(CgpeState(u=constant_field(grid, 0.5), t=5.0), 0.1, 0.3, 1, p))
-        assert [state.t for _, state, _ in samples] == [5.0, 5.0 + 0.1, 5.0 + 2 * 0.1, 5.0 + 3 * 0.1]
-        assert [row[0] for _, _, row in samples] == [state.t for _, state, _ in samples]
-        # the mass cap repro of test_blow_up_counts_completed_steps, started at t = 2
-        state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
-        with pytest.raises(BlowUpError) as capped:
-            integrate(state, 0.05, 5.0, 3, CgpeParams(xi=30.0, sigma=1e-12))
-        assert capped.value.steps == 4 and capped.value.time == 2.0 + 5 * 0.05
-        assert [s.t for s in capped.value.trajectory.states] == [2.0, 2.0 + 3 * 0.05]
-        # the first step overflows: the stepper's own failure
-        state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
-        with pytest.raises(BlowUpError) as overflowed, np.errstate(over="ignore", invalid="ignore"):
-            integrate(state, 0.5, 4.0, 1, CgpeParams(xi=1000.0, sigma=1e-12))
-        assert overflowed.value.steps == 0 and overflowed.value.time == 2.0 + 0.5
+        # on the dense half-step path (N=16) and the deferred FFT path (N=128)
+        for grid in (make_grid(16, TWO_PI), make_grid(128, TWO_PI)):
+            p = CgpeParams(1.0, 1.0)
+            samples = list(iter_samples(CgpeState(u=constant_field(grid, 0.5), t=5.0), 0.1, 0.3, 1, p))
+            times = [5.0, 5.0 + 0.1, 5.0 + 2 * 0.1, 5.0 + 3 * 0.1]
+            assert [state.t for _, state, _ in samples] == times
+            assert [row[0] for _, _, row in samples] == [state.t for _, state, _ in samples]
+            # the mass cap repro of test_blow_up_counts_completed_steps, started at t = 2
+            state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
+            with pytest.raises(BlowUpError) as capped:
+                integrate(state, 0.05, 5.0, 3, CgpeParams(xi=30.0, sigma=1e-12))
+            assert capped.value.steps == 4 and capped.value.time == 2.0 + 5 * 0.05
+            assert [s.t for s in capped.value.trajectory.states] == [2.0, 2.0 + 3 * 0.05]
+            # the first step overflows: the stepper's own failure
+            state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
+            with (pytest.raises(BlowUpError) as overflowed,
+                  np.errstate(over="ignore", invalid="ignore")):
+                integrate(state, 0.5, 4.0, 1, CgpeParams(xi=1000.0, sigma=1e-12))
+            assert overflowed.value.steps == 0 and overflowed.value.time == 2.0 + 0.5
 
     def test_loop_builds_no_state_between_samples(self, monkeypatch):
         # each step builds the stepper's state; the loop restamps sampled ones only
