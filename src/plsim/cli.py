@@ -88,11 +88,6 @@ def _not_finite(args, *names: str) -> str | None:
     return None
 
 
-def _stops_early(diagnostics: DiagnosticsSeries, config) -> bool:
-    """Whether a run's diagnostics stop before t_end: the run blew up."""
-    return bool(np.rint(diagnostics.times[-1] / config.dt) < step_count(config.dt, config.t_end))
-
-
 def _run_checks(
     names, diagnostics, params, domain_measure: float, out_dir: str, partial: bool
 ) -> bool:
@@ -171,7 +166,7 @@ def cmd_run(args) -> int:
             save(index, state)
 
         diagnostics = DiagnosticsSeries.from_rows(np.reshape(rows, (index + 1, -1)))
-        partial = _stops_early(diagnostics, config)
+        partial = blow_up is not None
         passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
         write_json(
             os.path.join(out_dir, "run_meta.json"),
@@ -390,7 +385,9 @@ def cmd_check(args) -> int:
     config = load_config(args.config)
     out_dir = args.out or config.output or "plsim-out"
     diagnostics = read_diagnostics_csv(args.csv)
-    partial = _stops_early(diagnostics, config)
+    # rows that stop before t_end are those of a run that blew up
+    partial = bool(np.rint(diagnostics.times[-1] / config.dt)
+                   < step_count(config.dt, config.t_end))
     if partial:
         print(f"{args.csv} stops before t_end = {config.t_end:.6g}: checking the rows of a "
               "run that blew up", file=sys.stderr)

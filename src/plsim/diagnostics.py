@@ -55,13 +55,6 @@ class DiagnosticsSeries:
             raise ValueError(f"rows must have 3 or {len(COLUMNS)} columns, got shape {data.shape}")
         return cls(*data.T)
 
-    def columns(self) -> list[np.ndarray]:
-        """The series in COLUMNS order; the reservoir ones only when present."""
-        series = [self.times, self.mass, self.l4_fourth]
-        if self.has_reservoir:
-            series += [self.n_integral, self.n_sq_integral, self.n_min]
-        return series
-
     @property
     def has_reservoir(self) -> bool:
         return self.n_integral is not None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries
+from .diagnostics import COLUMNS, DiagnosticsSeries
 from .grid import Field, Grid1D, free_propagator, memo, modulus_squared, real_field, with_spectrum
 from .models import CgpeParams, EpParams, _local_flow_factors
 
@@ -78,19 +78,18 @@ class Trajectory:
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a step produces a non-finite or runaway state.
+    """Raised by the stepping loop when a step produces a non-finite or runaway state.
 
-    Carries the offending time, the number of steps completed before it
-    and the partial trajectory accumulated so far (both None when raised
-    by a bare stepper).
+    Carries the time that state would have been stamped with, the number of
+    steps completed before it and, from ``integrate``, the partial
+    trajectory accumulated so far.
     """
 
-    def __init__(self, time: float, trajectory: Trajectory | None = None,
-                 steps: int | None = None):
+    def __init__(self, time: float, steps: int, trajectory: Trajectory | None = None):
         super().__init__(f"solution blew up at t = {time:.6g}")
         self.time = time
-        self.trajectory = trajectory
         self.steps = steps
+        self.trajectory = trajectory
 
 
 @memo
@@ -162,14 +161,15 @@ def cgpe_local_step(u: Field, dt: float, p: CgpeParams) -> Field:
 
 
 def strang_step_cgpe(state: CgpeState, dt: float, p: CgpeParams) -> CgpeState:
-    """Half dispersion, full local flow, half dispersion."""
+    """Half dispersion, full local flow, half dispersion.
+
+    A pure map: a state that overflows comes back non-finite.  Judging it
+    is the stepping loop's work (``iter_samples``).
+    """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     u = dispersion_half_step(state.u, dt)
     u = cgpe_local_step(u, dt, p)
-    # the unitary trailing half-step keeps a finite square sum finite
-    if not math.isfinite(_square_sum(u.values)):
-        raise BlowUpError(state.t + dt)
     return CgpeState(u=dispersion_half_step(u, dt), t=state.t + dt)
 
 
@@ -214,7 +214,8 @@ def strang_step_ep(state: EpState, dt: float, p: EpParams) -> EpState:
     """Half dispersion on u, inner Strang for the local system, half dispersion.
 
     The inner local substep is reservoir(dt/2), condensate(dt) with the
-    reservoir frozen, reservoir(dt/2); every piece is an exact flow.
+    reservoir frozen, reservoir(dt/2); every piece is an exact flow.  A pure
+    map, as ``strang_step_cgpe`` is.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -223,14 +224,11 @@ def strang_step_ep(state: EpState, dt: float, p: EpParams) -> EpState:
     n = reservoir_exact_update(state.n, u, 0.5 * dt, p, density)
     u = _ep_local_u_update(u, n, dt, p, density)
     n = reservoir_exact_update(n, u, 0.5 * dt, p)
-    # the unitary trailing half-step keeps a finite square sum finite
-    if not (math.isfinite(_square_sum(u.values)) and math.isfinite(_square_sum(n.values))):
-        raise BlowUpError(state.t + dt)
     return EpState(u=dispersion_half_step(u, dt), n=n, t=state.t + dt)
 
 
 def _square_sum(values: np.ndarray) -> float:
-    """sum |values|^2 in one BLAS pass, not finite if an entry is not; cheaper than a sample row."""
+    """sum |values|^2 in one BLAS pass, not finite if an entry is not."""
     return float(np.vdot(values, values).real)
 
 
@@ -256,20 +254,19 @@ def _plain(u: Field) -> Field:
     return u if u.spectrum is None else Field(u.grid, u.values)
 
 
-def _diagnostics_row(state, mass_cap: float = np.inf) -> tuple | None:
-    """Row of COLUMNS for state, or None when its mass exceeds mass_cap.
+def _diagnostics_row(state) -> tuple:
+    """Row of COLUMNS for state.
 
-    mass and l4 come from one density |u|^2: mass is sum(density) dx,
-    and l4, sum(density**2) dx, is formed only under the cap, so a runaway
-    state cannot overflow it.  Every column is a numpy reduction, never a
-    BLAS dot, so its bits do not depend on the BLAS thread count.
+    mass and l4 come from one density |u|^2: mass is sum(density) dx and
+    l4 is sum(density**2) dx.  The stepping loop asks for rows only of
+    states it has judged under the blow-up cap.  Every column is a numpy
+    reduction, never a BLAS dot, so its bits do not depend on the BLAS
+    thread count.
     """
     u = state.u
     dx = u.grid.dx
     density = modulus_squared(u.values)
     mass = float(density.sum() * dx)
-    if mass > mass_cap:
-        return None
     l4 = float(np.square(density, out=density).sum() * dx)
     if isinstance(state, EpState):
         n = state.n.values
@@ -297,9 +294,11 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
     order.  A sampled state carries no spectrum, and the run goes on from
     it as a run restarted from it would.  t_end is the run's length,
     counted from ``initial.t``: step i is stamped ``initial.t + i * dt``.
-    A state that is non-finite or whose mass exceeds the blow-up cap is
-    never yielded: BlowUpError is raised with its time and the number of
-    steps completed before it.
+    An initial state with a non-finite row is refused (ValueError) before
+    any step.  Every stepped state is judged once, right after its step; one
+    that is non-finite or whose mass exceeds the blow-up cap is never
+    yielded: BlowUpError is raised with the time it would have been stamped
+    with and the number of steps completed before it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -326,25 +325,28 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
 
     n_steps = step_count(dt, t_end)
     t0 = initial.t
+    has_reservoir = isinstance(initial, EpState)
     row = _diagnostics_row(initial)
+    for name, value in zip(COLUMNS, row):
+        if not math.isfinite(value):
+            raise ValueError(f"the initial state's {name} is not finite: {value}")
     mass0 = row[1]
     mass_cap = BLOWUP_MASS_FACTOR * mass0 if mass0 > 0 else np.inf
     yield 0, initial, row
     state = initial
     for i in range(1, n_steps + 1):
-        try:
-            state = step(state)
-        except BlowUpError:
-            raise BlowUpError(t0 + (i - 1) * dt + dt, steps=i - 1) from None
-        if i % sample_every == 0 or i == n_steps:
+        state = step(state)
+        sampled = i % sample_every == 0 or i == n_steps
+        if sampled:
             # sampled timestamps are exact multiples of dt past t0, not accumulated sums
             state = at(state, t0 + i * dt)
-            row = _diagnostics_row(state, mass_cap)
-            if row is None:
-                raise BlowUpError(t0 + i * dt, steps=i - 1)
-            yield i, state, row
-        elif _mass(state.u) > mass_cap:
+        mass = _mass(state.u)
+        # both tests: NaN is never > mass_cap, and inf is <= an inf mass_cap
+        if not (math.isfinite(mass) and mass <= mass_cap) or (
+                has_reservoir and not math.isfinite(_square_sum(state.n.values))):
             raise BlowUpError(t0 + i * dt, steps=i - 1)
+        if sampled:
+            yield i, state, _diagnostics_row(state)
 
 
 def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:

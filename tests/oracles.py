@@ -9,8 +9,9 @@ time-frequency lattice, the Strang stepping with a fresh FFT pair per
 half-step, and the Picard sweeps of both models built from
 out-of-place temporaries; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
-Also the writer of a whole diagnostics series, which the tests use to make
-CSV fixtures: a run appends its rows one at a time instead.
+Also the columns of a diagnostics series and the writer of a whole
+series, which the tests use to compare rows and make CSV fixtures: a run
+appends its rows one at a time instead.
 """
 
 import numpy as np
@@ -201,8 +202,16 @@ def picard_ep_sweeps(u0: Field, n0: Field, mesh, p: EpParams, sweeps: int):
     return (u, n), diffs
 
 
+def diagnostics_columns(d: DiagnosticsSeries) -> list[np.ndarray]:
+    """The series of d in COLUMNS order; the reservoir ones only when present."""
+    series = [d.times, d.mass, d.l4_fourth]
+    if d.has_reservoir:
+        series += [d.n_integral, d.n_sq_integral, d.n_min]
+    return series
+
+
 def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
     """The whole series d as a diagnostics CSV, in the layout a run writes."""
     with DiagnosticsAppender(path, d.has_reservoir) as table:
-        for row in zip(*d.columns()):
+        for row in zip(*diagnostics_columns(d)):
             table.append(row)

@@ -260,6 +260,21 @@ class TestRun:
         reports = json.loads((out / "reports.json").read_text())
         assert [r["name"] for r in reports] == doc["checks"]
 
+    def test_non_finite_initial_row_exits_2_before_stepping(self, tmp_path, capsys):
+        # |u|^2 = 1e304 sums to a finite mass on 4096 sites, but its square
+        # overflows l4: the run is refused before its first step and leaves
+        # no checkpoint, report or run record
+        doc = {"model": "cgpe", "grid": {"n_points": 4096}, "dt": 1e-3, "t_end": 0.01,
+               "sample_every": 5, "initial": {"u": {"kind": "flat", "rho": 1e152}}}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "overflow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the initial state's l4_fourth is not finite: inf\n"
+        assert not list((out / "checkpoints").iterdir())
+        assert not (out / "reports.json").exists() and not (out / "run_meta.json").exists()
+
     def test_blow_up_at_final_step_keeps_partial_outputs(self, tmp_path):
         # blows up at step 2 = n_steps: the over-cap state is rejected, so
         # the series keeps the t = 0 and t = 0.001 samples and stops before

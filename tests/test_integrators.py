@@ -45,7 +45,7 @@ from plsim.models import (
 )
 from plsim.storage import read_checkpoint, write_checkpoint
 
-from oracles import lp_norm, strang_samples_fft_pairs
+from oracles import diagnostics_columns, lp_norm, strang_samples_fft_pairs
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -67,6 +67,16 @@ def gaussian_field(grid, amplitude=1.0, width=0.5):
 
 def make_ep_params(grid, p0=1.0, g=1.0, lam=0.5, R=1.0, alpha=0.5, beta=1.3):
     return EpParams(g=g, lam=lam, R=R, alpha=alpha, beta=beta, pump=real_constant(grid, p0))
+
+
+def blow_up_start(grid, model, level):
+    """Flat u = 1e-3 and the blow-up repros' parameters: cgpe with xi = level,
+    or ep with a flat reservoir at level and g = lam = R = 1, alpha 0.5,
+    beta 1.1 and a constant pump of 1."""
+    u = constant_field(grid, 1e-3)
+    if model == "cgpe":
+        return CgpeState(u=u), CgpeParams(xi=level, sigma=1e-12)
+    return EpState(u=u, n=real_constant(grid, level)), make_ep_params(grid, lam=1.0, beta=1.1)
 
 
 class TestDispersionHalfStep:
@@ -612,6 +622,16 @@ class TestStrangCgpe:
             state = strang_step_cgpe(state, 0.01, p)
         assert lp_norm(state.u, 2) ** 2 == pytest.approx(mass0, rel=1e-12)
 
+    @pytest.mark.parametrize("n_points", [16, 128])  # the dense path, then the FFT path
+    def test_overflowing_state_comes_back_non_finite(self, n_points):
+        # a bare stepper is a pure map: judging its result is the loop's work
+        grid = make_grid(n_points, TWO_PI)
+        state = CgpeState(u=constant_field(grid, 1e-3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = strang_step_cgpe(state, 0.5, CgpeParams(xi=1000.0, sigma=1e-12))
+            assert not np.any(np.isfinite(out.u.values))
+        assert out.t == 0.5
+
     def test_near_overflow_state_is_not_blown_up(self):
         # |u|^2 sums to 4.1e307 over 4096 sites, inside the float64 range;
         # the spectrum's square sum, N times as large, is not
@@ -879,31 +899,99 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("n_points", [16, 128, 4096])  # the dense path, then the FFT path
     @pytest.mark.parametrize(
-        "params, dt, t_end, sample_every, steps, last_sample",
+        "model, level, dt, t_end, sample_every, steps, last_sample",
         [
             # the mass cap is exceeded at step 5, which is not yielded: the
             # samples stay on the every-3rd-step cadence
-            (CgpeParams(xi=30.0, sigma=1e-12), 0.05, 5.0, 3, 4, 3),
+            ("cgpe", 30.0, 0.05, 5.0, 3, 4, 3),
             # the first step overflows: no state is yielded after the initial one
-            (CgpeParams(xi=1000.0, sigma=1e-12), 0.5, 4.0, 1, 0, 0),
+            ("cgpe", 1000.0, 0.5, 4.0, 1, 0, 0),
+            # the mass cap is exceeded at step 4, right after the step-3 sample
+            ("ep", 50.0, 0.05, 5.0, 3, 3, 3),
+            # the first step overflows
+            ("ep", 3000.0, 0.1, 4.0, 1, 0, 0),
         ],
-        ids=["mass_cap", "non_finite"],
+        ids=["mass_cap", "non_finite", "ep_mass_cap", "ep_non_finite"],
     )
-    def test_blow_up_counts_completed_steps(self, params, dt, t_end, sample_every, steps,
+    def test_blow_up_counts_completed_steps(self, model, level, dt, t_end, sample_every, steps,
                                             last_sample, n_points):
-        grid = make_grid(n_points, TWO_PI)
-        state = CgpeState(u=constant_field(grid, 1e-3))
+        state, params = blow_up_start(make_grid(n_points, TWO_PI), model, level)
         seen = []
         with pytest.raises(BlowUpError) as streamed, np.errstate(over="ignore", invalid="ignore"):
             for step, _, _ in iter_samples(state, dt, t_end, sample_every, params):
                 seen.append(step)
         assert streamed.value.steps == steps and streamed.value.trajectory is None
-        assert streamed.value.time == pytest.approx((steps + 1) * dt)  # the rejected state's
+        assert streamed.value.time == (steps + 1) * dt  # the rejected state's
         assert seen[-1] == last_sample
         with pytest.raises(BlowUpError) as collected, np.errstate(over="ignore", invalid="ignore"):
             integrate(state, dt, t_end, sample_every, params)
         assert collected.value.trajectory.steps == steps
         assert len(collected.value.trajectory.states) == len(seen)
+
+    @pytest.mark.parametrize("value", [np.nan, 1e3], ids=["non_finite", "mass_cap"])
+    def test_blow_up_is_stamped_as_a_sample_at_its_step(self, monkeypatch, value):
+        # step 6 of dt = 0.1 is stamped 6 * 0.1 = 0.6000000000000001 whichever
+        # way its state blows up, as a sample there is; not 5 * 0.1 + 0.1 = 0.6
+        import plsim.integrators as integrators
+
+        grid = make_grid(16, TWO_PI)
+        args = (CgpeState(u=constant_field(grid, 0.5)), 0.1, 2.0, 3, CgpeParams(1.0, 1.0))
+        sampled = {step: state.t for step, state, _ in iter_samples(*args)}
+        calls = []
+
+        def stepper(state, dt, p):  # keeps the state, then gives a blown-up one at step 6
+            calls.append(state.t)
+            u = constant_field(grid, value) if len(calls) == 6 else state.u
+            return CgpeState(u=u, t=state.t + dt)
+
+        monkeypatch.setattr(integrators, "strang_step_cgpe", stepper)
+        with pytest.raises(BlowUpError) as excinfo:
+            list(iter_samples(*args))
+        assert excinfo.value.steps == 5
+        assert excinfo.value.time == sampled[6] == 6 * 0.1 != 5 * 0.1 + 0.1
+
+    def test_non_finite_reservoir_is_a_blow_up(self, monkeypatch):
+        # u keeps its finite mass; the reservoir alone goes non-finite at step 2
+        import plsim.integrators as integrators
+
+        grid = make_grid(16, TWO_PI)
+        initial = EpState(u=gaussian_field(grid, 0.8), n=real_constant(grid, 0.3))
+
+        def stepper(state, dt, p):
+            n = real_constant(grid, np.inf) if state.t > 0 else state.n
+            return EpState(u=state.u, n=n, t=state.t + dt)
+
+        monkeypatch.setattr(integrators, "strang_step_ep", stepper)
+        with pytest.raises(BlowUpError) as excinfo:
+            list(iter_samples(initial, 0.1, 1.0, 5, make_ep_params(grid)))
+        assert excinfo.value.steps == 1 and excinfo.value.time == 2 * 0.1
+
+    @pytest.mark.parametrize(
+        "model, u, n, column",
+        [
+            # |u|^2 = 1e304 sums to a finite mass on 4096 sites; its square does not
+            ("cgpe", 1e152, None, "l4_fourth"),
+            ("cgpe", 1e160, None, "mass"),
+            ("ep", 1.0, 1e200, "n_sq_integral"),
+        ],
+    )
+    def test_initial_row_must_be_finite(self, monkeypatch, model, u, n, column):
+        import plsim.integrators as integrators
+
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrators, f"strang_step_{model}", no_step)
+        grid = make_grid(4096, TWO_PI)
+        if model == "cgpe":
+            initial, params = CgpeState(u=constant_field(grid, u)), CgpeParams(1.0, 1.0)
+        else:
+            initial = EpState(u=constant_field(grid, u), n=real_constant(grid, n))
+            params = make_ep_params(grid)
+        samples = iter_samples(initial, 1e-3, 0.01, 5, params)
+        with (pytest.raises(ValueError, match=f"initial state's {column} is not finite"),
+              np.errstate(over="ignore")):
+            next(samples)
 
     def test_times_count_from_the_initial_time(self):
         # on the dense half-step path (N=16) and the deferred FFT path (N=128)
@@ -919,7 +1007,7 @@ class TestIntegrate:
                 integrate(state, 0.05, 5.0, 3, CgpeParams(xi=30.0, sigma=1e-12))
             assert capped.value.steps == 4 and capped.value.time == 2.0 + 5 * 0.05
             assert [s.t for s in capped.value.trajectory.states] == [2.0, 2.0 + 3 * 0.05]
-            # the first step overflows: the stepper's own failure
+            # the first step overflows: a non-finite state, stamped as the cap's
             state = CgpeState(u=constant_field(grid, 1e-3), t=2.0)
             with (pytest.raises(BlowUpError) as overflowed,
                   np.errstate(over="ignore", invalid="ignore")):
@@ -938,26 +1026,6 @@ class TestIntegrate:
         assert len(built) == 20 + 4
         assert [state.t for _, state, _ in samples] == [i * 0.1 for i in (0, 5, 10, 15, 20)]
 
-    def test_stepper_failure_time_is_last_completed_step_plus_dt(self, monkeypatch):
-        import plsim.integrators as integrators
-
-        grid = make_grid(16, TWO_PI)
-        calls = []
-
-        def failing_step(state, dt, p):
-            calls.append(state.t)
-            if len(calls) == 6:
-                raise BlowUpError(state.t + dt)
-            return CgpeState(u=state.u, t=state.t + dt)
-
-        monkeypatch.setattr(integrators, "strang_step_cgpe", failing_step)
-        with pytest.raises(BlowUpError) as excinfo:
-            list(iter_samples(CgpeState(u=constant_field(grid, 0.5)), 0.1, 2.0, 3,
-                              CgpeParams(1.0, 1.0)))
-        assert excinfo.value.steps == 5
-        # the last completed step's time plus dt: 0.6, where 6 * 0.1 is 0.6000000000000001
-        assert excinfo.value.time == 5 * 0.1 + 0.1 != 6 * 0.1
-
     def test_integrate_collects_the_streamed_samples(self):
         grid = make_grid(32, TWO_PI)
         p = make_ep_params(grid, p0=1.0, alpha=0.5, beta=1.3, lam=0.5)
@@ -966,7 +1034,8 @@ class TestIntegrate:
         traj = integrate(initial, 1e-2, 0.5, 7, p)
         assert [step for step, _, _ in streamed] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
         assert traj.steps == 50
-        for (_, state, row), kept, *stored in zip(streamed, traj.states, *traj.diagnostics.columns()):
+        for (_, state, row), kept, *stored in zip(streamed, traj.states,
+                                                   *diagnostics_columns(traj.diagnostics)):
             np.testing.assert_array_equal(state.n.values, kept.n.values)
             assert row == tuple(stored)
 
