@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -142,19 +143,23 @@ def cmd_run(args) -> int:
     # held: its row is appended, its checkpoint written when due, and its
     # values kept for the checks as 8-byte floats, not a tuple of floats.
     # A step that overflows is a blow-up, which iter_samples reports by
-    # raising, so numpy's overflow warnings on the way there carry nothing more
+    # raising, so numpy's overflow warnings on the way there carry nothing
+    # more.  The initial sample is drawn before any output exists: a
+    # refused initial state leaves none
+    samples = iter_samples(initial, config.dt, config.t_end, config.sample_every, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = next(samples)
     rows = array("d")
     blow_up = None
     with output_lock(out_dir):
         os.makedirs(ckpt_dir, exist_ok=True)
-        samples = iter_samples(initial, config.dt, config.t_end, config.sample_every, params)
         try:
             with (
                 DiagnosticsAppender(os.path.join(out_dir, "diagnostics.csv"),
                                     isinstance(initial, EpState)) as table,
                 np.errstate(over="ignore", invalid="ignore"),
             ):
-                for index, (steps, state, row) in enumerate(samples):
+                for index, (steps, state, row) in enumerate(chain([first], samples)):
                     table.append(row)
                     rows.extend(row)
                     if due(index):

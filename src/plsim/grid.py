@@ -10,14 +10,13 @@ the resolution grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
 __all__ = [
     "Grid1D",
     "Field",
-    "with_spectrum",
     "real_field",
     "make_grid",
     "dealias_mask",
@@ -103,16 +102,10 @@ def make_grid(n_points: int, length: float) -> Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Samples at the sites of a Grid1D: float64 stays float64, anything else is complex128.
-
-    ``spectrum`` is None, or, on a Field made by ``with_spectrum``, the DFT
-    that defines the values.  It is a class attribute, not a dataclass
-    field, so building a Field sets nothing more.
-    """
+    """Samples at the sites of a Grid1D: float64 stays float64, anything else is complex128."""
 
     grid: Grid1D
     values: np.ndarray
-    spectrum = None
 
     def __post_init__(self) -> None:
         values = self.values
@@ -130,28 +123,6 @@ class Field:
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
-
-
-class _SpectralField(Field):
-    """A Field defined by its spectrum: its values, the inverse DFT, are
-    formed the first time they are read and kept read-only, so a Field
-    whose values are never read costs no inverse transform."""
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        values = np.fft.ifft(self.spectrum)
-        values.setflags(write=False)
-        return values
-
-
-def with_spectrum(grid: Grid1D, spectrum: np.ndarray) -> Field:
-    """The Field on grid defined by spectrum, its DFT, which is made read-only
-    and kept for the next transform to reuse.  The values are read-only
-    too, so the spectrum cannot go stale: a write to them raises instead."""
-    spectrum.setflags(write=False)
-    field = object.__new__(_SpectralField)  # no values to check: they are not formed yet
-    field.__dict__.update(grid=grid, spectrum=spectrum)
-    return field
 
 
 def real_field(field: Field, name: str) -> Field:

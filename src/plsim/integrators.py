@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .diagnostics import COLUMNS, DiagnosticsSeries
-from .grid import Field, Grid1D, free_propagator, memo, modulus_squared, real_field, with_spectrum
+from .grid import Field, Grid1D, free_propagator, memo, modulus_squared, real_field
 from .models import CgpeParams, EpParams, _local_flow_factors
 
 __all__ = [
@@ -113,6 +114,22 @@ def _half_step_matrix(grid: Grid1D, dt: float) -> np.ndarray:
     return matrix
 
 
+class _SpectralField(Field):
+    """A Field defined by its DFT, which the next half-step takes in place of
+    a forward FFT.  Spectrum and values (its inverse DFT, formed when first
+    read) are read-only, so a write raises instead of staling the spectrum."""
+
+    def __init__(self, grid: Grid1D, spectrum: np.ndarray) -> None:
+        spectrum.setflags(write=False)
+        vars(self).update(grid=grid, spectrum=spectrum)  # no values to check: none are formed
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.fft.ifft(self.spectrum)
+        values.setflags(write=False)
+        return values
+
+
 def dispersion_half_step(f: Field, dt: float) -> Field:
     """Free flow over dt/2: multiply mode k by exp(-i k^2 dt / 2).
 
@@ -134,12 +151,12 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
         return f.with_values(np.dot(_half_step_matrix(f.grid, dt), pairs).view(np.complex128))
     # m * hat, not hat * m: numpy's SIMD paths can round the two differently
     multiplier = _half_step_multiplier(f.grid, dt)
-    if f.spectrum is None:
+    if isinstance(f, _SpectralField):
+        hat = np.multiply(multiplier, f.spectrum)  # the carried spectrum is read-only
+    else:
         hat = np.fft.fft(f.values)
         np.multiply(multiplier, hat, out=hat)
-    else:
-        hat = np.multiply(multiplier, f.spectrum)  # the carried spectrum is read-only
-    return with_spectrum(f.grid, hat)
+    return _SpectralField(f.grid, hat)
 
 
 def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
@@ -237,7 +254,7 @@ def _mass(u: Field) -> float:
     deferred values stay unformed.  The spectrum's square sum is N times
     the values', so it can overflow where theirs does not: then the values
     give it."""
-    if u.spectrum is not None:
+    if isinstance(u, _SpectralField):
         total = _square_sum(u.spectrum)
         if math.isfinite(total):
             return total * (u.grid.dx / u.grid.n_points)
@@ -251,7 +268,7 @@ def _plain(u: Field) -> Field:
     a run restarted from that sample or its checkpoint does, so the two
     continue bit for bit alike; and a kept sample holds no spectrum.
     """
-    return u if u.spectrum is None else Field(u.grid, u.values)
+    return Field(u.grid, u.values) if isinstance(u, _SpectralField) else u
 
 
 def _diagnostics_row(state) -> tuple:
@@ -259,9 +276,9 @@ def _diagnostics_row(state) -> tuple:
 
     mass and l4 come from one density |u|^2: mass is sum(density) dx and
     l4 is sum(density**2) dx.  The stepping loop asks for rows only of
-    states it has judged under the blow-up cap.  Every column is a numpy
-    reduction, never a BLAS dot, so its bits do not depend on the BLAS
-    thread count.
+    states it has judged under the blow-up cap, and judges the row too.
+    Every column is a numpy reduction, never a BLAS dot, so its bits do
+    not depend on the BLAS thread count.
     """
     u = state.u
     dx = u.grid.dx
@@ -296,9 +313,10 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
     counted from ``initial.t``: step i is stamped ``initial.t + i * dt``.
     An initial state with a non-finite row is refused (ValueError) before
     any step.  Every stepped state is judged once, right after its step; one
-    that is non-finite or whose mass exceeds the blow-up cap is never
-    yielded: BlowUpError is raised with the time it would have been stamped
-    with and the number of steps completed before it.
+    that is non-finite or whose mass exceeds the blow-up cap, or a sample
+    whose row is not finite, is never yielded: BlowUpError is raised with
+    the time it would have been stamped with and the number of steps
+    completed before it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -320,7 +338,7 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
             return CgpeState(_plain(s.u), t)
     else:
         raise TypeError(f"unsupported state type {type(initial).__name__}")
-    if initial.u.spectrum is not None:
+    if isinstance(initial.u, _SpectralField):
         initial = at(initial, initial.t)
 
     n_steps = step_count(dt, t_end)
@@ -346,7 +364,10 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
                 has_reservoir and not math.isfinite(_square_sum(state.n.values))):
             raise BlowUpError(t0 + i * dt, steps=i - 1)
         if sampled:
-            yield i, state, _diagnostics_row(state)
+            row = _diagnostics_row(state)
+            if not all(map(math.isfinite, row)):  # l4_fourth can overflow under the mass cap
+                raise BlowUpError(t0 + i * dt, steps=i - 1)
+            yield i, state, row
 
 
 def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:

@@ -262,8 +262,8 @@ class TestRun:
 
     def test_non_finite_initial_row_exits_2_before_stepping(self, tmp_path, capsys):
         # |u|^2 = 1e304 sums to a finite mass on 4096 sites, but its square
-        # overflows l4: the run is refused before its first step and leaves
-        # no checkpoint, report or run record
+        # overflows l4: the run is refused before its first step, before its
+        # output directory is made
         doc = {"model": "cgpe", "grid": {"n_points": 4096}, "dt": 1e-3, "t_end": 0.01,
                "sample_every": 5, "initial": {"u": {"kind": "flat", "rho": 1e152}}}
         config = write_config(tmp_path, doc)
@@ -272,8 +272,33 @@ class TestRun:
             warnings.simplefilter("error")
             assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: the initial state's l4_fourth is not finite: inf\n"
-        assert not list((out / "checkpoints").iterdir())
-        assert not (out / "reports.json").exists() and not (out / "run_meta.json").exists()
+        assert not out.exists()
+
+    def test_sample_row_that_overflows_is_a_blow_up(self, tmp_path, capsys):
+        # |u|^2 grows as e^{60 t} from 1e150: l4_fourth overflows at the
+        # t = 0.15 sample, long before the mass reaches its cap at t = 0.24.
+        # That sample is the blow-up: no row of it is written, and the run
+        # ends with whole outputs that check reads as partial
+        doc = {"model": "cgpe", "grid": {"n_points": 64}, "params": {"xi": 30.0, "sigma": 1e-300},
+               "dt": 0.01, "t_end": 0.3, "sample_every": 5,
+               "initial": {"u": {"kind": "flat", "rho": 1e75}}, "checks": []}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "overflow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "blow-up at t = 0.15; partial outputs retained\n"
+        d = read_diagnostics_csv(out / "diagnostics.csv")
+        np.testing.assert_allclose(d.times, [0.0, 0.05, 0.1], rtol=1e-12)
+        assert np.all(np.isfinite(d.l4_fourth))
+        assert read_strict_json(out / "reports.json") == []
+        meta = read_strict_json(out / "run_meta.json")
+        assert meta["steps"] == 14 and meta["blow_up_time"] == 15 * 0.01
+        assert meta["checkpoints"] == ["state_0000002.ckpt"]
+        code = main(["check", "--csv", str(out / "diagnostics.csv"), "--config", config,
+                     "--out", str(tmp_path / "recheck")])
+        assert code == 1
+        assert "stops before t_end" in capsys.readouterr().err
 
     def test_blow_up_at_final_step_keeps_partial_outputs(self, tmp_path):
         # blows up at step 2 = n_steps: the over-cap state is rejected, so

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import plsim.grid
 from plsim.grid import (
     MEMO_SIZE,
     Field,
@@ -35,6 +36,7 @@ from plsim.integrators import (
     _half_step_multiplier,
     _mass,
     _rotate,
+    _SpectralField,
     _square_sum,
 )
 from plsim.models import (
@@ -409,26 +411,31 @@ class TestSpectrumCarry:
         p = bump_params(model, state.u.grid)
         for _ in range(3):
             state = strang_step(state, 1e-3, p)
-            assert state.u.spectrum is None and state.u.values.flags.writeable
+            assert type(state.u) is Field and state.u.values.flags.writeable
         carrying = dispersion_half_step(band_state(model, 128, 3).u, 1e-3)
-        assert carrying.spectrum is not None
-        assert carrying.with_values(carrying.values).spectrum is None
-        assert Field(carrying.grid, carrying.values).spectrum is None
-        assert "spectrum" not in vars(Field(carrying.grid, carrying.values))
+        assert isinstance(carrying, _SpectralField)
+        assert type(carrying.with_values(carrying.values)) is Field
+        plain = Field(carrying.grid, carrying.values)
+        assert type(plain) is Field and not hasattr(plain, "spectrum")
+
+    def test_grid_exports_no_spectrum_carry(self):
+        assert "with_spectrum" not in plsim.grid.__all__
+        assert not hasattr(plsim.grid, "with_spectrum")
+        assert not hasattr(plsim.grid, "_SpectralField")
 
     @pytest.mark.parametrize("model", MODELS)
     def test_sampled_states_carry_none(self, model):
         state = band_state(model, 256, 4)
         p = bump_params(model, state.u.grid)
         carrying = strang_step(state, 1e-3, p)
-        assert carrying.u.spectrum is not None
+        assert isinstance(carrying.u, _SpectralField)
         samples = list(iter_samples(carrying, 1e-3, 0.02, 3, p))
         assert [i for i, _, _ in samples] == [0, 3, 6, 9, 12, 15, 18, 20]
         for _, sampled, _ in samples:
-            assert sampled.u.spectrum is None
+            assert type(sampled.u) is Field
         assert samples[0][1].u.values is carrying.u.values
         assert samples[0][1].t == carrying.t
-        assert all(s.u.spectrum is None for s in integrate(carrying, 1e-3, 0.02, 3, p).states)
+        assert all(type(s.u) is Field for s in integrate(carrying, 1e-3, 0.02, 3, p).states)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_restart_from_a_sample_or_its_checkpoint_is_bit_identical(self, model, tmp_path):
@@ -965,6 +972,20 @@ class TestIntegrate:
         with pytest.raises(BlowUpError) as excinfo:
             list(iter_samples(initial, 0.1, 1.0, 5, make_ep_params(grid)))
         assert excinfo.value.steps == 1 and excinfo.value.time == 2 * 0.1
+
+    @pytest.mark.parametrize("n_points", [16, 128])  # the dense path, then the FFT path
+    def test_sample_row_that_overflows_is_a_blow_up(self, n_points):
+        # |u|^2 grows as e^{60 t} from 1e150: l4_fourth overflows at the
+        # t = 0.15 sample, while the mass stays under its cap until t = 0.24
+        grid = make_grid(n_points, TWO_PI)
+        state = CgpeState(u=constant_field(grid, 1e75))
+        p = CgpeParams(xi=30.0, sigma=1e-300)
+        with pytest.raises(BlowUpError) as excinfo, np.errstate(over="ignore"):
+            integrate(state, 0.01, 0.3, 5, p)
+        err = excinfo.value
+        assert err.steps == 14 and err.time == 15 * 0.01
+        assert [s.t for s in err.trajectory.states] == [0.0, 5 * 0.01, 10 * 0.01]
+        assert np.all(np.isfinite(err.trajectory.diagnostics.l4_fourth))
 
     @pytest.mark.parametrize(
         "model, u, n, column",
