@@ -47,9 +47,10 @@ DEFAULTS = {
 }
 
 # The most work one document may ask for.  A 2**20-point grid already
-# holds 16 MiB per complex field, and 10**9 steps take about 21 hours at
-# the ~75 us of an N=64 cgpe step on a 2-vCPU VM; a larger request is a
-# typo or a runaway, and is refused before anything is allocated.
+# holds 16 MiB per complex field, and 10**9 steps take about 6 hours at
+# the ~21 us of an N=64 cgpe step on a 2-vCPU VM (~30 us with a
+# diagnostics row every step); a larger request is a typo or a runaway,
+# and is refused before anything is allocated.
 MAX_N_POINTS = 2**20
 MAX_STEPS = 10**9
 

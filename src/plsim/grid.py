@@ -79,6 +79,11 @@ class Grid1D:
             raise ValueError(f"n_points must be even and >= 4, got {self.n_points}")
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
+        # every half-step's memo lookup hashes the grid: hash it once, here
+        object.__setattr__(self, "_hash", hash((self.n_points, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dx(self) -> float:

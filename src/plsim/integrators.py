@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import COLUMNS, DiagnosticsSeries
-from .grid import Field, Grid1D, free_propagator, memo, modulus_squared, real_field
+from .grid import _COMPLEX128, _FLOAT64, Field, Grid1D, free_propagator, memo, modulus_squared, real_field
 from .models import CgpeParams, EpParams, _local_flow_factors
 
 __all__ = [
@@ -47,6 +47,9 @@ BLOWUP_MASS_FACTOR = 1e6
 # instead of an FFT pair.  Up to it numpy's per-call FFT overhead, not
 # arithmetic, sets the FFT pair's cost; the (2N, 2N) float64 matrix takes
 # 32 N^2 bytes, 128 KiB at N=64, and grows fourfold per doubling of N.
+# The same bound picks _rotate's cos/sin form over its tan form, for the
+# same reason: below it a step's cost is per-call overhead, and the split
+# keeps every grid above it on the arithmetic it had before.
 DENSE_HALF_STEP_MAX_POINTS = 64
 
 
@@ -65,7 +68,8 @@ class EpState:
     def __post_init__(self) -> None:
         if self.u.grid is not self.n.grid and self.u.grid != self.n.grid:
             raise ValueError("u and n must share a grid")
-        object.__setattr__(self, "n", real_field(self.n, "n"))
+        if self.n.values.dtype is not _FLOAT64:
+            object.__setattr__(self, "n", real_field(self.n, "n"))
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,11 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
     if f.grid.n_points <= DENSE_HALF_STEP_MAX_POINTS:
         # a real dgemv on the float64 view, which OpenBLAS keeps on one thread
         # at this size, where it threads a complex matrix-vector product
-        pairs = np.ascontiguousarray(f.values, dtype=np.complex128).view(np.float64)
-        return f.with_values(np.dot(_half_step_matrix(f.grid, dt), pairs).view(np.complex128))
+        values = f.values
+        if values.dtype is not _COMPLEX128 or not values.flags.c_contiguous:
+            values = np.ascontiguousarray(values, dtype=np.complex128)
+        pairs = np.dot(_half_step_matrix(f.grid, dt), values.view(np.float64))
+        return Field(f.grid, pairs.view(np.complex128))
     # m * hat, not hat * m: numpy's SIMD paths can round the two differently
     multiplier = _half_step_multiplier(f.grid, dt)
     if isinstance(f, _SpectralField):
@@ -160,12 +167,28 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
 
 
 def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
-    """values * amplitude * e^{i phase}, overwriting phase: with t = tan(phase/2),
-    e^{i phase} = (1 - t^2 + 2it) / (1 + t^2), one real tan for a complex exp."""
+    """values * amplitude * e^{i phase}; phase is scratch, and may be overwritten.
+
+    Up to DENSE_HALF_STEP_MAX_POINTS points, e^{i phase} is cos + i sin,
+    written straight into the halves of one complex array, then scaled by
+    amplitude: 5 numpy calls to the tan form's 11, and at this size the
+    call count sets the cost (4-6 against 6-10 us at N=64).  Above, it
+    is (1 - t^2 + 2it) / (1 + t^2) with t = tan(phase/2), one real
+    transcendental for two, which wins from about 384 points up (42
+    against 76-96 us at N=4096).  Grids of 66 to 384 points keep the tan
+    form, though cos and sin would still be cheaper there, so that no
+    result above 64 points moves.  Both forms agree with np.exp(1j * phase)
+    to 2 eps.
+    """
+    factor = np.empty(values.shape, dtype=np.complex128)
+    if values.size <= DENSE_HALF_STEP_MAX_POINTS:
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
+        factor *= amplitude
+        return np.multiply(values, factor, out=factor)
     t = np.tan(np.multiply(phase, 0.5, out=phase), out=phase)
     t_sq = np.square(t)
     scale = np.divide(amplitude, np.add(t_sq, 1.0))
-    factor = np.empty(values.shape, dtype=np.complex128)
     np.multiply(scale, np.subtract(1.0, t_sq, out=t_sq), out=factor.real)
     np.multiply(scale, np.multiply(t, 2.0, out=t), out=factor.imag)
     return np.multiply(values, factor, out=factor)
@@ -283,11 +306,13 @@ def _diagnostics_row(state) -> tuple:
     u = state.u
     dx = u.grid.dx
     density = modulus_squared(u.values)
-    mass = float(density.sum() * dx)
-    l4 = float(np.square(density, out=density).sum() * dx)
+    # the ufunc reductions that .sum() and .min() call, without their Python wrappers
+    mass = float(np.add.reduce(density) * dx)
+    l4 = float(np.add.reduce(np.square(density, out=density)) * dx)
     if isinstance(state, EpState):
         n = state.n.values
-        return (state.t, mass, l4, float(n.sum() * dx), float(np.square(n).sum() * dx), float(n.min()))
+        return (state.t, mass, l4, float(np.add.reduce(n) * dx),
+                float(np.add.reduce(np.square(n)) * dx), float(np.minimum.reduce(n)))
     return (state.t, mass, l4)
 
 

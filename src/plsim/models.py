@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, memo, real_field
+from .grid import _FLOAT64, Field, memo, real_field
 
 __all__ = [
     "CgpeParams",
@@ -99,7 +99,8 @@ def _local_flow_factors(rho0_sq, dt: float, xi: float, sigma: float):
     logarithmic primitive.  Written via expm1/log1p so the degenerate
     corners xi = 0 and sigma = 0 are exact limits.
     """
-    rho0_sq = np.asarray(rho0_sq, dtype=float)
+    if type(rho0_sq) is not np.ndarray or rho0_sq.dtype is not _FLOAT64:
+        rho0_sq = np.asarray(rho0_sq, dtype=float)
     growth, gain = _gain_scalars(dt, xi)
     saturation = 2.0 * sigma * growth * rho0_sq
     amplitude = gain / np.sqrt(1.0 + saturation)

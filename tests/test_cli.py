@@ -130,11 +130,13 @@ class TestRun:
         # above ~1e4 entries (the N=16384 run): no output's bits may follow the thread count
         docs = {
             "n64": ep_doc(checkpoint_every=4),
+            "cgpe_n64": cgpe_doc(checkpoint_every=10),
             "n16384": ep_doc(grid={"n_points": 16384, "length": TWO_PI}, t_end=8e-3,
                              sample_every=1, checkpoint_every=1, checks=[]),
         }
         expected = {
             "n64": {"checkpoints/state_0000000.ckpt", "checkpoints/state_0000010.ckpt"},
+            "cgpe_n64": {"checkpoints/state_0000000.ckpt", "checkpoints/state_0000050.ckpt"},
             "n16384": {"checkpoints/state_0000000.ckpt", "checkpoints/state_0000004.ckpt"},
         }
         for name, doc in docs.items():

@@ -511,40 +511,68 @@ def _warned(fn) -> bool:
     return any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
+# _rotate takes cos and sin up to DENSE_HALF_STEP_MAX_POINTS (64) points and a
+# tan half-angle above: each test runs both forms, on both sides of the split
+ROTATE_SIZES = (16, 64, 66, 4096)
+
+
 class TestRotate:
     def test_matches_complex_exp(self):
         magnitudes = np.logspace(-12, 6, 2001)
         specials = np.pi * np.array([0.5, 1.0])
         phase = np.concatenate([magnitudes, -magnitudes, specials, -specials])
-        error = np.abs(_rotated(phase) - np.exp(1j * phase))
-        assert np.max(error) <= 2.0 * np.finfo(float).eps
+        for size in ROTATE_SIZES:
+            # rotated in chunks of exactly size points, the last one padded with zeros
+            padded = np.zeros(-(-phase.size // size) * size)
+            padded[: phase.size] = phase
+            rotated = np.concatenate([_rotated(chunk) for chunk in padded.reshape(-1, size)])
+            error = np.abs(rotated[: phase.size] - np.exp(1j * phase))
+            assert np.max(error) <= 2.0 * np.finfo(float).eps, size
 
     def test_zero_phase_is_exact_scaling(self):
         rng = np.random.default_rng(2)
-        values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        amplitude = rng.uniform(0.5, 2.0, 64)
-        out = _rotated(np.zeros(64), values, amplitude)
-        np.testing.assert_array_equal(out, values * amplitude)
+        for size in ROTATE_SIZES:
+            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            amplitude = rng.uniform(0.5, 2.0, size)
+            out = _rotated(np.zeros(size), values, amplitude)
+            np.testing.assert_array_equal(out, values * amplitude, err_msg=f"size {size}")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_phase_gives_nan_and_warns_as_complex_exp(self, bad):
-        phase = np.array([0.3, bad])
-        values = np.array([1.0 + 1.0j, 1.0 + 1.0j])
+        for size in ROTATE_SIZES:
+            phase = np.full(size, 0.3)
+            phase[-1] = bad
+            values = np.full(size, 1.0 + 1.0j)
 
-        def rotate():
-            return _rotated(phase, values)
+            def rotate():
+                return _rotated(phase, values)
 
-        def complex_exp():
-            return values * np.exp(1j * phase)
+            def complex_exp():
+                return values * np.exp(1j * phase)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out, expected = rotate(), complex_exp()
-        assert np.isnan(out[1].real) and np.isnan(out[1].imag)
-        assert out[0] == pytest.approx(expected[0], abs=1e-15)
-        assert _warned(rotate) == _warned(complex_exp)
-        with np.errstate(invalid="ignore"):
-            assert not _warned(rotate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out, expected = rotate(), complex_exp()
+            assert np.isnan(out[-1].real) and np.isnan(out[-1].imag), size
+            np.testing.assert_allclose(out[:-1], expected[:-1], rtol=0, atol=1e-15, err_msg=f"size {size}")
+            assert _warned(rotate) == _warned(complex_exp), size
+            with np.errstate(invalid="ignore"):
+                assert not _warned(rotate), size
+
+    @pytest.mark.parametrize("size, kernels", [
+        (DENSE_HALF_STEP_MAX_POINTS, {"cos", "sin"}),
+        (DENSE_HALF_STEP_MAX_POINTS + 2, {"tan"}),
+    ], ids=["cos_sin_at_bound", "tan_above_bound"])
+    def test_form_splits_where_the_dense_half_step_does(self, monkeypatch, size, kernels):
+        called = set()
+        for name in ("cos", "sin", "tan"):
+            def spy(*args, _kernel=getattr(np, name), _name=name, **kwargs):
+                called.add(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        _rotated(np.full(size, 0.3))
+        assert called == kernels
 
 
 class TestCgpeLocalStep:

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from plsim.grid import Field, dealias_mask, make_grid
 from plsim.models import (
@@ -177,6 +176,7 @@ class TestFlatClosedForm:
             assert cgpe_flat_closed_form(0.0, 0.0, t, p) == 0.0
 
     def test_formula_value_and_ode_cross_check(self):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         p = CgpeParams(1.0, 1.0)
         rho0, theta0, t = 0.1, 0.0, 5.0
         expected_sq = np.exp(10.0) * 0.01 / (1.0 + 0.01 * (np.exp(10.0) - 1.0))

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from plsim.grid import (
     Field,
@@ -75,6 +74,7 @@ class TestCumulativeTrapezoid:
     def test_equals_scipy(self, shape, dx):
         # the out-of-place oracle is scipy's rule bit for bit; the kernel,
         # with h/2 folded into its data, agrees to rounding
+        cumulative_trapezoid = pytest.importorskip("scipy.integrate").cumulative_trapezoid
         rng = np.random.default_rng(7)
         real = rng.standard_normal(shape)
         for y in (real, real + 1j * rng.standard_normal(shape)):
@@ -219,6 +219,7 @@ def _free_evolution(u0, mesh):
 
 def _physical_duhamel(u0, mesh, rhs):
     """The Duhamel map of physical forcing samples, with a transform pair per call."""
+    cumulative_trapezoid = pytest.importorskip("scipy.integrate").cumulative_trapezoid
     prop = free_propagator(mesh.nodes, u0.grid)
     unwound = np.conj(prop) * np.fft.fft(rhs, axis=-1)
     integral = cumulative_trapezoid(unwound, dx=mesh.spacing, axis=0, initial=0.0)
@@ -280,6 +281,7 @@ class TestSpectralSweep:
         assert _relative_error(history.final, iterate) <= 1e-12
 
     def test_ep_sweeps_match_physical_duhamel_map(self):
+        cumulative_trapezoid = pytest.importorskip("scipy.integrate").cumulative_trapezoid
         grid = make_grid(64, TWO_PI)
         mesh = TimeMesh(0.05, 17)
         pump = Field(grid, 1.0 + 0.5 * np.cos(grid.x))
