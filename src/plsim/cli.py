@@ -37,7 +37,7 @@ from .config import (
     initial_seed,
     load_config,
 )
-from .diagnostics import DiagnosticsSeries
+from .diagnostics import COLUMNS, DiagnosticsSeries
 from .grid import hs_norm, make_grid, memo
 from .integrators import BlowUpError, EpState, iter_samples, step_count
 from .picard import (
@@ -390,6 +390,9 @@ def cmd_check(args) -> int:
     config = load_config(args.config)
     out_dir = args.out or config.output or "plsim-out"
     diagnostics = read_diagnostics_csv(args.csv)
+    if diagnostics.has_reservoir != (config.model == "ep"):
+        columns = ", ".join(COLUMNS if diagnostics.has_reservoir else COLUMNS[:3])
+        return _fail(f"{args.csv}: columns {columns} do not match the {config.model} model")
     # rows that stop before t_end are those of a run that blew up
     partial = bool(np.rint(diagnostics.times[-1] / config.dt)
                    < step_count(config.dt, config.t_end))
@@ -517,6 +520,8 @@ def _attach_float_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (ConfigError, CheckpointError, ValueError, RuntimeError, OSError) as err:

@@ -298,22 +298,30 @@ def _diagnostics_row(state) -> tuple:
     """Row of COLUMNS for state.
 
     mass and l4 come from one density |u|^2: mass is sum(density) dx and
-    l4 is sum(density**2) dx.  The stepping loop asks for rows only of
-    states it has judged under the blow-up cap, and judges the row too.
-    Every column is a numpy reduction, never a BLAS dot, so its bits do
-    not depend on the BLAS thread count.
+    l4 is sum(density**2) dx.  The four sums (two for cgpe) are one
+    numpy reduction over the rows of a float64 buffer [density,
+    density**2, n, n**2], which sums each row as a reduction of that row
+    alone would.  No column is a BLAS dot, so its bits do not depend on
+    the BLAS thread count.  A runaway state's row may overflow: the
+    stepping loop forms the row of every sample and judges the sample by
+    it, so numpy may warn there.
     """
     u = state.u
     dx = u.grid.dx
-    density = modulus_squared(u.values)
-    # the ufunc reductions that .sum() and .min() call, without their Python wrappers
-    mass = float(np.add.reduce(density) * dx)
-    l4 = float(np.add.reduce(np.square(density, out=density)) * dx)
-    if isinstance(state, EpState):
-        n = state.n.values
-        return (state.t, mass, l4, float(np.add.reduce(n) * dx),
-                float(np.add.reduce(np.square(n)) * dx), float(np.minimum.reduce(n)))
-    return (state.t, mass, l4)
+    has_reservoir = isinstance(state, EpState)
+    buf = np.empty((4 if has_reservoir else 2, u.grid.n_points))
+    density, squares = buf[0], buf[1]
+    modulus_squared(u.values, out=density, work=squares)
+    np.square(density, out=squares)
+    if not has_reservoir:
+        mass, l4 = np.add.reduce(buf, axis=1).tolist()
+        return (state.t, mass * dx, l4 * dx)
+    n = state.n.values
+    buf[2] = n
+    np.square(n, out=buf[3])
+    mass, l4, n_integral, n_sq_integral = np.add.reduce(buf, axis=1).tolist()
+    return (state.t, mass * dx, l4 * dx, n_integral * dx, n_sq_integral * dx,
+            float(np.minimum.reduce(n)))
 
 
 def step_count(dt: float, t_end: float) -> int:
@@ -337,11 +345,14 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
     it as a run restarted from it would.  t_end is the run's length,
     counted from ``initial.t``: step i is stamped ``initial.t + i * dt``.
     An initial state with a non-finite row is refused (ValueError) before
-    any step.  Every stepped state is judged once, right after its step; one
-    that is non-finite or whose mass exceeds the blow-up cap, or a sample
-    whose row is not finite, is never yielded: BlowUpError is raised with
-    the time it would have been stamped with and the number of steps
-    completed before it.
+    any step.  Every stepped state is judged once, right after its step.  A
+    sample is judged by its row: it is blown up unless every column is
+    finite and its mass is within the blow-up cap.  A state between
+    samples is judged by BLAS square sums, of u (by Parseval from its
+    spectrum where it has one) and, for ep, of n: it is blown up unless
+    both are finite and u's mass is within the cap.  A blown-up state is
+    never yielded: BlowUpError is raised with the time it would have been
+    stamped with and the number of steps completed before it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -379,20 +390,21 @@ def iter_samples(initial, dt: float, t_end: float, sample_every: int, params):
     state = initial
     for i in range(1, n_steps + 1):
         state = step(state)
-        sampled = i % sample_every == 0 or i == n_steps
-        if sampled:
+        if i % sample_every == 0 or i == n_steps:
             # sampled timestamps are exact multiples of dt past t0, not accumulated sums
             state = at(state, t0 + i * dt)
+            row = _diagnostics_row(state)
+            # the mass within the cap (NaN never is), and every column finite:
+            # l4_fourth can overflow under the cap
+            if not (row[1] <= mass_cap and all(map(math.isfinite, row))):
+                raise BlowUpError(t0 + i * dt, steps=i - 1)
+            yield i, state, row
+            continue
         mass = _mass(state.u)
         # both tests: NaN is never > mass_cap, and inf is <= an inf mass_cap
         if not (math.isfinite(mass) and mass <= mass_cap) or (
                 has_reservoir and not math.isfinite(_square_sum(state.n.values))):
             raise BlowUpError(t0 + i * dt, steps=i - 1)
-        if sampled:
-            row = _diagnostics_row(state)
-            if not all(map(math.isfinite, row)):  # l4_fourth can overflow under the mass cap
-                raise BlowUpError(t0 + i * dt, steps=i - 1)
-            yield i, state, row
 
 
 def integrate(initial, dt: float, t_end: float, sample_every: int, params) -> Trajectory:

@@ -7,7 +7,8 @@ space, the plain L^p norms, the free propagator as one complex
 exponential, the sampled free flow, the labels of the
 time-frequency lattice, the Strang stepping with a fresh FFT pair per
 half-step, and the Picard sweeps of both models built from
-out-of-place temporaries; and scipy's adaptive quadrature of the bracket
+out-of-place temporaries, the diagnostics row summed one column at a
+time; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
 Also the columns of a diagnostics series and the writer of a whole
 series, which the tests use to compare rows and make CSV fixtures: a run
@@ -16,7 +17,13 @@ appends its rows one at a time instead.
 
 import numpy as np
 
-from plsim.grid import Field, dealiased_cubic_spectral, free_propagator, hs_norm_spectral
+from plsim.grid import (
+    Field,
+    dealiased_cubic_spectral,
+    free_propagator,
+    hs_norm_spectral,
+    modulus_squared,
+)
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.integrators import (
     EpState,
@@ -136,6 +143,18 @@ def strang_samples_fft_pairs(initial, dt: float, t_end: float, sample_every: int
         if i % sample_every == 0 or i == n_steps:
             samples.append((i, u.values, n.values if ep else None))
     return samples
+
+
+def diagnostics_row_by_column(state) -> tuple:
+    """The COLUMNS row of state, each sum its own reduction over its own array."""
+    dx = state.u.grid.dx
+    density = modulus_squared(state.u.values)
+    row = (state.t, float(np.add.reduce(density) * dx), float(np.add.reduce(np.square(density)) * dx))
+    if not isinstance(state, EpState):
+        return row
+    n = state.n.values
+    return (*row, float(np.add.reduce(n) * dx), float(np.add.reduce(np.square(n)) * dx),
+            float(np.minimum.reduce(n)))
 
 
 def tau_values(f: SpaceTimeField) -> np.ndarray:

@@ -302,6 +302,36 @@ class TestRun:
         assert code == 1
         assert "stops before t_end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, steps, times", [
+        # the blow-up repros of test_integrators at N = 64, each blowing up at
+        # a sample (the cgpe non-finite one is test_overflowing_step_under_warnings_as_errors)
+        (cgpe_doc(params={"xi": 30.0, "sigma": 1e-12}, dt=0.05, t_end=5.0, sample_every=5,
+                  initial={"u": {"kind": "flat", "rho": 1e-3}}, checks=[]), 4, [0.0]),
+        (ep_doc(params={"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.1},
+                initial={"u": {"kind": "flat", "rho": 1e-3}, "n": {"kind": "constant", "level": 50.0}},
+                dt=0.05, t_end=5.0, sample_every=2, checks=[]), 3, [0.0, 0.1]),
+        (ep_doc(params={"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.1},
+                initial={"u": {"kind": "flat", "rho": 1e-3}, "n": {"kind": "constant", "level": 3000.0}},
+                dt=0.1, t_end=4.0, sample_every=1, checks=[]), 0, [0.0]),
+        # over the cap at the step-24 sample, whose l4_fourth overflows as its row is formed
+        (cgpe_doc(params={"xi": 30.0, "sigma": 1e-300}, dt=0.01, t_end=0.3, sample_every=24,
+                  initial={"u": {"kind": "flat", "rho": 1e75}}, checks=[]), 23, [0.0]),
+    ], ids=["mass_cap", "ep_mass_cap", "ep_non_finite", "row_overflow_over_cap"])
+    def test_blow_up_at_a_sample_under_warnings_as_errors(self, tmp_path, capsys, doc, steps, times):
+        # the rejected sample's row is formed and may overflow: numpy's
+        # warnings there must not turn the reported blow-up into a crash
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "blow_up"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", config, "--out", str(out)]) == 1
+        time = (steps + 1) * doc["dt"]
+        assert capsys.readouterr().err == f"blow-up at t = {time:.6g}; partial outputs retained\n"
+        meta = read_strict_json(out / "run_meta.json")
+        assert meta["steps"] == steps and meta["blow_up_time"] == time
+        d = read_diagnostics_csv(out / "diagnostics.csv")
+        np.testing.assert_allclose(d.times, times, rtol=1e-12)
+
     def test_blow_up_at_final_step_keeps_partial_outputs(self, tmp_path):
         # blows up at step 2 = n_steps: the over-cap state is rejected, so
         # the series keeps the t = 0 and t = 0.001 samples and stops before
@@ -784,6 +814,20 @@ def test_float_option_reads_a_value_after_a_space_as_joined(command, flag, value
     np.testing.assert_equal(parsed(flag, value), parsed(f"{flag}={value}"))
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["picard"], ["norms", "--l4-scan", "16:16"], ["norms", "--trilinear-scan", "8,16"],
+], ids=["run", "picard", "norms_l4_scan", "norms_trilinear_scan"])
+def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
+    # refused before the command runs, so before any output directory is made
+    if command[0] != "norms":
+        doc = cgpe_doc(initial={"u": {"kind": "random", "seed": 1, "band": 3}})
+        command = [*command, "--config", write_config(tmp_path, doc)]
+    out = tmp_path / "out"
+    assert main([*command, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 class TestCheck:
     def test_recheck_stored_csv(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())
@@ -878,6 +922,28 @@ class TestCheck:
         assert code == 1
         assert "stops before t_end" in capsys.readouterr().err
         assert (recheck / "reports.json").read_bytes() == (out / "reports.json").read_bytes()
+
+    @pytest.mark.parametrize("model, header", [
+        ("cgpe", "t,mass,l4_fourth,n_integral,n_sq_integral,n_min"),
+        ("ep", "t,mass,l4_fourth"),
+    ], ids=["ep_csv_cgpe_config", "cgpe_csv_ep_config"])
+    @pytest.mark.parametrize("checks", [None, []], ids=["configured_checks", "no_checks"])
+    def test_csv_of_the_other_model_exits_2(self, tmp_path, capsys, model, header, checks):
+        # a CSV of one model is never checked against the other's config,
+        # whatever checks that config names
+        doc = cgpe_doc() if model == "cgpe" else ep_doc()
+        if checks is not None:
+            doc["checks"] = checks
+        config = write_config(tmp_path, doc)
+        cells = ",".join(["0.5"] * len(header.split(",")))
+        csv = tmp_path / "other.csv"
+        csv.write_text(f"{header}\n0.0,{cells[4:]}\n0.002,{cells[4:]}\n")
+        out = tmp_path / "r"
+        assert main(["check", "--csv", str(csv), "--config", config, "--out", str(out)]) == 2
+        columns = header.replace(",", ", ")
+        assert capsys.readouterr().err == (
+            f"error: {csv}: columns {columns} do not match the {model} model\n")
+        assert not out.exists()
 
     def test_header_only_csv_exits_2(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())

@@ -31,6 +31,7 @@ from plsim.integrators import (
     reservoir_exact_update,
     strang_step_cgpe,
     strang_step_ep,
+    _diagnostics_row,
     _ep_local_u_update,
     _half_step_matrix,
     _half_step_multiplier,
@@ -47,7 +48,12 @@ from plsim.models import (
 )
 from plsim.storage import read_checkpoint, write_checkpoint
 
-from oracles import diagnostics_columns, lp_norm, strang_samples_fft_pairs
+from oracles import (
+    diagnostics_columns,
+    diagnostics_row_by_column,
+    lp_norm,
+    strang_samples_fft_pairs,
+)
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -836,6 +842,28 @@ class TestStrangEp:
         assert 3.4 <= err1 / err2 <= 4.6
 
 
+class TestDiagnosticsRow:
+    @pytest.mark.parametrize("n_points", [16, 64, 66, 4096, 16384])
+    @pytest.mark.parametrize("model", ["cgpe", "ep"])
+    def test_stacked_sums_equal_the_per_column_sums_bit_for_bit(self, model, n_points):
+        # one reduction over the buffer's rows sums each row as a
+        # reduction of that row alone does, on either side of the dense cut
+        # and of numpy's pairwise-summation blocks
+        grid = make_grid(n_points, 3.0)
+        rng = np.random.default_rng(n_points)
+        for scale in (1e-3, 1.0, 1e30):
+            u = Field(grid, scale * (rng.normal(size=n_points) + 1j * rng.normal(size=n_points)))
+            if model == "cgpe":
+                state = CgpeState(u=u, t=0.5)
+            else:
+                state = EpState(u=u, n=Field(grid, scale * rng.uniform(0.5, 2.0, n_points)), t=0.5)
+            row = _diagnostics_row(state)
+            assert len(row) == (3 if model == "cgpe" else 6)
+            assert all(type(value) is float for value in row)
+            assert [value.hex() for value in row] == [
+                value.hex() for value in diagnostics_row_by_column(state)]
+
+
 class TestIntegrate:
     def test_t_end_not_multiple_of_dt_rejected(self):
         grid = make_grid(16, TWO_PI)
@@ -939,14 +967,20 @@ class TestIntegrate:
             # the mass cap is exceeded at step 5, which is not yielded: the
             # samples stay on the every-3rd-step cadence
             ("cgpe", 30.0, 0.05, 5.0, 3, 4, 3),
-            # the first step overflows: no state is yielded after the initial one
+            # the same step is a sample: its row is formed, and its mass
+            # (finite, as is its l4_fourth) is over the cap
+            ("cgpe", 30.0, 0.05, 5.0, 5, 4, 0),
+            # the first step, a sample, overflows: no state is yielded after the initial one
             ("cgpe", 1000.0, 0.5, 4.0, 1, 0, 0),
             # the mass cap is exceeded at step 4, right after the step-3 sample
             ("ep", 50.0, 0.05, 5.0, 3, 3, 3),
-            # the first step overflows
+            # the same step is a sample
+            ("ep", 50.0, 0.05, 5.0, 2, 3, 2),
+            # the first step, a sample, overflows
             ("ep", 3000.0, 0.1, 4.0, 1, 0, 0),
         ],
-        ids=["mass_cap", "non_finite", "ep_mass_cap", "ep_non_finite"],
+        ids=["mass_cap", "mass_cap_at_sample", "non_finite", "ep_mass_cap",
+             "ep_mass_cap_at_sample", "ep_non_finite"],
     )
     def test_blow_up_counts_completed_steps(self, model, level, dt, t_end, sample_every, steps,
                                             last_sample, n_points):
@@ -986,7 +1020,8 @@ class TestIntegrate:
         assert excinfo.value.time == sampled[6] == 6 * 0.1 != 5 * 0.1 + 0.1
 
     def test_non_finite_reservoir_is_a_blow_up(self, monkeypatch):
-        # u keeps its finite mass; the reservoir alone goes non-finite at step 2
+        # u keeps its finite mass; the reservoir alone goes non-finite at
+        # step 2, between samples and then at a sample
         import plsim.integrators as integrators
 
         grid = make_grid(16, TWO_PI)
@@ -997,23 +1032,27 @@ class TestIntegrate:
             return EpState(u=state.u, n=n, t=state.t + dt)
 
         monkeypatch.setattr(integrators, "strang_step_ep", stepper)
-        with pytest.raises(BlowUpError) as excinfo:
-            list(iter_samples(initial, 0.1, 1.0, 5, make_ep_params(grid)))
-        assert excinfo.value.steps == 1 and excinfo.value.time == 2 * 0.1
+        for sample_every in (5, 2):
+            with pytest.raises(BlowUpError) as excinfo:
+                list(iter_samples(initial, 0.1, 1.0, sample_every, make_ep_params(grid)))
+            assert excinfo.value.steps == 1 and excinfo.value.time == 2 * 0.1
 
     @pytest.mark.parametrize("n_points", [16, 128])  # the dense path, then the FFT path
     def test_sample_row_that_overflows_is_a_blow_up(self, n_points):
         # |u|^2 grows as e^{60 t} from 1e150: l4_fourth overflows at the
-        # t = 0.15 sample, while the mass stays under its cap until t = 0.24
+        # t = 0.15 sample, while the mass stays under its cap until t = 0.24.
+        # Sampled every 24th step, the step-24 sample is over the cap, and
+        # its l4_fourth overflows as its row is formed
         grid = make_grid(n_points, TWO_PI)
         state = CgpeState(u=constant_field(grid, 1e75))
         p = CgpeParams(xi=30.0, sigma=1e-300)
-        with pytest.raises(BlowUpError) as excinfo, np.errstate(over="ignore"):
-            integrate(state, 0.01, 0.3, 5, p)
-        err = excinfo.value
-        assert err.steps == 14 and err.time == 15 * 0.01
-        assert [s.t for s in err.trajectory.states] == [0.0, 5 * 0.01, 10 * 0.01]
-        assert np.all(np.isfinite(err.trajectory.diagnostics.l4_fourth))
+        for sample_every, steps, times in ((5, 14, [0.0, 5 * 0.01, 10 * 0.01]), (24, 23, [0.0])):
+            with pytest.raises(BlowUpError) as excinfo, np.errstate(over="ignore"):
+                integrate(state, 0.01, 0.3, sample_every, p)
+            err = excinfo.value
+            assert err.steps == steps and err.time == (steps + 1) * 0.01
+            assert [s.t for s in err.trajectory.states] == times
+            assert np.all(np.isfinite(err.trajectory.diagnostics.l4_fourth))
 
     @pytest.mark.parametrize(
         "model, u, n, column",
