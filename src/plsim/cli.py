@@ -198,6 +198,8 @@ def cmd_picard(args) -> int:
         return _fail("--s applies to the cgpe model only; ep distances are plain L2")
     out_dir = args.out or config.output or "plsim-out"
     TimeMesh(args.delta, args.n_nodes)  # rejects a bad --delta or --n-nodes before any work
+    if args.max_iter < 2:
+        return _fail(f"--max-iter must be >= 2, got {args.max_iter}")
     if args.n_nodes * config.n_points > MAX_N_POINTS:
         return _fail(f"--n-nodes: {args.n_nodes} nodes x {config.n_points} points exceeds "
                      f"{MAX_N_POINTS} lattice points")
@@ -260,12 +262,25 @@ def cmd_picard(args) -> int:
     return 0
 
 
+def _write_tables(out_dir: str, tables) -> None:
+    """Write each (file name, header, rows, note) table and print its note,
+    under the output directory's lock.  A mode calls this once its input is
+    checked and every table computed, so a refused one makes no directory."""
+    with output_lock(out_dir):
+        for name, header, rows, note in tables:
+            write_csv(os.path.join(out_dir, name), header, rows)
+            print(note)
+
+
 def _norms_from_checkpoints(args, out_dir: str) -> int:
     if message := _not_finite(args, "s", "b"):
         return _fail(message)
     loaded = []
     for path in args.checkpoints:
-        u, n, header = read_checkpoint(path)
+        try:
+            u, n, header = read_checkpoint(path)
+        except OSError as err:
+            return _fail(f"--checkpoints {path}: {err.strerror or err}")
         loaded.append((path, u, header))
     # every norm is taken before any table is written; a weight that
     # overflows for a large --s or --b is an error, not an inf in a table
@@ -275,7 +290,8 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
     if not all(np.isfinite(row[2]) for row in rows):
         return _fail(f"--s {args.s:g}: an H^s norm overflows")
 
-    spacetime_row = None
+    tables = [("spatial_norms.csv", ["file", "t", "hs_norm"], rows,
+               f"wrote spatial norms for {len(rows)} checkpoints")]
     if len(loaded) >= 8:
         times = np.array([header["time"] for _, _, header in loaded])
         spacing = np.diff(times)
@@ -292,24 +308,18 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
                         ys_norm(f, args.s, args.dispersion))
         if not np.all(np.isfinite(weighted)):
             return _fail(f"--s {args.s:g} with --b {args.b:g}: a space-time norm overflows")
-        spacetime_row = (len(loaded), t_span, args.s, args.b, args.dispersion, *weighted,
-                         l4_strichartz_ratio(f), "windowed_surrogate")
-
-    write_csv(os.path.join(out_dir, "spatial_norms.csv"), ["file", "t", "hs_norm"], rows)
-    print(f"wrote spatial norms for {len(rows)} checkpoints")
-    if spacetime_row is not None:
-        write_csv(
-            os.path.join(out_dir, "spacetime_norms.csv"),
+        tables.append((
+            "spacetime_norms.csv",
             ["n_time", "t_span", "s", "b", "dispersion", "xsb_norm", "ys_norm", "l4_ratio", "norm_kind"],
-            [spacetime_row],
-        )
-        print("wrote space-time norms (windowed surrogate of the restricted norms)")
+            [(len(loaded), t_span, args.s, args.b, args.dispersion, *weighted,
+              l4_strichartz_ratio(f), "windowed_surrogate")],
+            "wrote space-time norms (windowed surrogate of the restricted norms)",
+        ))
+    _write_tables(out_dir, tables)
     return 0
 
 
 def _norms_l4_scan(args, out_dir: str) -> int:
-    if args.samples < 1:
-        return _fail(f"--samples: need at least one sample, got {args.samples}")
     lattices = []
     for pair in args.l4_scan:
         try:
@@ -320,7 +330,10 @@ def _norms_l4_scan(args, out_dir: str) -> int:
             return _fail(f"lattice {pair}: need at least 8 time samples, got {n_time}")
         if n_points * n_time > MAX_N_POINTS:
             return _fail(f"lattice {pair}: {n_points} x {n_time} exceeds {MAX_N_POINTS} lattice points")
-        lattices.append((make_grid(n_points, 2.0 * np.pi), n_time))
+        try:
+            lattices.append((make_grid(n_points, 2.0 * np.pi), n_time))
+        except ValueError as err:
+            return _fail(f"lattice {pair}: {err}")
     rows = []
     for grid, n_time in lattices:
         n_points = grid.n_points
@@ -332,29 +345,32 @@ def _norms_l4_scan(args, out_dir: str) -> int:
             )
             best = max(best, l4_strichartz_ratio(f))
         rows.append((n_points, n_time, args.samples, args.seed, best))
-    write_csv(
-        os.path.join(out_dir, "l4_scan.csv"),
-        ["n_points", "n_time", "samples", "seed", "max_ratio"],
-        rows,
-    )
-    print(f"wrote quartic-ratio scan over {len(rows)} lattices")
+    _write_tables(out_dir, [("l4_scan.csv", ["n_points", "n_time", "samples", "seed", "max_ratio"],
+                             rows, f"wrote quartic-ratio scan over {len(rows)} lattices")])
     return 0
 
 
 def _norms_trilinear(args, out_dir: str) -> int:
-    params = default_trilinear_params(args.eps)
-    sizes = [int(s) for s in args.trilinear_scan.split(",")]
-    for size in sizes:
+    try:
+        params = default_trilinear_params(args.eps)
+    except ValueError as err:
+        return _fail(f"--eps: {err}")
+    sizes = []
+    for text in args.trilinear_scan.split(","):
+        try:
+            size = int(text)
+        except ValueError:
+            return _fail(f"--trilinear-scan: bad lattice size {text!r}, expected an integer")
+        if size < 4:
+            return _fail(f"lattice size {size}: need at least 4 points a side, got {size}")
         if size * size > MAX_N_POINTS:
             return _fail(f"lattice size {size}: {size} x {size} exceeds {MAX_N_POINTS} lattice points")
+        sizes.append(size)
     rows = trilinear_ratio_scan(params, sizes, args.samples, args.seed)
-    write_csv(
-        os.path.join(out_dir, "trilinear_scan.csv"),
-        ["size", "seed", "ratio", "admissible_flag"],
-        [(r.size, r.seed, r.ratio, r.admissible) for r in rows],
-    )
     growth = rows[-1].ratio / rows[0].ratio if rows[0].ratio > 0 else float("inf")
-    print(f"wrote trilinear scan; ratio growth {sizes[0]} -> {sizes[-1]}: {growth:.3f}")
+    _write_tables(out_dir, [("trilinear_scan.csv", ["size", "seed", "ratio", "admissible_flag"],
+                             [(r.size, r.seed, r.ratio, r.admissible) for r in rows],
+                             f"wrote trilinear scan; ratio growth {sizes[0]} -> {sizes[-1]}: {growth:.3f}")])
     if growth > 3.0:
         print("soft check: ensemble growth exceeds 3x", file=sys.stderr)
         if args.assert_:
@@ -382,8 +398,9 @@ def cmd_norms(args) -> int:
             setattr(args, name, reads.get(name))
         elif name not in reads:
             return _fail(f"--{name.rstrip('_')} does not apply to --{modes[0].replace('_', '-')}")
-    with output_lock(out_dir):
-        return run_mode(args, out_dir)
+    if args.samples is not None and args.samples < 1:  # read by both scans
+        return _fail(f"--samples: need at least one sample, got {args.samples}")
+    return run_mode(args, out_dir)
 
 
 def cmd_check(args) -> int:

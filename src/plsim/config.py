@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -27,24 +27,8 @@ from .grid import Field, Grid1D, gaussian, make_grid, random_band_limited, smoot
 from .integrators import CgpeState, EpState, step_count
 from .models import CgpeParams, EpParams
 
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "canonical_json",
-    "config_hash",
-    "build_run",
-]
-
-DEFAULTS = {
-    "n_points": 256,
-    "length": 2.0 * np.pi,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "sample_every": 1,
-    "checkpoint_every": 0,
-}
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "canonical_json",
+           "config_hash", "build_run"]
 
 # The most work one document may ask for.  A 2**20-point grid already
 # holds 16 MiB per complex field, and 10**9 steps take about 6 hours at
@@ -53,11 +37,6 @@ DEFAULTS = {
 # and is refused before anything is allocated.
 MAX_N_POINTS = 2**20
 MAX_STEPS = 10**9
-
-_PARAM_DEFAULTS = {
-    "cgpe": {"xi": 1.0, "sigma": 1.0},
-    "ep": {"g": 1.0, "lambda": 1.0, "R": 1.0, "alpha": 0.5, "beta": 1.0},
-}
 
 
 class ConfigError(ValueError):
@@ -86,20 +65,11 @@ class RunConfig:
     warnings: tuple = field(default_factory=tuple)
 
     def normalized(self) -> dict:
-        """Canonical plain-dict form (used for hashing; excludes warnings)."""
-        return {
-            "model": self.model,
-            "grid": {"n_points": self.n_points, "length": self.length},
-            "params": dict(sorted(self.params.items())),
-            "pump": self.pump,
-            "initial_u": self.initial_u,
-            "initial_n": self.initial_n,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "sample_every": self.sample_every,
-            "checkpoint_every": self.checkpoint_every,
-            "checks": list(self.checks),
-        }
+        """Canonical plain-dict form (used for hashing; excludes output and warnings)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("output", "warnings")}
+        doc["grid"] = {key: doc.pop(key) for key in _GRID_KEYS}
+        return doc
 
 
 def canonical_json(obj) -> str:
@@ -118,12 +88,12 @@ class _Validator:
     def fail(self, message: str) -> None:
         self.violations.append(message)
 
-    def expect_keys(self, obj: dict, where: str, known: set) -> None:
+    def expect_keys(self, obj: dict, where: str, known) -> None:
         for key in obj:
             if key not in known:
                 self.fail(f"{where}: unknown key {key!r}")
 
-    def section(self, doc: dict, name: str, known: set) -> dict:
+    def section(self, doc: dict, name: str, known) -> dict:
         """The object doc[name] ({} when absent or not an object), its unknown keys reported."""
         obj = doc.get(name, {})
         if not isinstance(obj, dict):
@@ -184,13 +154,38 @@ def _validate_profile(val, where, presets: dict, v: _Validator) -> dict | None:
         return None
     keys, _ = presets[kind]
     v.expect_keys(val, where, {"kind", *keys})
-    return {"kind": kind, **{key: read(v, val, where, key) for key, read in keys.items()}}
+    return {"kind": kind, **_read(v, val, where, keys)}
 
 
-# Each preset kind, declared once: how each of its keys is read (its
-# default, when it has one, and its rule) and how the kind builds its
-# samples on a grid.  A pump or reservoir density is a real profile; the
-# condensate has presets of its own.
+def _read(v: _Validator, obj: dict, where: str, keys: dict) -> dict:
+    """Each key of obj read by its reader in keys (None where it is invalid)."""
+    return {key: read(v, obj, where, key) for key, read in keys.items()}
+
+
+def _positive(default: float):
+    """The reader of a positive number that is default when absent."""
+    return partial(_Validator.number, default=default, positive=True)
+
+
+# Every key of the document's grid, params and stepping, declared once:
+# how it is read, with its default and its rule.  RunConfig holds them
+# under the same names, and normalized() nests the grid keys under "grid".
+_GRID_KEYS = {"n_points": partial(_Validator.integer, default=256, minimum=4),
+              "length": _positive(2.0 * np.pi)}
+_PARAM_KEYS = {
+    "cgpe": {"xi": _positive(1.0), "sigma": _positive(1.0)},
+    "ep": {"g": _positive(1.0), "lambda": _positive(1.0), "R": _positive(1.0),
+           "alpha": _positive(0.5), "beta": _positive(1.0)},
+}
+# the span is read, and its step count judged, before the cadences: the
+# violations of a document are listed in that order
+_SPAN_KEYS = {"dt": _positive(1e-3), "t_end": _positive(1.0)}
+_CADENCE_KEYS = {"sample_every": partial(_Validator.integer, default=1, minimum=1),
+                 "checkpoint_every": partial(_Validator.integer, default=0, minimum=0)}
+
+# Each preset kind, declared once in the same way, with how the kind
+# builds its samples on a grid.  A pump or reservoir density is a real
+# profile; the condensate has presets of its own.
 _DENSITY_PRESETS = {
     "zero": ({}, lambda spec, grid, seed: np.zeros(grid.n_points)),
     "constant": ({"level": partial(_Validator.number, nonnegative=True)},
@@ -215,10 +210,8 @@ _CONDENSATE_PRESETS = {
 }
 
 
-_TOP_KEYS = {
-    "schema_version", "model", "grid", "params", "pump", "initial",
-    "dt", "t_end", "sample_every", "checkpoint_every", "checks", "output",
-}
+_TOP_KEYS = {"schema_version", "model", "grid", "params", "pump", "initial", "checks", "output",
+             *_SPAN_KEYS, *_CADENCE_KEYS}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -245,17 +238,14 @@ def parse_config(text: str) -> RunConfig:
         v.fail(f"model: expected 'cgpe' or 'ep', got {model!r}")
         raise ConfigError(v.violations)
 
-    grid_doc = v.section(doc, "grid", {"n_points", "length"})
-    n_points = v.integer(grid_doc, "grid", "n_points", default=DEFAULTS["n_points"], minimum=4)
-    length = v.number(grid_doc, "grid", "length", default=DEFAULTS["length"], positive=True)
+    grid = _read(v, v.section(doc, "grid", _GRID_KEYS), "grid", _GRID_KEYS)
+    n_points, length = grid["n_points"], grid["length"]
     if n_points is not None and n_points % 2 != 0:
         v.fail(f"grid.n_points: must be even, got {n_points}")
     if n_points is not None and n_points > MAX_N_POINTS:
         v.fail(f"grid.n_points: must be at most {MAX_N_POINTS}, got {n_points}")
 
-    params_doc = v.section(doc, "params", set(_PARAM_DEFAULTS[model]))
-    params = {key: v.number(params_doc, "params", key, default=default, positive=True)
-              for key, default in _PARAM_DEFAULTS[model].items()}
+    params = _read(v, v.section(doc, "params", _PARAM_KEYS[model]), "params", _PARAM_KEYS[model])
 
     pump = None
     if model == "ep":
@@ -264,14 +254,11 @@ def parse_config(text: str) -> RunConfig:
         if pump and pump["kind"] == "bump" and length is not None:
             support = 2.0 * pump["width"] if pump.get("width") else 0.0
             if support > length:
-                v.warnings.append(
-                    "pump: bump support exceeds the box; compact-support assumption violated"
-                )
+                v.warnings.append("pump: bump support exceeds the box; "
+                                  "compact-support assumption violated")
             elif support > length / 4.0:
-                v.warnings.append(
-                    "pump: bump support exceeds a quarter of the box; "
-                    "boundary influence may not be negligible"
-                )
+                v.warnings.append("pump: bump support exceeds a quarter of the box; "
+                                  "boundary influence may not be negligible")
     elif "pump" in doc:
         v.fail("pump: only meaningful for the ep model")
 
@@ -286,8 +273,8 @@ def parse_config(text: str) -> RunConfig:
     elif "n" in initial_doc:
         v.fail("initial.n: only meaningful for the ep model")
 
-    dt = v.number(doc, "document", "dt", default=DEFAULTS["dt"], positive=True)
-    t_end = v.number(doc, "document", "t_end", default=DEFAULTS["t_end"], positive=True)
+    span = _read(v, doc, "document", _SPAN_KEYS)
+    dt, t_end = span["dt"], span["t_end"]
     n_steps = None
     if dt is not None and t_end is not None:
         if not dt < t_end:
@@ -299,10 +286,8 @@ def parse_config(text: str) -> RunConfig:
                 n_steps = step_count(dt, t_end)
             except ValueError as err:
                 v.fail(f"t_end: {err}")
-    sample_every = v.integer(doc, "document", "sample_every", default=DEFAULTS["sample_every"], minimum=1)
-    checkpoint_every = v.integer(
-        doc, "document", "checkpoint_every", default=DEFAULTS["checkpoint_every"], minimum=0
-    )
+    cadence = _read(v, doc, "document", _CADENCE_KEYS)
+    sample_every = cadence["sample_every"]
 
     checks_doc = doc.get("checks", [])
     checks: list[str] = []
@@ -339,22 +324,9 @@ def parse_config(text: str) -> RunConfig:
 
     if v.violations:
         raise ConfigError(v.violations)
-    return RunConfig(
-        model=model,
-        n_points=int(n_points),
-        length=float(length),
-        params=params,
-        pump=pump,
-        initial_u=initial_u,
-        initial_n=initial_n,
-        dt=float(dt),
-        t_end=float(t_end),
-        sample_every=int(sample_every),
-        checkpoint_every=int(checkpoint_every),
-        checks=tuple(checks),
-        output=output,
-        warnings=tuple(v.warnings),
-    )
+    return RunConfig(model=model, **grid, params=params, pump=pump, initial_u=initial_u,
+                     initial_n=initial_n, **span, **cadence, checks=tuple(checks), output=output,
+                     warnings=tuple(v.warnings))
 
 
 def load_config(path: str) -> RunConfig:

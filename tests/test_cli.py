@@ -814,6 +814,31 @@ def test_float_option_reads_a_value_after_a_space_as_joined(command, flag, value
     np.testing.assert_equal(parsed(flag, value), parsed(f"{flag}={value}"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["norms", "--trilinear-scan", "8,16", "--samples", "0"], "--samples: need at least one sample, got 0"),
+    (["norms", "--trilinear-scan", "8,x"], "--trilinear-scan: bad lattice size 'x', expected an integer"),
+    (["norms", "--trilinear-scan", "2,16"], "lattice size 2: need at least 4 points a side, got 2"),
+    (["norms", "--trilinear-scan", "8,16", "--eps", "0.5"], "--eps: eps must lie in (0, 1/12), got 0.5"),
+    (["norms", "--l4-scan", "3:8", "--samples", "1"], "lattice 3:8: n_points must be even and >= 4, got 3"),
+    (["norms", "--l4-scan", "16:4"], "lattice 16:4: need at least 8 time samples, got 4"),
+    (["norms", "--checkpoints", "nosuch.ckpt"], "--checkpoints nosuch.ckpt: No such file or directory"),
+    (["picard", "--max-iter", "0"], "--max-iter must be >= 2, got 0"),
+], ids=["trilinear_no_samples", "trilinear_not_an_integer", "trilinear_too_small", "eps_too_large",
+        "l4_odd_points", "l4_few_times", "missing_checkpoint", "picard_max_iter"])
+def test_refused_argument_names_its_option_and_makes_no_directory(
+        tmp_path, monkeypatch, capsys, argv, message):
+    # each is refused before the output directory is locked, so none is made
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "picard":
+        argv = [*argv, "--config", write_config(tmp_path, cgpe_doc(checks=[]))]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["picard"], ["norms", "--l4-scan", "16:16"], ["norms", "--trilinear-scan", "8,16"],
 ], ids=["run", "picard", "norms_l4_scan", "norms_trilinear_scan"])

@@ -82,6 +82,19 @@ class TestViolations:
             parse({"model": "cgpe", "dt": -1.0, "params": {"xi": 0.0}, "sample_every": 0})
         assert len(excinfo.value.violations) >= 3
 
+    @pytest.mark.parametrize("doc, violations", [
+        ({"model": "cgpe", "dt": 0.3, "t_end": 1.0, "sample_every": 0},
+         ["t_end: t_end must be a whole multiple of dt, got dt=0.3, t_end=1.0",
+          "document.sample_every: must be >= 1, got 0"]),
+        ({"model": "cgpe", "dt": 2.0, "t_end": 1.0, "checkpoint_every": -1},
+         ["dt: must be smaller than t_end, got dt=2.0, t_end=1.0",
+          "document.checkpoint_every: must be >= 0, got -1"]),
+    ], ids=["step_count_then_sample_every", "span_then_checkpoint_every"])
+    def test_span_is_judged_before_the_cadences(self, doc, violations):
+        with pytest.raises(ConfigError) as excinfo:
+            parse(doc)
+        assert excinfo.value.violations == violations
+
     def test_missing_model(self):
         with pytest.raises(ConfigError, match="model"):
             parse({"dt": 1e-3})
@@ -261,6 +274,26 @@ class TestHashing:
         c = parse({"model": "cgpe", "dt": 2e-3})
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+
+    @pytest.mark.parametrize("doc, digest", [
+        ({"model": "cgpe"}, "2dc769a17ae6eb32c2bf4de3aa30332d7336f461409ad94c8bc789fd6830ab69"),
+        ({"model": "ep"}, "7bd37a7646a338721acb2d8fae7cc3dc95154d4d7d1c25b55e8eafd82cfb54a5"),
+        (None, "7dd9ea9910352b8128b4ffe4840e4c2866e481f06a2eee2f2c11f504c1d26103"),
+    ], ids=["minimal_cgpe", "minimal_ep", "readme_example"])
+    def test_hash_is_pinned(self, doc, digest):
+        # the digest a checkpoint records: a change to it orphans every stored one
+        if doc is None:
+            readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+            (text,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        else:
+            text = json.dumps(doc)
+        assert config_hash(parse_config(text)) == digest
+
+    def test_hash_leaves_out_output_and_key_order(self):
+        doc = {"model": "cgpe", "params": {"sigma": 2.0, "xi": 0.5}}
+        moved = {"params": {"xi": 0.5, "sigma": 2.0}, "output": "elsewhere", "model": "cgpe"}
+        assert config_hash(parse(doc)) == config_hash(parse(moved))
 
 
 class TestLoad:
