@@ -80,6 +80,14 @@ def _finite_or_none(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
+def _read_input(option: str, path: str, read):
+    """read(path); a file that cannot be opened is refused under its option."""
+    try:
+        return read(path)
+    except OSError as err:
+        raise ValueError(f"{option} {path}: {err.strerror or err}") from None
+
+
 def _not_finite(args, *names: str) -> str | None:
     """An error naming the first of the float options that is nan or infinite."""
     for name in names:
@@ -120,7 +128,7 @@ def _run_checks(
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
+    config = _read_input("--config", args.config, load_config)
     out_dir = args.out or config.output or "plsim-out"
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -193,11 +201,14 @@ def cmd_run(args) -> int:
 def cmd_picard(args) -> int:
     if message := _not_finite(args, "s"):
         return _fail(message)
-    config = load_config(args.config)
+    config = _read_input("--config", args.config, load_config)
     if config.model == "ep" and args.s != 0.0:
         return _fail("--s applies to the cgpe model only; ep distances are plain L2")
     out_dir = args.out or config.output or "plsim-out"
-    TimeMesh(args.delta, args.n_nodes)  # rejects a bad --delta or --n-nodes before any work
+    if not 0 < args.delta < np.inf:
+        return _fail(f"--delta: must be positive and finite, got {args.delta}")
+    if args.n_nodes < 3:
+        return _fail(f"--n-nodes: need at least 3 nodes, got {args.n_nodes}")
     if args.max_iter < 2:
         return _fail(f"--max-iter must be >= 2, got {args.max_iter}")
     if args.n_nodes * config.n_points > MAX_N_POINTS:
@@ -277,10 +288,7 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         return _fail(message)
     loaded = []
     for path in args.checkpoints:
-        try:
-            u, n, header = read_checkpoint(path)
-        except OSError as err:
-            return _fail(f"--checkpoints {path}: {err.strerror or err}")
+        u, n, header = _read_input("--checkpoints", path, read_checkpoint)
         loaded.append((path, u, header))
     # every norm is taken before any table is written; a weight that
     # overflows for a large --s or --b is an error, not an inf in a table
@@ -404,9 +412,9 @@ def cmd_norms(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = load_config(args.config)
+    config = _read_input("--config", args.config, load_config)
     out_dir = args.out or config.output or "plsim-out"
-    diagnostics = read_diagnostics_csv(args.csv)
+    diagnostics = _read_input("--csv", args.csv, read_diagnostics_csv)
     if diagnostics.has_reservoir != (config.model == "ep"):
         columns = ", ".join(COLUMNS if diagnostics.has_reservoir else COLUMNS[:3])
         return _fail(f"{args.csv}: columns {columns} do not match the {config.model} model")

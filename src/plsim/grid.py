@@ -195,7 +195,8 @@ def hs_norm_spectral(
     if work is None:
         work = np.empty((2, *amps.shape))
     power = modulus_squared(amps, work[0], work[1])
-    power *= sobolev_weight(grid, s)
+    if s != 0:  # <k>^0 is exactly 1
+        power *= sobolev_weight(grid, s)
     # the DFT is N times the Fourier-series amplitudes: scale the row sums, not the spectrum
     return np.sqrt(np.sum(power, axis=-1) * (grid.length / grid.n_points**2))
 

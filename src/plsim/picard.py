@@ -107,10 +107,20 @@ def _cumulative_trapezoid(y: np.ndarray, initial, out: np.ndarray) -> np.ndarray
 
     The quadrature weight h/2 is already folded into y, so row m is
     initial + sum_{j<m} (y[j] + y[j+1]).  ``out`` must not overlap y.
+
+    The running sum is one whole-row add per node, out[m] = out[m-1] +
+    out[m], on row views taken once: the order ``np.cumsum(axis=0)`` sums
+    in, so bit for bit its result, but with contiguous inner loops.  numpy
+    accumulates along axis 0 one column at a time at the row stride; at
+    (65, 256) that pass took 71-81 us complex and 55-61 us real against 26
+    and 19 us for the row loop (2-vCPU host, numpy 2.4.6).
     """
     out[0] = initial
     np.add(y[1:], y[:-1], out=out[1:])
-    return np.cumsum(out, axis=0, out=out)
+    rows = list(out)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
+    return out
 
 
 def _l2_rows(rows: np.ndarray, dx: float, out: np.ndarray, work=None) -> np.ndarray:

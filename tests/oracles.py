@@ -6,9 +6,10 @@ space, the spectral Laplacian, the dealiased cubic term back in physical
 space, the plain L^p norms, the free propagator as one complex
 exponential, the sampled free flow, the labels of the
 time-frequency lattice, the Strang stepping with a fresh FFT pair per
-half-step, and the Picard sweeps of both models built from
-out-of-place temporaries, the diagnostics row summed one column at a
-time; and scipy's adaptive quadrature of the bracket
+half-step, the Picard sweeps of both models built from
+out-of-place temporaries, the running trapezoid sum as one ``np.cumsum``,
+the H^s norm weighted at every s, and the diagnostics row summed one
+column at a time; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
 Also the columns of a diagnostics series and the writer of a whole
 series, which the tests use to compare rows and make CSV fixtures: a run
@@ -23,6 +24,7 @@ from plsim.grid import (
     free_propagator,
     hs_norm_spectral,
     modulus_squared,
+    sobolev_weight,
 )
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.integrators import (
@@ -170,6 +172,20 @@ def cumulative_trapezoid_rows(y: np.ndarray, dx: float) -> np.ndarray:
     out[1:] *= dx / 2
     np.cumsum(out[1:], axis=0, out=out[1:])
     return out
+
+
+def cumulative_trapezoid_cumsum(y: np.ndarray, initial, out: np.ndarray) -> np.ndarray:
+    """``picard._cumulative_trapezoid`` with its running sum taken by one
+    ``np.cumsum`` along axis 0."""
+    out[0] = initial
+    np.add(y[1:], y[:-1], out=out[1:])
+    return np.cumsum(out, axis=0, out=out)
+
+
+def hs_norm_weighted(amps: np.ndarray, grid, s: float) -> np.ndarray:
+    """``hs_norm_spectral`` with the weight <k>^(2s) applied at every s, s = 0 included."""
+    power = modulus_squared(amps) * sobolev_weight(grid, s)
+    return np.sqrt(np.sum(power, axis=-1) * (grid.length / grid.n_points**2))
 
 
 def duhamel_spectral(prop, u0_hat, rhs_hat, spacing):

@@ -464,14 +464,14 @@ class TestPicard:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--delta", "inf"], "delta must be positive and finite, got inf"),
+        (["--delta", "inf"], "--delta: must be positive and finite, got inf"),
         (["--n-nodes", "100000000"],
          "--n-nodes: 100000000 nodes x 64 points exceeds 1048576 lattice points"),
         (["--s", "nan"], "--s must be finite, got nan"),
         (["--s", "inf"], "--s must be finite, got inf"),
         (["--s", "400"], "--s 400: the H^s norm of the initial data overflows"),
         (["--s", "-inf"], "--s must be finite, got -inf"),
-        (["--delta", "-1e-3"], "delta must be positive and finite, got -0.001"),
+        (["--delta", "-1e-3"], "--delta: must be positive and finite, got -0.001"),
     ], ids=["infinite_delta", "lattice_too_large", "nan_s", "infinite_s", "overflowing_s",
             "negative_infinite_s", "negative_delta_in_exponent_form"])
     def test_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
@@ -823,14 +823,26 @@ def test_float_option_reads_a_value_after_a_space_as_joined(command, flag, value
     (["norms", "--l4-scan", "16:4"], "lattice 16:4: need at least 8 time samples, got 4"),
     (["norms", "--checkpoints", "nosuch.ckpt"], "--checkpoints nosuch.ckpt: No such file or directory"),
     (["picard", "--max-iter", "0"], "--max-iter must be >= 2, got 0"),
+    (["picard", "--n-nodes", "2"], "--n-nodes: need at least 3 nodes, got 2"),
+    (["picard", "--delta", "0"], "--delta: must be positive and finite, got 0.0"),
+    (["run", "--config", "nosuch.json"], "--config nosuch.json: No such file or directory"),
+    (["picard", "--config", "nosuch.json"], "--config nosuch.json: No such file or directory"),
+    (["check", "--csv", "d.csv", "--config", "nosuch.json"],
+     "--config nosuch.json: No such file or directory"),
+    (["check", "--csv", "nosuch.csv", "--config", "c.json"], "--csv nosuch.csv: No such file or directory"),
+    (["run", "--config", "."], "--config .: Is a directory"),
+    (["check", "--csv", ".", "--config", "c.json"], "--csv .: Is a directory"),
 ], ids=["trilinear_no_samples", "trilinear_not_an_integer", "trilinear_too_small", "eps_too_large",
-        "l4_odd_points", "l4_few_times", "missing_checkpoint", "picard_max_iter"])
+        "l4_odd_points", "l4_few_times", "missing_checkpoint", "picard_max_iter", "picard_two_nodes",
+        "picard_zero_delta", "run_missing_config", "picard_missing_config", "check_missing_config",
+        "check_missing_csv", "run_config_is_a_directory", "check_csv_is_a_directory"])
 def test_refused_argument_names_its_option_and_makes_no_directory(
         tmp_path, monkeypatch, capsys, argv, message):
     # each is refused before the output directory is locked, so none is made
     monkeypatch.chdir(tmp_path)
-    if argv[0] == "picard":
-        argv = [*argv, "--config", write_config(tmp_path, cgpe_doc(checks=[]))]
+    write_config(tmp_path, cgpe_doc(checks=[]), name="c.json")
+    if argv[0] == "picard" and "--config" not in argv:
+        argv = [*argv, "--config", "c.json"]
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -28,6 +28,7 @@ from oracles import (
     dealiased_cubic,
     free_evolution,
     free_propagator_exp,
+    hs_norm_weighted,
     laplacian,
     lp_norm,
 )
@@ -285,6 +286,15 @@ class TestNorms:
             direct = np.sqrt(grid.length * np.sum(weights * np.abs(amps) ** 2, axis=-1))
             norms = hs_norm_spectral(np.fft.fft(rows, axis=-1), grid, s)
             np.testing.assert_allclose(norms, direct, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("s", [0.0, -0.0])
+    def test_hs_norm_at_s_zero_is_the_weighted_form_bit_for_bit(self, s):
+        # <k>^0 is exactly 1, so skipping the weight changes no bit
+        grid = make_grid(48, 3.0)
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+        for amps in (np.fft.fft(rows, axis=-1), rows.real):  # complex and float64 spectra
+            np.testing.assert_array_equal(hs_norm_spectral(amps, grid, s), hs_norm_weighted(amps, grid, s))
 
     def test_hs_constant(self):
         grid = make_grid(32, TWO_PI)

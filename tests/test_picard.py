@@ -32,6 +32,7 @@ from plsim.picard import (
 )
 
 from oracles import (
+    cumulative_trapezoid_cumsum,
     cumulative_trapezoid_rows,
     dealiased_cubic,
     picard_cgpe_sweeps,
@@ -82,6 +83,22 @@ class TestCumulativeTrapezoid:
             np.testing.assert_array_equal(cumulative_trapezoid_rows(y, dx), want)
             got = _cumulative_trapezoid(0.5 * dx * y, 0.0, np.empty_like(y))
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape, nonzero_initial", [((3, 64), False), ((9, 16), True), ((65, 256), False)])
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_is_cumsum_bit_for_bit(self, shape, nonzero_initial, complex_data):
+        # the row loop adds in cumsum's order, so not one bit may differ
+        rng = np.random.default_rng(9)
+
+        def draw(*size):
+            values = rng.standard_normal(size)
+            return values + 1j * rng.standard_normal(size) if complex_data else values
+
+        y = draw(*shape)
+        initial = draw(shape[1]) if nonzero_initial else 0.0
+        got = _cumulative_trapezoid(y, initial, np.empty_like(y))
+        want = cumulative_trapezoid_cumsum(y, initial, np.empty_like(y))
+        np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_starts_from_initial_row_in_the_given_buffer(self):
         rng = np.random.default_rng(8)
