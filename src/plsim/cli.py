@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from array import array
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import __version__
 from .checks import run_check
 from .config import (
     MAX_N_POINTS,
-    ConfigError,
+    _Validator,
     build_run,
     config_hash,
     initial_seed,
@@ -59,7 +60,6 @@ from .spacetime import (
     ys_norm,
 )
 from .storage import (
-    CheckpointError,
     DiagnosticsAppender,
     output_lock,
     read_checkpoint,
@@ -70,36 +70,24 @@ from .storage import (
 )
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _finite_or_none(value: float) -> float | None:
     """value, or None (JSON null) when it is not finite."""
     return value if np.isfinite(value) else None
 
 
-def _read_input(option: str, path: str, read):
-    """read(path); a file that cannot be opened is refused under its option."""
+def _under(option: str, read, *args):
+    """read(*args), its refusal worded under option: a file it cannot open
+    (named, with the reason), or the ValueError it raises."""
     try:
-        return read(path)
+        return read(*args)
     except OSError as err:
-        raise ValueError(f"{option} {path}: {err.strerror or err}") from None
+        raise ValueError(f"{option}: {err.filename}: {err.strerror or err}") from None
+    except ValueError as err:
+        raise ValueError(f"{option}: {err}") from None
 
 
-def _not_finite(args, *names: str) -> str | None:
-    """An error naming the first of the float options that is nan or infinite."""
-    for name in names:
-        value = getattr(args, name)
-        if not np.isfinite(value):
-            return f"--{name} must be finite, got {value}"
-    return None
-
-
-def _run_checks(
-    names, diagnostics, params, domain_measure: float, out_dir: str, partial: bool
-) -> bool:
+def _run_checks(names, diagnostics, params, domain_measure: float, out_dir: str,
+                partial: bool) -> bool:
     """Run the named checks, print one line each, write reports.json.
 
     On a partial series (a run that blew up) a check that cannot be
@@ -128,10 +116,11 @@ def _run_checks(
 
 
 def cmd_run(args) -> int:
-    config = _read_input("--config", args.config, load_config)
+    config = _under("--config", load_config, args.config)
     out_dir = args.out or config.output or "plsim-out"
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    seed = _under("--seed", initial_seed, config, args.seed)
     grid, params, initial = build_run(config, args.seed)
 
     digest = config_hash(config)
@@ -156,7 +145,7 @@ def cmd_run(args) -> int:
     # refused initial state leaves none
     samples = iter_samples(initial, config.dt, config.t_end, config.sample_every, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = next(samples)
+        first = _under("--config", next, samples)
     rows = array("d")
     blow_up = None
     with output_lock(out_dir):
@@ -181,44 +170,28 @@ def cmd_run(args) -> int:
         diagnostics = DiagnosticsSeries.from_rows(np.reshape(rows, (index + 1, -1)))
         partial = blow_up is not None
         passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
-        write_json(
-            os.path.join(out_dir, "run_meta.json"),
-            {
-                "version": __version__,
-                "config_hash": digest,
-                "model": config.model,
-                "seed": initial_seed(config, args.seed),
-                "steps": steps,
-                "blow_up_time": blow_up,
-                "checkpoints": saved,
-                "warnings": list(config.warnings),
-            },
-        )
+        write_json(os.path.join(out_dir, "run_meta.json"), dict(
+            version=__version__, config_hash=digest, model=config.model, seed=seed, steps=steps,
+            blow_up_time=blow_up, checkpoints=saved, warnings=list(config.warnings)))
 
     return 0 if (passed and not partial) else 1
 
 
 def cmd_picard(args) -> int:
-    if message := _not_finite(args, "s"):
-        return _fail(message)
-    config = _read_input("--config", args.config, load_config)
+    config = _under("--config", load_config, args.config)
+    # the two bounds that depend on the config; check_options applied the rest
     if config.model == "ep" and args.s != 0.0:
-        return _fail("--s applies to the cgpe model only; ep distances are plain L2")
-    out_dir = args.out or config.output or "plsim-out"
-    if not 0 < args.delta < np.inf:
-        return _fail(f"--delta: must be positive and finite, got {args.delta}")
-    if args.n_nodes < 3:
-        return _fail(f"--n-nodes: need at least 3 nodes, got {args.n_nodes}")
-    if args.max_iter < 2:
-        return _fail(f"--max-iter must be >= 2, got {args.max_iter}")
+        raise ValueError("--s: applies to the cgpe model only; ep distances are plain L2")
     if args.n_nodes * config.n_points > MAX_N_POINTS:
-        return _fail(f"--n-nodes: {args.n_nodes} nodes x {config.n_points} points exceeds "
-                     f"{MAX_N_POINTS} lattice points")
+        raise ValueError(f"--n-nodes: {args.n_nodes} nodes x {config.n_points} points exceeds "
+                         f"{MAX_N_POINTS} lattice points")
+    out_dir = args.out or config.output or "plsim-out"
+    _under("--seed", initial_seed, config, args.seed)
     _, params, initial = build_run(config, args.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         initial_norm = hs_norm(initial.u, args.s)
     if not np.isfinite(initial_norm):  # <k>^(2s) overflows: every distance would too
-        return _fail(f"--s {args.s:g}: the H^s norm of the initial data overflows")
+        raise ValueError(f"--s: the H^s norm of the initial data overflows at s = {args.s:g}")
 
     def run_at(delta: float):
         mesh = TimeMesh(delta, args.n_nodes)
@@ -232,20 +205,13 @@ def cmd_picard(args) -> int:
         history = run_at(args.delta)
         report = contraction_report(history)
         rate = measured_contraction_rate(history)
-        payload = {
-            "model": config.model,
-            "delta": args.delta,
-            "n_nodes": args.n_nodes,
-            "s": args.s,
-            "iterations": len(history.diffs),
-            "converged": report.converged,
-            "diverged": history.diverged,
-            "final_residual": _finite_or_none(report.final_residual),
-            "ratios": [_finite_or_none(float(r)) for r in report.ratios],
-            "rate": _finite_or_none(rate),
-            "norm_note": "distances are sup-over-nodes Sobolev norms; any "
-            "window-based space-time norms are restricted-norm surrogates",
-        }
+        payload = dict(
+            model=config.model, delta=args.delta, n_nodes=args.n_nodes, s=args.s,
+            iterations=len(history.diffs), converged=report.converged, diverged=history.diverged,
+            final_residual=_finite_or_none(report.final_residual),
+            ratios=[_finite_or_none(float(r)) for r in report.ratios], rate=_finite_or_none(rate),
+            norm_note="distances are sup-over-nodes Sobolev norms; any "
+            "window-based space-time norms are restricted-norm surrogates")
         del history  # the bracket needs only its verdict, not its iterate
         if args.bisect:
             def converges(delta: float) -> bool:
@@ -261,13 +227,11 @@ def cmd_picard(args) -> int:
                 payload["bracket"] = {"delta_ok": ok, "delta_fail": fail}
                 print(f"empirical existence bracket: converges at {ok:.6g}, fails at {fail:.6g}")
         write_json(os.path.join(out_dir, "picard_report.json"), payload)
-        print(
-            f"picard: {'converged' if report.converged else 'not converged'} "
-            f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
-            f"rate {rate:.3f}"
-        )
+        print(f"picard: {'converged' if report.converged else 'not converged'} "
+              f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
+              f"rate {rate:.3e}")
     if payload.get("bracket_error"):
-        return _fail(payload["bracket_error"])
+        raise RuntimeError(payload["bracket_error"])
     if args.assert_ and not report.converged:
         return 1
     return 0
@@ -284,11 +248,9 @@ def _write_tables(out_dir: str, tables) -> None:
 
 
 def _norms_from_checkpoints(args, out_dir: str) -> int:
-    if message := _not_finite(args, "s", "b"):
-        return _fail(message)
     loaded = []
     for path in args.checkpoints:
-        u, n, header = _read_input("--checkpoints", path, read_checkpoint)
+        u, n, header = _under("--checkpoints", read_checkpoint, path)
         loaded.append((path, u, header))
     # every norm is taken before any table is written; a weight that
     # overflows for a large --s or --b is an error, not an inf in a table
@@ -296,7 +258,7 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         rows = [(os.path.basename(path), header["time"], hs_norm(u, args.s))
                 for path, u, header in loaded]
     if not all(np.isfinite(row[2]) for row in rows):
-        return _fail(f"--s {args.s:g}: an H^s norm overflows")
+        raise ValueError(f"--s: an H^s norm overflows at s = {args.s:g}")
 
     tables = [("spatial_norms.csv", ["file", "t", "hs_norm"], rows,
                f"wrote spatial norms for {len(rows)} checkpoints")]
@@ -304,10 +266,10 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         times = np.array([header["time"] for _, _, header in loaded])
         spacing = np.diff(times)
         if not np.allclose(spacing, spacing[0], rtol=1e-8):
-            return _fail("space-time norms need uniformly spaced checkpoints")
+            raise ValueError("--checkpoints: space-time norms need uniformly spaced checkpoints")
         grids = {(u.grid.n_points, u.grid.length) for _, u, _ in loaded}
         if len(grids) != 1:
-            return _fail("checkpoints disagree on the grid")
+            raise ValueError("--checkpoints: not all on one grid")
         values = np.stack([u.values for _, u, _ in loaded])
         t_span = float(spacing[0] * len(loaded))
         f = SpaceTimeField(loaded[0][1].grid, t_span, values)
@@ -315,7 +277,7 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
             weighted = (xsb_norm(f, args.s, args.b, args.dispersion),
                         ys_norm(f, args.s, args.dispersion))
         if not np.all(np.isfinite(weighted)):
-            return _fail(f"--s {args.s:g} with --b {args.b:g}: a space-time norm overflows")
+            raise ValueError(f"--s, --b: a space-time norm overflows at s = {args.s:g}, b = {args.b:g}")
         tables.append((
             "spacetime_norms.csv",
             ["n_time", "t_span", "s", "b", "dispersion", "xsb_norm", "ys_norm", "l4_ratio", "norm_kind"],
@@ -328,29 +290,13 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
 
 
 def _norms_l4_scan(args, out_dir: str) -> int:
-    lattices = []
-    for pair in args.l4_scan:
-        try:
-            n_points, n_time = (int(part) for part in pair.split(":"))
-        except ValueError:
-            return _fail(f"bad lattice spec {pair!r}, expected N:M")
-        if n_time < 8:
-            return _fail(f"lattice {pair}: need at least 8 time samples, got {n_time}")
-        if n_points * n_time > MAX_N_POINTS:
-            return _fail(f"lattice {pair}: {n_points} x {n_time} exceeds {MAX_N_POINTS} lattice points")
-        try:
-            lattices.append((make_grid(n_points, 2.0 * np.pi), n_time))
-        except ValueError as err:
-            return _fail(f"lattice {pair}: {err}")
     rows = []
-    for grid, n_time in lattices:
+    for grid, n_time in args.l4_scan:
         n_points = grid.n_points
         best = 0.0
         for sample in range(args.samples):
-            f = random_spacetime_field(
-                grid, n_time, 2.0 * np.pi, n_points // 4, n_time // 4,
-                np.random.default_rng([args.seed, sample]),
-            )
+            f = random_spacetime_field(grid, n_time, 2.0 * np.pi, n_points // 4, n_time // 4,
+                                       np.random.default_rng([args.seed, sample]))
             best = max(best, l4_strichartz_ratio(f))
         rows.append((n_points, n_time, args.samples, args.seed, best))
     _write_tables(out_dir, [("l4_scan.csv", ["n_points", "n_time", "samples", "seed", "max_ratio"],
@@ -359,22 +305,8 @@ def _norms_l4_scan(args, out_dir: str) -> int:
 
 
 def _norms_trilinear(args, out_dir: str) -> int:
-    try:
-        params = default_trilinear_params(args.eps)
-    except ValueError as err:
-        return _fail(f"--eps: {err}")
-    sizes = []
-    for text in args.trilinear_scan.split(","):
-        try:
-            size = int(text)
-        except ValueError:
-            return _fail(f"--trilinear-scan: bad lattice size {text!r}, expected an integer")
-        if size < 4:
-            return _fail(f"lattice size {size}: need at least 4 points a side, got {size}")
-        if size * size > MAX_N_POINTS:
-            return _fail(f"lattice size {size}: {size} x {size} exceeds {MAX_N_POINTS} lattice points")
-        sizes.append(size)
-    rows = trilinear_ratio_scan(params, sizes, args.samples, args.seed)
+    sizes = args.trilinear_scan
+    rows = trilinear_ratio_scan(args.eps, sizes, args.samples, args.seed)
     growth = rows[-1].ratio / rows[0].ratio if rows[0].ratio > 0 else float("inf")
     _write_tables(out_dir, [("trilinear_scan.csv", ["size", "seed", "ratio", "admissible_flag"],
                              [(r.size, r.seed, r.ratio, r.admissible) for r in rows],
@@ -386,38 +318,23 @@ def _norms_trilinear(args, out_dir: str) -> int:
     return 0
 
 
-# each norms mode, and the options it reads with their defaults; an option
-# given to a mode that does not read it is an error, not silently ignored
-NORMS_MODES = {
-    "checkpoints": (_norms_from_checkpoints, {"s": 0.0, "b": 0.375, "dispersion": "schroedinger"}),
-    "l4_scan": (_norms_l4_scan, {"samples": 50, "seed": 0}),
-    "trilinear_scan": (_norms_trilinear, {"samples": 50, "seed": 0, "eps": 0.05, "assert_": False}),
-}
+# each norms mode by the option that chooses it; OPTIONS holds the options each reads
+NORMS_MODES = {"checkpoints": _norms_from_checkpoints, "l4_scan": _norms_l4_scan,
+               "trilinear_scan": _norms_trilinear}
 
 
 def cmd_norms(args) -> int:
-    out_dir = args.out or "plsim-out"
-    modes = [mode for mode in NORMS_MODES if getattr(args, mode)]
-    if len(modes) != 1:
-        return _fail("choose exactly one of --checkpoints, --l4-scan, --trilinear-scan")
-    run_mode, reads = NORMS_MODES[modes[0]]
-    for name in ("s", "b", "dispersion", "samples", "seed", "eps", "assert_"):
-        if getattr(args, name) is None:
-            setattr(args, name, reads.get(name))
-        elif name not in reads:
-            return _fail(f"--{name.rstrip('_')} does not apply to --{modes[0].replace('_', '-')}")
-    if args.samples is not None and args.samples < 1:  # read by both scans
-        return _fail(f"--samples: need at least one sample, got {args.samples}")
-    return run_mode(args, out_dir)
+    mode = next(mode for mode in NORMS_MODES if getattr(args, mode) is not None)
+    return NORMS_MODES[mode](args, args.out or "plsim-out")
 
 
 def cmd_check(args) -> int:
-    config = _read_input("--config", args.config, load_config)
+    config = _under("--config", load_config, args.config)
     out_dir = args.out or config.output or "plsim-out"
-    diagnostics = _read_input("--csv", args.csv, read_diagnostics_csv)
+    diagnostics = _under("--csv", read_diagnostics_csv, args.csv)
     if diagnostics.has_reservoir != (config.model == "ep"):
         columns = ", ".join(COLUMNS if diagnostics.has_reservoir else COLUMNS[:3])
-        return _fail(f"{args.csv}: columns {columns} do not match the {config.model} model")
+        raise ValueError(f"--csv: {args.csv}: columns {columns} do not match the {config.model} model")
     # rows that stop before t_end are those of a run that blew up
     partial = bool(np.rint(diagnostics.times[-1] / config.dt)
                    < step_count(config.dt, config.t_end))
@@ -434,93 +351,174 @@ def cmd_selftest(args) -> int:
     from .acceptance import run_all  # the acceptance experiments load only when they run
 
     results = run_all()
-    hard_failed = False
-    soft_failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         tag = " (soft)" if result.soft else ""
         print(f"[{result.number:2d}] {status}{tag}  {result.name}: {result.detail}")
-        if not result.passed:
-            if result.soft:
-                soft_failed = True
-            else:
-                hard_failed = True
-    if hard_failed:
-        return 1
-    if soft_failed and args.assert_:
-        return 1
-    return 0
+    # a failed soft criterion fails the command only under --assert
+    return int(any(not r.passed and (args.assert_ or not r.soft) for r in results))
+
+
+def _l4_lattices(v: _Validator, obj: dict, where: str, key: str):
+    """Each N:M of --l4-scan as (grid of N points, M time samples)."""
+    lattices = []
+    for pair in obj[key]:
+        try:
+            n_points, n_time = (int(part) for part in pair.split(":"))
+        except ValueError:
+            return v.fail(f"{key}: bad lattice spec {pair!r}, expected N:M")
+        try:
+            if n_time < 8:
+                raise ValueError(f"need at least 8 time samples, got {n_time}")
+            if n_points * n_time > MAX_N_POINTS:
+                raise ValueError(f"{n_points} x {n_time} exceeds {MAX_N_POINTS} lattice points")
+            lattices.append((make_grid(n_points, 2.0 * np.pi), n_time))
+        except ValueError as err:
+            return v.fail(f"{key}: lattice {pair}: {err}")
+    return lattices
+
+
+def _trilinear_sizes(v: _Validator, obj: dict, where: str, key: str):
+    """The comma-separated side lengths of --trilinear-scan."""
+    sizes = []
+    for text in obj[key].split(","):
+        try:
+            size = int(text)
+        except ValueError:
+            return v.fail(f"{key}: bad lattice size {text!r}, expected an integer")
+        if size < 4:
+            return v.fail(f"{key}: lattice size {size}: need at least 4 points a side, got {size}")
+        if size * size > MAX_N_POINTS:
+            return v.fail(f"{key}: lattice size {size}: {size} x {size} exceeds {MAX_N_POINTS} lattice points")
+        sizes.append(size)
+    return sizes
+
+
+def _trilinear_params(v: _Validator, obj: dict, where: str, key: str):
+    """--eps as its trilinear exponent set, refused outside (0, 1/12)."""
+    try:
+        return default_trilinear_params(obj[key])
+    except ValueError as err:
+        v.fail(f"{key}: {err}")
+
+
+_SCANS = ("l4_scan", "trilinear_scan")
+_SEED = {"type": int, "bound": partial(_Validator.integer, minimum=0),
+         "help": "override a random initial seed"}
+_ASSERT = {"action": "store_true", "default": False, "dest": "assert_"}
+
+# Every option of each subcommand, declared once and in --help order: its
+# argparse keywords (type, help, ...), default, bound (a reader in
+# config._Validator's form, whose value replaces the option's: --l4-scan's
+# grids, --trilinear-scan's sizes, --eps's exponent set), and for norms the
+# modes that read it; an option given to a mode that does not is refused.
+OPTIONS = {
+    "run": {"--config": {"required": True, "help": "config path"}, "--seed": _SEED,
+            "--out": {"help": "output directory"}},
+    "picard": {
+        "--config": {"required": True},
+        "--delta": {"type": float, "default": 0.05, "bound": partial(_Validator.number, positive=True),
+                    "help": "interval half-width"},
+        "--n-nodes": {"type": int, "default": 33, "bound": partial(_Validator.integer, minimum=3)},
+        "--max-iter": {"type": int, "default": 25, "bound": partial(_Validator.integer, minimum=2)},
+        "--s": {"type": float, "default": 0.0, "bound": _Validator.number,
+                "help": "Sobolev index for distances (cgpe only; the two-field model uses L2)"},
+        "--bisect": {"action": "store_true", "default": False,
+                     "help": "bracket the largest converging interval"},
+        "--seed": _SEED, "--out": {}, "--assert": _ASSERT,
+    },
+    "norms": {
+        "--checkpoints": {"nargs": "+", "modes": ("checkpoints",),
+                          "help": "checkpoint files (>= 8 uniformly spaced adds space-time norms)"},
+        "--l4-scan": {"nargs": "+", "metavar": "N:M", "bound": _l4_lattices, "modes": ("l4_scan",),
+                      "help": "lattice sizes for the quartic-ratio ensemble scan"},
+        "--trilinear-scan": {"metavar": "SIZES", "bound": _trilinear_sizes, "modes": ("trilinear_scan",),
+                             "help": "comma-separated lattice sizes for the trilinear scan"},
+        "--s": {"type": float, "default": 0.0, "bound": _Validator.number, "modes": ("checkpoints",),
+                "help": "with --checkpoints"},
+        "--b": {"type": float, "default": 0.375, "bound": _Validator.number, "modes": ("checkpoints",),
+                "help": "with --checkpoints"},
+        "--dispersion": {"choices": DISPERSIONS, "default": "schroedinger", "modes": ("checkpoints",),
+                         "help": "with --checkpoints"},
+        "--samples": {"type": int, "default": 50, "bound": partial(_Validator.integer, minimum=1),
+                      "modes": _SCANS, "help": "with a scan"},
+        "--seed": {**_SEED, "default": 0, "modes": _SCANS, "help": "with a scan"},
+        "--eps": {"type": float, "default": 0.05, "bound": _trilinear_params,
+                  "modes": ("trilinear_scan",), "help": "with --trilinear-scan"},
+        "--out": {},
+        "--assert": {**_ASSERT, "modes": ("trilinear_scan",)},
+    },
+    "check": {"--csv": {"required": True}, "--config": {"required": True}, "--out": {}},
+    "selftest": {"--assert": {**_ASSERT, "help": "nonzero exit on failed soft criteria too"}},
+}
+
+
+def check_options(args) -> None:
+    """Check a parsed namespace against its command's OPTIONS before any file is
+    read or directory made: the first option refused raises ValueError("--option:
+    message"); each default, and each value as its bound read it, is put in place."""
+    v = _Validator()
+    modes = [mode for mode in NORMS_MODES if getattr(args, mode, None) is not None]
+    if args.command == "norms" and not modes:
+        raise ValueError("--checkpoints, --l4-scan, --trilinear-scan: choose exactly one")
+    for flag, spec in OPTIONS[args.command].items():
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        value = getattr(args, dest)
+        if "modes" in spec and modes[0] not in spec["modes"]:
+            if value is not None:
+                raise ValueError(f"{flag}: does not apply to --{modes[0].replace('_', '-')}")
+            continue
+        if value is None:
+            value = spec.get("default")
+        if value is not None and "bound" in spec:
+            value = spec["bound"](v, {flag: value}, "", flag)
+            if v.violations:
+                raise ValueError(v.violations[0])
+        setattr(args, dest, value)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusal is one ValueError in the
+    "--option: message" form, not the usage text and an exit."""
+
+    def error(self, message):
+        subject, _, detail = message.partition(": ")  # e.g. "argument --s: expected one argument"
+        forms = {"unrecognized arguments": f"{detail}: unrecognized arguments",
+                 "the following arguments are required": f"{detail}: required"}
+        raise ValueError(forms.get(subject, message.removeprefix("argument ")))
 
 
 @memo
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps no state in it.
+    """The command-line parser, built once per process from OPTIONS: parse_args
+    keeps no state in it.  Every option defaults to None here; check_options
+    puts the defaults in place.
 
     Options are spelled in full (allow_abbrev=False on every parser): an
     abbreviation such as --del would escape _attach_float_values, so
     ``--del -1e-3`` and ``--del=-1e-3`` would not read alike."""
-    parser = argparse.ArgumentParser(
-        prog="plsim",
-        description="Spectral simulation and verification toolkit for "
-        "driven-damped condensate models",
-        allow_abbrev=False,
-    )
+    parser = _Parser(prog="plsim", allow_abbrev=False, description="Spectral simulation and "
+                     "verification toolkit for driven-damped condensate models")
     parser.add_argument("--version", action="version", version=f"plsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="simulate a configured trajectory", allow_abbrev=False)
-    run_p.add_argument("--config", required=True, help="config path")
-    run_p.add_argument("--seed", type=int, default=None, help="override a random initial seed")
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.set_defaults(func=cmd_run)
-
-    pic_p = sub.add_parser("picard", help="fixed-point iteration on the integral form", allow_abbrev=False)
-    pic_p.add_argument("--config", required=True)
-    pic_p.add_argument("--delta", type=float, default=0.05, help="interval half-width")
-    pic_p.add_argument("--n-nodes", type=int, default=33)
-    pic_p.add_argument("--max-iter", type=int, default=25)
-    pic_p.add_argument("--s", type=float, default=0.0,
-                       help="Sobolev index for distances (cgpe only; the two-field model uses L2)")
-    pic_p.add_argument("--bisect", action="store_true",
-                       help="bracket the largest converging interval")
-    pic_p.add_argument("--seed", type=int, default=None, help="override a random initial seed")
-    pic_p.add_argument("--out", default=None)
-    pic_p.add_argument("--assert", dest="assert_", action="store_true")
-    pic_p.set_defaults(func=cmd_picard)
-
-    norms_p = sub.add_parser("norms", help="norm tables and ensemble scans", allow_abbrev=False)
-    norms_p.add_argument("--checkpoints", nargs="+", default=None,
-                         help="checkpoint files (>= 8 uniformly spaced adds space-time norms)")
-    norms_p.add_argument("--l4-scan", nargs="+", default=None, metavar="N:M",
-                         help="lattice sizes for the quartic-ratio ensemble scan")
-    norms_p.add_argument("--trilinear-scan", default=None, metavar="SIZES",
-                         help="comma-separated lattice sizes for the trilinear scan")
-    # mode options default to None here: NORMS_MODES holds their defaults
-    norms_p.add_argument("--s", type=float, help="with --checkpoints")
-    norms_p.add_argument("--b", type=float, help="with --checkpoints")
-    norms_p.add_argument("--dispersion", choices=DISPERSIONS, help="with --checkpoints")
-    norms_p.add_argument("--samples", type=int, help="with a scan")
-    norms_p.add_argument("--seed", type=int, help="with a scan")
-    norms_p.add_argument("--eps", type=float, help="with --trilinear-scan")
-    norms_p.add_argument("--out", default=None)
-    norms_p.add_argument("--assert", dest="assert_", action="store_true", default=None)
-    norms_p.set_defaults(func=cmd_norms)
-
-    check_p = sub.add_parser("check", help="re-run checks on a stored diagnostics CSV", allow_abbrev=False)
-    check_p.add_argument("--csv", required=True)
-    check_p.add_argument("--config", required=True)
-    check_p.add_argument("--out", default=None)
-    check_p.set_defaults(func=cmd_check)
-
-    self_p = sub.add_parser("selftest", help="run the acceptance experiments", allow_abbrev=False)
-    self_p.add_argument("--assert", dest="assert_", action="store_true",
-                        help="nonzero exit on failed soft criteria too")
-    self_p.set_defaults(func=cmd_selftest)
+    for command, func, text in (
+        ("run", cmd_run, "simulate a configured trajectory"),
+        ("picard", cmd_picard, "fixed-point iteration on the integral form"),
+        ("norms", cmd_norms, "norm tables and ensemble scans"),
+        ("check", cmd_check, "re-run checks on a stored diagnostics CSV"),
+        ("selftest", cmd_selftest, "run the acceptance experiments"),
+    ):
+        command_p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag, spec in OPTIONS[command].items():  # default, bound and modes are check_options'
+            command_p.add_argument(flag, default=None, **{
+                key: value for key, value in spec.items() if key not in ("default", "bound", "modes")})
+        command_p.set_defaults(func=func)
     return parser
 
 
-# the float options of picard and norms, whose values may be negative
-FLOAT_OPTIONS = frozenset({"--s", "--b", "--delta", "--eps"})
+# the float options, whose values may be negative
+FLOAT_OPTIONS = frozenset(flag for options in OPTIONS.values() for flag, spec in options.items()
+                          if spec.get("type") is float)
 
 
 def _attach_float_values(argv: list[str]) -> list[str]:
@@ -543,14 +541,13 @@ def _attach_float_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        return _fail(f"--seed must be >= 0, got {args.seed}")
     try:
+        args = build_parser().parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
+        check_options(args)
         return args.func(args)
-    except (ConfigError, CheckpointError, ValueError, RuntimeError, OSError) as err:
-        return _fail(str(err))
+    except (ValueError, RuntimeError, OSError) as err:  # a refusal, in one line
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

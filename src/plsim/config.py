@@ -108,22 +108,22 @@ class _Validator:
                 self.fail(f"{where}: missing required key {key!r}")
                 return None
             return default
-        value = obj[key]
+        value, at = obj[key], f"{where}.{key}" if where else key  # "": a command-line option
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(f"{where}.{key}: expected a number, got {value!r}")
+            self.fail(f"{at}: expected a number, got {value!r}")
             return None
         try:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
             value = math.inf
         if not math.isfinite(value):
-            self.fail(f"{where}.{key}: must be finite, got {obj[key]!r}")
+            self.fail(f"{at}: must be finite, got {obj[key]!r}")
             return None
         if positive and not value > 0:
-            self.fail(f"{where}.{key}: must be positive, got {value}")
+            self.fail(f"{at}: must be positive, got {value}")
             return None
         if nonnegative and value < 0:
-            self.fail(f"{where}.{key}: must be nonnegative, got {value}")
+            self.fail(f"{at}: must be nonnegative, got {value}")
             return None
         return value
 
@@ -133,12 +133,12 @@ class _Validator:
                 self.fail(f"{where}: missing required key {key!r}")
                 return None
             return default
-        value = obj[key]
+        value, at = obj[key], f"{where}.{key}" if where else key
         if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(f"{where}.{key}: expected an integer, got {value!r}")
+            self.fail(f"{at}: expected an integer, got {value!r}")
             return None
         if minimum is not None and value < minimum:
-            self.fail(f"{where}.{key}: must be >= {minimum}, got {value}")
+            self.fail(f"{at}: must be >= {minimum}, got {value}")
             return None
         return value
 

@@ -15,7 +15,7 @@ import pytest
 import plsim.cli
 from plsim.checks import f1_residual
 from plsim.cli import main
-from plsim.config import build_run, load_config
+from plsim.config import _Validator, build_run, load_config
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import iter_samples
@@ -197,11 +197,10 @@ class TestRun:
         assert [(r["name"], r["passed"]) for r in reports] == [("f1_residual", False)]
 
     @pytest.mark.parametrize("argv", [["run"], ["check", "--csv", "x.csv"]], ids=["run", "check"])
-    def test_assert_flag_rejected(self, tmp_path, argv):
+    def test_assert_flag_rejected(self, tmp_path, capsys, argv):
         config = write_config(tmp_path, cgpe_doc())
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--config", config, "--assert"])
-        assert excinfo.value.code == 2
+        assert main([*argv, "--config", config, "--assert"]) == 2
+        assert capsys.readouterr().err == "error: --assert: unrecognized arguments\n"
 
     def test_checkpoint_cadence(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc(checkpoint_every=10, checks=[]))
@@ -273,7 +272,7 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", "--config", config, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: the initial state's l4_fourth is not finite: inf\n"
+        assert capsys.readouterr().err == "error: --config: the initial state's l4_fourth is not finite: inf\n"
         assert not out.exists()
 
     def test_sample_row_that_overflows_is_a_blow_up(self, tmp_path, capsys):
@@ -456,22 +455,36 @@ class TestPicard:
         ])
         assert code == 1
 
+    def test_rate_of_a_diverging_run_prints_in_e_notation(self, tmp_path, capsys):
+        # a diverging rate runs to many digits: fixed point would print them all
+        doc = cgpe_doc(checks=[])
+        doc["initial"] = {"u": {"kind": "flat", "rho": 5.0, "theta": 0.0}}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "div"
+        assert main(["picard", "--config", config, "--out", str(out), "--delta", "4.0",
+                     "--n-nodes", "17"]) == 0
+        report = json.loads((out / "picard_report.json").read_text())
+        assert not report["converged"] and report["rate"] > 1e3
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("picard: not converged in ")
+        assert line.endswith(f", rate {report['rate']:.3e}") and "e+" in line.rsplit(" ", 1)[1]
+
     def test_sobolev_index_for_ep_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, ep_doc(checks=[]))
         out = tmp_path / "pic-ep"
         assert main(["picard", "--config", config, "--out", str(out), "--s", "1.0"]) == 2
-        assert "--s applies to the cgpe model only" in capsys.readouterr().err
+        assert "--s: applies to the cgpe model only" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--delta", "inf"], "--delta: must be positive and finite, got inf"),
+        (["--delta", "inf"], "--delta: must be finite, got inf"),
         (["--n-nodes", "100000000"],
          "--n-nodes: 100000000 nodes x 64 points exceeds 1048576 lattice points"),
-        (["--s", "nan"], "--s must be finite, got nan"),
-        (["--s", "inf"], "--s must be finite, got inf"),
-        (["--s", "400"], "--s 400: the H^s norm of the initial data overflows"),
-        (["--s", "-inf"], "--s must be finite, got -inf"),
-        (["--delta", "-1e-3"], "--delta: must be positive and finite, got -0.001"),
+        (["--s", "nan"], "--s: must be finite, got nan"),
+        (["--s", "inf"], "--s: must be finite, got inf"),
+        (["--s", "400"], "--s: the H^s norm of the initial data overflows at s = 400"),
+        (["--s", "-inf"], "--s: must be finite, got -inf"),
+        (["--delta", "-1e-3"], "--delta: must be positive, got -0.001"),
     ], ids=["infinite_delta", "lattice_too_large", "nan_s", "infinite_s", "overflowing_s",
             "negative_infinite_s", "negative_delta_in_exponent_form"])
     def test_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
@@ -497,18 +510,14 @@ class TestPicard:
     def test_abbreviated_option_is_unrecognized(self, tmp_path, capsys, argv):
         # options are spelled in full, so an abbreviation reads the same in either form
         config = write_config(tmp_path, cgpe_doc(checks=[]))
-        with pytest.raises(SystemExit) as exited:
-            main(["picard", "--config", config, "--out", str(tmp_path / "pic"), *argv])
-        assert exited.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert main(["picard", "--config", config, "--out", str(tmp_path / "pic"), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {' '.join(argv)}: unrecognized arguments\n"
         assert not (tmp_path / "pic").exists()
 
     def test_option_in_place_of_a_value_still_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, cgpe_doc(checks=[]))
-        with pytest.raises(SystemExit) as exited:
-            main(["picard", "--config", config, "--s", "--delta", "0.01"])
-        assert exited.value.code == 2
-        assert "argument --s: expected one argument" in capsys.readouterr().err
+        assert main(["picard", "--config", config, "--s", "--delta", "0.01"]) == 2
+        assert capsys.readouterr().err == "error: --s: expected one argument\n"
 
     @pytest.mark.parametrize("doc", [cgpe_doc(checks=[]), ep_doc(checks=[])], ids=["cgpe", "ep"])
     @pytest.mark.parametrize("delta, sweeps", [("1e30", 3), ("1e300", 1)],
@@ -650,13 +659,13 @@ class TestNorms:
         assert "windowed_surrogate" in row
 
     @pytest.mark.parametrize("argv, message, pick", [
-        (["--s", "nan"], "--s must be finite, got nan", None),
-        (["--b", "inf"], "--b must be finite, got inf", None),
-        (["--s", "1e308"], "--s 1e+308: an H^s norm overflows", None),
-        (["--s", "400"], "--s 400: an H^s norm overflows", None),
-        (["--b", "200"], "--s 0 with --b 200: a space-time norm overflows", None),
-        ([], "space-time norms need uniformly spaced checkpoints", with_a_gap),
-        ([], "checkpoints disagree on the grid", on_two_grids),
+        (["--s", "nan"], "--s: must be finite, got nan", None),
+        (["--b", "inf"], "--b: must be finite, got inf", None),
+        (["--s", "1e308"], "--s: an H^s norm overflows at s = 1e+308", None),
+        (["--s", "400"], "--s: an H^s norm overflows at s = 400", None),
+        (["--b", "200"], "--s, --b: a space-time norm overflows at s = 0, b = 200", None),
+        ([], "--checkpoints: space-time norms need uniformly spaced checkpoints", with_a_gap),
+        ([], "--checkpoints: not all on one grid", on_two_grids),
     ], ids=["nan_s", "infinite_b", "huge_s", "overflowing_s", "overflowing_b", "non_uniform",
             "two_grids"])
     def test_checkpoint_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message, pick):
@@ -708,13 +717,14 @@ class TestNorms:
             assert float(row.split(",")[2]) == pytest.approx(ref.ratio, rel=1e-12)
 
     @pytest.mark.parametrize("argv, message", [
-        (["--l4-scan", "16:16", "--samples", "0"], "--samples: need at least one sample, got 0"),
-        (["--l4-scan", "16:16", "--samples", "-3"], "--samples: need at least one sample, got -3"),
-        (["--l4-scan", "16:16", "64:0"], "lattice 64:0: need at least 8 time samples, got 0"),
+        (["--l4-scan", "16:16", "--samples", "0"], "--samples: must be >= 1, got 0"),
+        (["--l4-scan", "16:16", "--samples", "-3"], "--samples: must be >= 1, got -3"),
+        (["--l4-scan", "16:16", "64:0"], "--l4-scan: lattice 64:0: need at least 8 time samples, got 0"),
         (["--l4-scan", "16:16", "100000:100000"],
-         "lattice 100000:100000: 100000 x 100000 exceeds 1048576 lattice points"),
-        (["--trilinear-scan", "8,2000"], "lattice size 2000: 2000 x 2000 exceeds 1048576 lattice points"),
-        (["--l4-scan", "16:16", "64x128"], "bad lattice spec '64x128', expected N:M"),
+         "--l4-scan: lattice 100000:100000: 100000 x 100000 exceeds 1048576 lattice points"),
+        (["--trilinear-scan", "8,2000"],
+         "--trilinear-scan: lattice size 2000: 2000 x 2000 exceeds 1048576 lattice points"),
+        (["--l4-scan", "16:16", "64x128"], "--l4-scan: bad lattice spec '64x128', expected N:M"),
     ], ids=["no_samples", "negative_samples", "no_time_samples", "l4_too_large", "trilinear_too_large",
             "bad_lattice_spec"])
     def test_scan_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message):
@@ -742,8 +752,10 @@ class TestNorms:
             assert float(ratio_cell) > 0
             assert "(" not in ratio_cell  # plain decimal text, no scalar repr wrappers
 
-    def test_requires_exactly_one_mode(self, tmp_path):
+    def test_requires_exactly_one_mode(self, tmp_path, capsys):
         assert main(["norms", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --checkpoints, --l4-scan, --trilinear-scan: choose exactly one\n")
 
     @pytest.mark.parametrize("argv, flag, mode", [
         (["--checkpoints", "a.ckpt", "--samples", "5"], "--samples", "--checkpoints"),
@@ -757,7 +769,7 @@ class TestNorms:
     def test_option_of_another_mode_exits_2(self, tmp_path, capsys, argv, flag, mode):
         out = tmp_path / "n"
         assert main(["norms", *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {flag} does not apply to {mode}\n"
+        assert capsys.readouterr().err == f"error: {flag}: does not apply to {mode}\n"
         assert not out.exists()
 
     def test_malformed_checkpoint_rejected(self, tmp_path):
@@ -815,23 +827,25 @@ def test_float_option_reads_a_value_after_a_space_as_joined(command, flag, value
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["norms", "--trilinear-scan", "8,16", "--samples", "0"], "--samples: need at least one sample, got 0"),
+    (["norms", "--trilinear-scan", "8,16", "--samples", "0"], "--samples: must be >= 1, got 0"),
     (["norms", "--trilinear-scan", "8,x"], "--trilinear-scan: bad lattice size 'x', expected an integer"),
-    (["norms", "--trilinear-scan", "2,16"], "lattice size 2: need at least 4 points a side, got 2"),
+    (["norms", "--trilinear-scan", "2,16"],
+     "--trilinear-scan: lattice size 2: need at least 4 points a side, got 2"),
     (["norms", "--trilinear-scan", "8,16", "--eps", "0.5"], "--eps: eps must lie in (0, 1/12), got 0.5"),
-    (["norms", "--l4-scan", "3:8", "--samples", "1"], "lattice 3:8: n_points must be even and >= 4, got 3"),
-    (["norms", "--l4-scan", "16:4"], "lattice 16:4: need at least 8 time samples, got 4"),
-    (["norms", "--checkpoints", "nosuch.ckpt"], "--checkpoints nosuch.ckpt: No such file or directory"),
-    (["picard", "--max-iter", "0"], "--max-iter must be >= 2, got 0"),
-    (["picard", "--n-nodes", "2"], "--n-nodes: need at least 3 nodes, got 2"),
-    (["picard", "--delta", "0"], "--delta: must be positive and finite, got 0.0"),
-    (["run", "--config", "nosuch.json"], "--config nosuch.json: No such file or directory"),
-    (["picard", "--config", "nosuch.json"], "--config nosuch.json: No such file or directory"),
+    (["norms", "--l4-scan", "3:8", "--samples", "1"],
+     "--l4-scan: lattice 3:8: n_points must be even and >= 4, got 3"),
+    (["norms", "--l4-scan", "16:4"], "--l4-scan: lattice 16:4: need at least 8 time samples, got 4"),
+    (["norms", "--checkpoints", "nosuch.ckpt"], "--checkpoints: nosuch.ckpt: No such file or directory"),
+    (["picard", "--max-iter", "0"], "--max-iter: must be >= 2, got 0"),
+    (["picard", "--n-nodes", "2"], "--n-nodes: must be >= 3, got 2"),
+    (["picard", "--delta", "0"], "--delta: must be positive, got 0.0"),
+    (["run", "--config", "nosuch.json"], "--config: nosuch.json: No such file or directory"),
+    (["picard", "--config", "nosuch.json"], "--config: nosuch.json: No such file or directory"),
     (["check", "--csv", "d.csv", "--config", "nosuch.json"],
-     "--config nosuch.json: No such file or directory"),
-    (["check", "--csv", "nosuch.csv", "--config", "c.json"], "--csv nosuch.csv: No such file or directory"),
-    (["run", "--config", "."], "--config .: Is a directory"),
-    (["check", "--csv", ".", "--config", "c.json"], "--csv .: Is a directory"),
+     "--config: nosuch.json: No such file or directory"),
+    (["check", "--csv", "nosuch.csv", "--config", "c.json"], "--csv: nosuch.csv: No such file or directory"),
+    (["run", "--config", "."], "--config: .: Is a directory"),
+    (["check", "--csv", ".", "--config", "c.json"], "--csv: .: Is a directory"),
 ], ids=["trilinear_no_samples", "trilinear_not_an_integer", "trilinear_too_small", "eps_too_large",
         "l4_odd_points", "l4_few_times", "missing_checkpoint", "picard_max_iter", "picard_two_nodes",
         "picard_zero_delta", "run_missing_config", "picard_missing_config", "check_missing_config",
@@ -851,6 +865,68 @@ def test_refused_argument_names_its_option_and_makes_no_directory(
     assert not out.exists()
 
 
+# a value just outside, and one on, the bound of each option whose bound is
+# one of cli's own readers (the others are derived from the table below)
+OWN_READER_EDGES = {
+    "--l4-scan": [("16:7", "16:8"), ("1024:1025", "1024:1024"), ("5:8", "4:8")],
+    "--trilinear-scan": [("3", "4"), ("1025", "1024")],
+    "--eps": [("0", "5e-324"), ("0.08333333333333333", "0.08333333333333331")],
+}
+# the argv that reaches each norms mode's options
+MODE_ARGV = {"checkpoints": ["--checkpoints", "a.ckpt"], "l4_scan": ["--l4-scan", "16:16"],
+             "trilinear_scan": ["--trilinear-scan", "8,16"]}
+
+
+def bound_edges():
+    """(command, flag, just outside, on the bound) for every bounded option of cli.OPTIONS."""
+    largest = "1.7976931348623157e308"
+    for command, options in plsim.cli.OPTIONS.items():
+        for flag, spec in options.items():
+            bound = spec.get("bound")
+            if flag in OWN_READER_EDGES:
+                edges = OWN_READER_EDGES[flag]
+            elif "choices" in spec:
+                edges = [("x", choice) for choice in spec["choices"]]
+            elif bound is _Validator.number:
+                edges = [("nan", largest), ("inf", largest), ("-inf", f"-{largest}")]
+            elif bound is None:
+                continue
+            elif bound.func is _Validator.integer:
+                edges = [(str(bound.keywords["minimum"] - 1), str(bound.keywords["minimum"]))]
+            else:
+                assert bound.func is _Validator.number and bound.keywords == {"positive": True}
+                edges = [("0", "5e-324"), ("-0.0", "5e-324"), ("inf", largest)]
+            for outside, on in edges:
+                yield pytest.param(command, flag, outside, on, id=f"{command}{flag}:{outside}:{on}")
+
+
+def command_argv(command, flag):
+    """The argv of command up to flag: a config for run and picard, and a norms
+    mode that reads flag (none when flag is the mode)."""
+    if command == "norms":
+        mode = plsim.cli.OPTIONS["norms"][flag]["modes"][0]
+        return ["norms"] + ([] if flag == MODE_ARGV[mode][0] else MODE_ARGV[mode])
+    return [command, "--config", "c.json"]
+
+
+@pytest.mark.parametrize("command, flag, outside, on", bound_edges())
+def test_value_outside_the_table_bound_is_refused_and_on_it_passes(
+        tmp_path, monkeypatch, capsys, command, flag, outside, on):
+    # refused in one line under its option, before any output directory is made
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, cgpe_doc(checks=[]), name="c.json")
+    argv = command_argv(command, flag)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, flag, outside, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag}:")
+    assert not out.exists()
+    args = plsim.cli.build_parser().parse_args(plsim.cli._attach_float_values([*argv, flag, on]))
+    plsim.cli.check_options(args)
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["picard"], ["norms", "--l4-scan", "16:16"], ["norms", "--trilinear-scan", "8,16"],
 ], ids=["run", "picard", "norms_l4_scan", "norms_trilinear_scan"])
@@ -861,7 +937,7 @@ def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
         command = [*command, "--config", write_config(tmp_path, doc)]
     out = tmp_path / "out"
     assert main([*command, "--seed", "-1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -979,7 +1055,7 @@ class TestCheck:
         assert main(["check", "--csv", str(csv), "--config", config, "--out", str(out)]) == 2
         columns = header.replace(",", ", ")
         assert capsys.readouterr().err == (
-            f"error: {csv}: columns {columns} do not match the {model} model\n")
+            f"error: --csv: {csv}: columns {columns} do not match the {model} model\n")
         assert not out.exists()
 
     def test_header_only_csv_exits_2(self, tmp_path):

@@ -393,7 +393,7 @@ class TestFuzz:
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert stderr.getvalue().startswith("error: invalid configuration: ")
+        assert stderr.getvalue().startswith("error: --config: invalid configuration: ")
         assert stderr.getvalue().count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -422,7 +422,7 @@ class TestFuzz:
         path = tmp_path / "malformed.json"
         path.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+        assert capsys.readouterr().err == f"error: --config: {excinfo.value}\n"
 
     def test_non_utf8_file_exits_2_naming_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
