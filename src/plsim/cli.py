@@ -86,13 +86,13 @@ def _under(option: str, read, *args):
         raise ValueError(f"{option}: {err}") from None
 
 
-def _run_checks(names, diagnostics, params, domain_measure: float, out_dir: str,
-                partial: bool) -> bool:
-    """Run the named checks, print one line each, write reports.json.
+def _run_checks(names, diagnostics, params, domain_measure: float, partial: bool) -> list[dict]:
+    """Run the named checks, print one line each, and return their reports,
+    for reports.json.
 
     On a partial series (a run that blew up) a check that cannot be
     evaluated is recorded as failed with its reason; otherwise that is an
-    input error and raises.  Returns True when every check passed.
+    input error and raises.
     """
     reports = []
     for name in names:
@@ -111,8 +111,7 @@ def _run_checks(names, diagnostics, params, domain_measure: float, out_dir: str,
                         for key, value in report.to_dict().items()})
         print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
               f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
-    write_json(os.path.join(out_dir, "reports.json"), reports)
-    return all(r["passed"] for r in reports)
+    return reports
 
 
 def cmd_run(args) -> int:
@@ -169,12 +168,13 @@ def cmd_run(args) -> int:
 
         diagnostics = DiagnosticsSeries.from_rows(np.reshape(rows, (index + 1, -1)))
         partial = blow_up is not None
-        passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
+        reports = _run_checks(config.checks, diagnostics, params, grid.length, partial)
+        write_json(os.path.join(out_dir, "reports.json"), reports)
         write_json(os.path.join(out_dir, "run_meta.json"), dict(
             version=__version__, config_hash=digest, model=config.model, seed=seed, steps=steps,
             blow_up_time=blow_up, checkpoints=saved, warnings=list(config.warnings)))
 
-    return 0 if (passed and not partial) else 1
+    return 0 if (all(r["passed"] for r in reports) and not partial) else 1
 
 
 def cmd_picard(args) -> int:
@@ -342,9 +342,11 @@ def cmd_check(args) -> int:
         print(f"{args.csv} stops before t_end = {config.t_end:.6g}: checking the rows of a "
               "run that blew up", file=sys.stderr)
     grid, params, _ = build_run(config)
+    # a check the rows cannot feed is refused before the output directory is made
+    reports = _under("--csv", _run_checks, config.checks, diagnostics, params, grid.length, partial)
     with output_lock(out_dir):
-        passed = _run_checks(config.checks, diagnostics, params, grid.length, out_dir, partial)
-    return 0 if (passed and not partial) else 1
+        write_json(os.path.join(out_dir, "reports.json"), reports)
+    return 0 if (all(r["passed"] for r in reports) and not partial) else 1
 
 
 def cmd_selftest(args) -> int:

@@ -1058,6 +1058,16 @@ class TestCheck:
             f"error: --csv: {csv}: columns {columns} do not match the {model} model\n")
         assert not out.exists()
 
+    def test_csv_a_configured_check_cannot_read_exits_2_before_any_output(self, tmp_path, capsys):
+        # two rows that reach t_end: f1_residual needs three
+        config = write_config(tmp_path, cgpe_doc(t_end=0.004, checks=["f1_residual"]))
+        csv = tmp_path / "two.csv"
+        csv.write_text("t,mass,l4_fourth\n0.0,1.0,1.0\n0.004,1.0,1.0\n")
+        out = tmp_path / "r"
+        assert main(["check", "--csv", str(csv), "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --csv: need at least 3 samples for a time derivative\n"
+        assert not out.exists()
+
     def test_header_only_csv_exits_2(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())
         empty = tmp_path / "empty.csv"
