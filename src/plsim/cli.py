@@ -229,7 +229,7 @@ def cmd_picard(args) -> int:
         write_json(os.path.join(out_dir, "picard_report.json"), payload)
         print(f"picard: {'converged' if report.converged else 'not converged'} "
               f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
-              f"rate {rate:.3e}")
+              + ("rate not measured" if np.isnan(rate) else f"rate {rate:.3e}"))
     if payload.get("bracket_error"):
         raise RuntimeError(payload["bracket_error"])
     if args.assert_ and not report.converged:
@@ -404,7 +404,15 @@ def _trilinear_params(v: _Validator, obj: dict, where: str, key: str):
         v.fail(f"{key}: {err}")
 
 
+def _out_dir(v: _Validator, obj: dict, where: str, key: str):
+    """--out, refused when empty: the empty path would stand for ./plsim-out."""
+    if not obj[key]:
+        return v.fail(f"{key}: must not be empty")
+    return obj[key]
+
+
 _SCANS = ("l4_scan", "trilinear_scan")
+_OUT = {"bound": _out_dir}
 _SEED = {"type": int, "bound": partial(_Validator.integer, minimum=0),
          "help": "override a random initial seed"}
 _ASSERT = {"action": "store_true", "default": False, "dest": "assert_"}
@@ -416,7 +424,7 @@ _ASSERT = {"action": "store_true", "default": False, "dest": "assert_"}
 # modes that read it; an option given to a mode that does not is refused.
 OPTIONS = {
     "run": {"--config": {"required": True, "help": "config path"}, "--seed": _SEED,
-            "--out": {"help": "output directory"}},
+            "--out": {**_OUT, "help": "output directory"}},
     "picard": {
         "--config": {"required": True},
         "--delta": {"type": float, "default": 0.05, "bound": partial(_Validator.number, positive=True),
@@ -427,7 +435,7 @@ OPTIONS = {
                 "help": "Sobolev index for distances (cgpe only; the two-field model uses L2)"},
         "--bisect": {"action": "store_true", "default": False,
                      "help": "bracket the largest converging interval"},
-        "--seed": _SEED, "--out": {}, "--assert": _ASSERT,
+        "--seed": _SEED, "--out": _OUT, "--assert": _ASSERT,
     },
     "norms": {
         "--checkpoints": {"nargs": "+", "modes": ("checkpoints",),
@@ -447,10 +455,10 @@ OPTIONS = {
         "--seed": {**_SEED, "default": 0, "modes": _SCANS, "help": "with a scan"},
         "--eps": {"type": float, "default": 0.05, "bound": _trilinear_params,
                   "modes": ("trilinear_scan",), "help": "with --trilinear-scan"},
-        "--out": {},
+        "--out": _OUT,
         "--assert": {**_ASSERT, "modes": ("trilinear_scan",)},
     },
-    "check": {"--csv": {"required": True}, "--config": {"required": True}, "--out": {}},
+    "check": {"--csv": {"required": True}, "--config": {"required": True}, "--out": _OUT},
     "selftest": {"--assert": {**_ASSERT, "help": "nonzero exit on failed soft criteria too"}},
 }
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import COLUMNS, DiagnosticsSeries
 from .grid import _COMPLEX128, _FLOAT64, Field, Grid1D, free_propagator, memo, modulus_squared, real_field
-from .models import CgpeParams, EpParams, _local_flow_factors
+from .models import CgpeParams, EpParams, _gain_scalars, _local_flow_factors
 
 __all__ = [
     "CgpeState",
@@ -47,9 +47,11 @@ BLOWUP_MASS_FACTOR = 1e6
 # instead of an FFT pair.  Up to it numpy's per-call FFT overhead, not
 # arithmetic, sets the FFT pair's cost; the (2N, 2N) float64 matrix takes
 # 32 N^2 bytes, 128 KiB at N=64, and grows fourfold per doubling of N.
-# The same bound picks _rotate's cos/sin form over its tan form, for the
-# same reason: below it a step's cost is per-call overhead, and the split
-# keeps every grid above it on the arithmetic it had before.
+# The same bound has the local flows multiply u by one complex exponential
+# per site, for the same reason: below it a step's cost is per-call
+# overhead, and complex exp takes the fewest calls.  Above it they keep
+# _rotate's amplitude and tan form, whose one real transcendental is the
+# cheaper arithmetic, so every grid above it keeps the arithmetic it had.
 DENSE_HALF_STEP_MAX_POINTS = 64
 
 
@@ -169,23 +171,12 @@ def dispersion_half_step(f: Field, dt: float) -> Field:
 def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
     """values * amplitude * e^{i phase}; phase is scratch, and may be overwritten.
 
-    Up to DENSE_HALF_STEP_MAX_POINTS points, e^{i phase} is cos + i sin,
-    written straight into the halves of one complex array, then scaled by
-    amplitude: 5 numpy calls to the tan form's 11, and at this size the
-    call count sets the cost (4-6 against 6-10 us at N=64).  Above, it
-    is (1 - t^2 + 2it) / (1 + t^2) with t = tan(phase/2), one real
-    transcendental for two, which wins from about 384 points up (42
-    against 76-96 us at N=4096).  Grids of 66 to 384 points keep the tan
-    form, though cos and sin would still be cheaper there, so that no
-    result above 64 points moves.  Both forms agree with np.exp(1j * phase)
-    to 2 eps.
+    e^{i phase} is (1 - t^2 + 2it) / (1 + t^2) with t = tan(phase/2): one
+    real transcendental for the complex exponential's two, 46 against 107
+    us for values * e^w at N=4096.  It agrees with np.exp(1j * phase) to
+    2 eps.
     """
     factor = np.empty(values.shape, dtype=np.complex128)
-    if values.size <= DENSE_HALF_STEP_MAX_POINTS:
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
-        factor *= amplitude
-        return np.multiply(values, factor, out=factor)
     t = np.tan(np.multiply(phase, 0.5, out=phase), out=phase)
     t_sq = np.square(t)
     scale = np.divide(amplitude, np.add(t_sq, 1.0))
@@ -195,9 +186,31 @@ def _rotate(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
 
 
 def cgpe_local_step(u: Field, dt: float, p: CgpeParams) -> Field:
-    """Exact pointwise flow of du/dt = -i|u|^2 u + (xi - sigma|u|^2) u."""
-    amplitude, phase = _local_flow_factors(modulus_squared(u.values), dt, p.xi, p.sigma)
-    return u.with_values(_rotate(u.values, amplitude, phase))
+    """Exact pointwise flow of du/dt = -i|u|^2 u + (xi - sigma|u|^2) u.
+
+    u is multiplied by e^{xi dt} (1 + S)^{-(1 + i/sigma)/2}, S = 2 sigma
+    growth |u|^2 (by e^{xi dt - i growth |u|^2} at sigma = 0): up to
+    DENSE_HALF_STEP_MAX_POINTS points as one complex exponential per site,
+    above as the amplitude and phase of ``_local_flow_factors`` through
+    ``_rotate``.  Where growth or 1/sigma overflows, the exponent would be
+    -inf - inf i, whose exponential is 0, not the non-finite state such a
+    step must give: those steps take the amplitude and phase too.
+    """
+    values = u.values
+    density = modulus_squared(values)
+    growth, gain = _gain_scalars(dt, p.xi)
+    coefficient = -0.5 / p.sigma if p.sigma > 0 else 0.0
+    if values.size <= DENSE_HALF_STEP_MAX_POINTS and math.isfinite(growth) and math.isfinite(coefficient):
+        if p.sigma > 0:
+            np.multiply(density, 2.0 * p.sigma * growth, out=density)
+            w = np.multiply(np.log1p(density, out=density), complex(-0.5, coefficient))
+        else:
+            w = np.multiply(density, complex(0.0, -growth))
+        factor = np.exp(w, out=w)
+        factor *= gain
+        return u.with_values(np.multiply(values, factor, out=factor))
+    amplitude, phase = _local_flow_factors(density, dt, p.xi, p.sigma)
+    return u.with_values(_rotate(values, amplitude, phase))
 
 
 def strang_step_cgpe(state: CgpeState, dt: float, p: CgpeParams) -> CgpeState:
@@ -239,15 +252,24 @@ def _ep_local_u_update(u: Field, n: Field, dt: float, p: EpParams, density=None)
     """Exact flow of du/dt = -i g|u|^2 u - i lam n u + (R n - alpha) u, n frozen.
 
     |u|^2 grows exponentially at rate 2 mu, mu = Rn - alpha; the accumulated
-    nonlinear phase integral is |u0|^2 dt expm1(x)/x, x = 2 mu dt.
+    nonlinear phase integral is |u0|^2 dt expm1(x)/x, x = 2 mu dt.  So u is
+    multiplied by e^{x/2 + i phase}: up to DENSE_HALF_STEP_MAX_POINTS points
+    as one complex exponential per site, above as amplitude e^{x/2} and the
+    phase through ``_rotate``.
     """
     density = modulus_squared(u.values) if density is None else density
     x = (p.R * n.values - p.alpha) * (2.0 * dt)
-    phase = np.full(x.shape, 1.0)  # expm1(x)/x; its limit 1 where x is 0 or underflowed
+    # the exponent x/2 + i phase; up to the bound the phase is its imaginary
+    # half.  Either starts as expm1(x)/x's limit 1, where x is 0 or underflowed
+    w = np.full(x.shape, 1j) if x.size <= DENSE_HALF_STEP_MAX_POINTS else None
+    phase = np.full(x.shape, 1.0) if w is None else w.imag
     np.divide(np.expm1(x), x, out=phase, where=x != 0.0)
     phase *= density * (-p.g * dt)
     phase -= (p.lam * dt) * n.values
-    return u.with_values(_rotate(u.values, np.exp(np.multiply(x, 0.5, out=x), out=x), phase))
+    if w is None:
+        return u.with_values(_rotate(u.values, np.exp(np.multiply(x, 0.5, out=x), out=x), phase))
+    np.multiply(x, 0.5, out=w.real)
+    return u.with_values(np.multiply(u.values, np.exp(w, out=w), out=w))
 
 
 def strang_step_ep(state: EpState, dt: float, p: EpParams) -> EpState:

@@ -318,8 +318,10 @@ def measured_contraction_rate(history: IterateHistory) -> float:
     The first ratio, taken against the distance from the free evolution
     that starts the iteration, is skipped.  Ratios whose denominator has
     already collapsed to rounding level carry no contraction information
-    and are excluded; returns 0.0 when nothing meaningful remains.  A last
-    distance that is not finite (the iterates overflowed) gives inf.
+    and are excluded.  When no ratio remains (too few sweeps, or distances
+    at rounding level from the start) the rate was not measured, and NaN
+    is returned: 0.0 would claim perfect contraction.  A last distance that
+    is not finite (the iterates overflowed) gives inf.
     """
     diffs = history.diffs
     if diffs and not np.isfinite(diffs[-1]):
@@ -330,7 +332,7 @@ def measured_contraction_rate(history: IterateHistory) -> float:
         for m in range(1, len(diffs) - 1)
         if diffs[m] > floor and diffs[m + 1] > floor
     ]
-    return max(rates) if rates else 0.0
+    return max(rates) if rates else float("nan")
 
 
 def existence_time_bracket(converges, delta0: float) -> tuple[float, float]:

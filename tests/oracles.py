@@ -6,7 +6,8 @@ space, the spectral Laplacian, the dealiased cubic term back in physical
 space, the plain L^p norms, the free propagator as one complex
 exponential, the sampled free flow, the labels of the
 time-frequency lattice, the Strang stepping with a fresh FFT pair per
-half-step, the Picard sweeps of both models built from
+half-step, the local flows as amplitude times cos + i sin of the phase,
+the Picard sweeps of both models built from
 out-of-place temporaries, the running trapezoid sum as one ``np.cumsum``,
 the H^s norm weighted at every s, and the diagnostics row summed one
 column at a time; and scipy's adaptive quadrature of the bracket
@@ -34,7 +35,7 @@ from plsim.integrators import (
     reservoir_exact_update,
     step_count,
 )
-from plsim.models import CgpeParams, EpParams
+from plsim.models import CgpeParams, EpParams, _local_flow_factors
 from plsim.spacetime import SpaceTimeField
 from plsim.storage import DiagnosticsAppender
 
@@ -109,6 +110,34 @@ def ep_rhs(u: Field, n: Field, p: EpParams) -> tuple[Field, Field]:
     )
     dn = p.pump.values - (p.R * np.abs(u.values) ** 2 + p.beta) * nv
     return u.with_values(du), n.with_values(dn)
+
+
+def _rotate_cos_sin(values: np.ndarray, amplitude, phase: np.ndarray) -> np.ndarray:
+    """values * amplitude * (cos phase + i sin phase), the factor formed first."""
+    factor = np.empty(values.shape, dtype=np.complex128)
+    np.cos(phase, out=factor.real)
+    np.sin(phase, out=factor.imag)
+    factor *= amplitude
+    return values * factor
+
+
+def cgpe_local_step_cos_sin(u: Field, dt: float, p: CgpeParams):
+    """(u after the cgpe local flow, its phase increment): the amplitude and
+    phase of ``_local_flow_factors``, applied as cos + i sin."""
+    amplitude, phase = _local_flow_factors(modulus_squared(u.values), dt, p.xi, p.sigma)
+    return _rotate_cos_sin(u.values, amplitude, phase), phase
+
+
+def ep_local_u_update_cos_sin(u: Field, n: Field, dt: float, p: EpParams):
+    """(u after the ep condensate flow with n frozen, its phase increment):
+    amplitude e^{x/2}, x = 2 (R n - alpha) dt, and phase
+    -g |u|^2 dt expm1(x)/x - lam n dt, applied as cos + i sin."""
+    x = (p.R * n.values - p.alpha) * (2.0 * dt)
+    phase = np.full(x.shape, 1.0)
+    np.divide(np.expm1(x), x, out=phase, where=x != 0.0)
+    phase *= modulus_squared(u.values) * (-p.g * dt)
+    phase -= (p.lam * dt) * n.values
+    return _rotate_cos_sin(u.values, np.exp(0.5 * x), phase), phase
 
 
 def free_evolution(u0: Field, n_time: int, t_span: float) -> SpaceTimeField:

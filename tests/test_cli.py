@@ -469,6 +469,18 @@ class TestPicard:
         assert line.startswith("picard: not converged in ")
         assert line.endswith(f", rate {report['rate']:.3e}") and "e+" in line.rsplit(" ", 1)[1]
 
+    def test_unmeasured_rate_is_null_and_said_so(self, tmp_path, capsys):
+        # two sweeps give one ratio, against the free evolution, which the rate
+        # skips: no rate was measured, and none is reported, not a rate of 0
+        config = write_config(tmp_path, ep_doc(checks=[]))
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", config, "--out", str(out), "--n-nodes", "5",
+                     "--max-iter", "2"]) == 0
+        report = read_strict_json(out / "picard_report.json")
+        assert report["iterations"] == 2 and report["rate"] is None
+        assert len(report["ratios"]) == 1 and report["ratios"][0] is not None
+        assert capsys.readouterr().out.strip().endswith(", rate not measured")
+
     def test_sobolev_index_for_ep_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, ep_doc(checks=[]))
         out = tmp_path / "pic-ep"
@@ -846,10 +858,16 @@ def test_float_option_reads_a_value_after_a_space_as_joined(command, flag, value
     (["check", "--csv", "nosuch.csv", "--config", "c.json"], "--csv: nosuch.csv: No such file or directory"),
     (["run", "--config", "."], "--config: .: Is a directory"),
     (["check", "--csv", ".", "--config", "c.json"], "--csv: .: Is a directory"),
+    # an empty --out would fall back to ./plsim-out
+    (["run", "--config", "c.json", "--out", ""], "--out: must not be empty"),
+    (["picard", "--out", ""], "--out: must not be empty"),
+    (["norms", "--l4-scan", "16:8", "--out", ""], "--out: must not be empty"),
+    (["check", "--csv", "d.csv", "--config", "c.json", "--out", ""], "--out: must not be empty"),
 ], ids=["trilinear_no_samples", "trilinear_not_an_integer", "trilinear_too_small", "eps_too_large",
         "l4_odd_points", "l4_few_times", "missing_checkpoint", "picard_max_iter", "picard_two_nodes",
         "picard_zero_delta", "run_missing_config", "picard_missing_config", "check_missing_config",
-        "check_missing_csv", "run_config_is_a_directory", "check_csv_is_a_directory"])
+        "check_missing_csv", "run_config_is_a_directory", "check_csv_is_a_directory",
+        "run_empty_out", "picard_empty_out", "norms_empty_out", "check_empty_out"])
 def test_refused_argument_names_its_option_and_makes_no_directory(
         tmp_path, monkeypatch, capsys, argv, message):
     # each is refused before the output directory is locked, so none is made
@@ -858,11 +876,14 @@ def test_refused_argument_names_its_option_and_makes_no_directory(
     if argv[0] == "picard" and "--config" not in argv:
         argv = [*argv, "--config", "c.json"]
     out = tmp_path / "out"
+    if "--out" not in argv:
+        argv = [*argv, "--out", str(out)]
+    made = set(tmp_path.iterdir())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, "--out", str(out)]) == 2
+        assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert set(tmp_path.iterdir()) == made
 
 
 # a value just outside, and one on, the bound of each option whose bound is
@@ -871,6 +892,7 @@ OWN_READER_EDGES = {
     "--l4-scan": [("16:7", "16:8"), ("1024:1025", "1024:1024"), ("5:8", "4:8")],
     "--trilinear-scan": [("3", "4"), ("1025", "1024")],
     "--eps": [("0", "5e-324"), ("0.08333333333333333", "0.08333333333333331")],
+    "--out": [("", "out")],
 }
 # the argv that reaches each norms mode's options
 MODE_ARGV = {"checkpoints": ["--checkpoints", "a.ckpt"], "l4_scan": ["--l4-scan", "16:16"],
@@ -901,12 +923,13 @@ def bound_edges():
 
 
 def command_argv(command, flag):
-    """The argv of command up to flag: a config for run and picard, and a norms
-    mode that reads flag (none when flag is the mode)."""
+    """The argv of command up to flag: a config for run and picard, a CSV and
+    a config for check, and a norms mode that reads flag (none when flag is
+    the mode; --l4-scan's for an option every mode reads)."""
     if command == "norms":
-        mode = plsim.cli.OPTIONS["norms"][flag]["modes"][0]
+        mode = plsim.cli.OPTIONS["norms"][flag].get("modes", ["l4_scan"])[0]
         return ["norms"] + ([] if flag == MODE_ARGV[mode][0] else MODE_ARGV[mode])
-    return [command, "--config", "c.json"]
+    return [command, *(["--csv", "d.csv"] if command == "check" else []), "--config", "c.json"]
 
 
 @pytest.mark.parametrize("command, flag, outside, on", bound_edges())
@@ -916,13 +939,13 @@ def test_value_outside_the_table_bound_is_refused_and_on_it_passes(
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path, cgpe_doc(checks=[]), name="c.json")
     argv = command_argv(command, flag)
-    out = tmp_path / "out"
+    made = set(tmp_path.iterdir())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, flag, outside, "--out", str(out)]) == 2
+        assert main([*argv, flag, outside, *([] if flag == "--out" else ["--out", "out"])]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {flag}:")
-    assert not out.exists()
+    assert set(tmp_path.iterdir()) == made
     args = plsim.cli.build_parser().parse_args(plsim.cli._attach_float_values([*argv, flag, on]))
     plsim.cli.check_options(args)
 

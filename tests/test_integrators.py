@@ -49,8 +49,10 @@ from plsim.models import (
 from plsim.storage import read_checkpoint, write_checkpoint
 
 from oracles import (
+    cgpe_local_step_cos_sin,
     diagnostics_columns,
     diagnostics_row_by_column,
+    ep_local_u_update_cos_sin,
     lp_norm,
     strang_samples_fft_pairs,
 )
@@ -517,8 +519,9 @@ def _warned(fn) -> bool:
     return any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
-# _rotate takes cos and sin up to DENSE_HALF_STEP_MAX_POINTS (64) points and a
-# tan half-angle above: each test runs both forms, on both sides of the split
+# _rotate has one form, the tan half-angle.  The local steps call it above
+# DENSE_HALF_STEP_MAX_POINTS (64) points, and up to it only where their
+# complex exponent would overflow: each test runs it on both sides of the split
 ROTATE_SIZES = (16, 64, 66, 4096)
 
 
@@ -565,20 +568,77 @@ class TestRotate:
             with np.errstate(invalid="ignore"):
                 assert not _warned(rotate), size
 
+    @pytest.mark.parametrize("model", ["cgpe", "ep"])
     @pytest.mark.parametrize("size, kernels", [
-        (DENSE_HALF_STEP_MAX_POINTS, {"cos", "sin"}),
-        (DENSE_HALF_STEP_MAX_POINTS + 2, {"tan"}),
-    ], ids=["cos_sin_at_bound", "tan_above_bound"])
-    def test_form_splits_where_the_dense_half_step_does(self, monkeypatch, size, kernels):
+        (DENSE_HALF_STEP_MAX_POINTS, {"cgpe": {"complex exp"}, "ep": {"complex exp"}}),
+        (DENSE_HALF_STEP_MAX_POINTS + 2, {"cgpe": {"tan"}, "ep": {"exp", "tan"}}),
+    ], ids=["complex_exp_at_bound", "tan_above_bound"])
+    def test_form_splits_where_the_dense_half_step_does(self, monkeypatch, model, size, kernels):
+        # the local steps' transcendentals on arrays: one complex exp up to the
+        # bound; above it _rotate's tan, and for ep the real exp of its amplitude
+        grid = make_grid(size, TWO_PI)
+        u, n = gaussian_field(grid, 0.8), real_constant(grid, 0.3)
         called = set()
-        for name in ("cos", "sin", "tan"):
+        for name in ("cos", "sin", "tan", "exp"):
             def spy(*args, _kernel=getattr(np, name), _name=name, **kwargs):
-                called.add(_name)
+                if isinstance(args[0], np.ndarray):
+                    called.add(f"complex {_name}" if np.iscomplexobj(args[0]) else _name)
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(np, name, spy)
-        _rotated(np.full(size, 0.3))
-        assert called == kernels
+        if model == "cgpe":
+            cgpe_local_step(u, 1e-3, CgpeParams(1.0, 1.0))
+        else:
+            _ep_local_u_update(u, n, 1e-3, make_ep_params(grid))
+        assert called == kernels[model]
+
+
+def assert_near_cos_sin_form(got, ref, u, phase):
+    """Per site |got - ref| <= 8 eps (1 + |phase|) |u|, |u| the larger
+    modulus of the site before and after the step (ep's e^{x/2} can exceed 1)."""
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+    scale = np.maximum(np.abs(u), np.abs(ref))
+    excess = np.abs(got - ref) / (8.0 * EPS * (1.0 + np.abs(phase)) * scale)
+    assert np.max(excess) <= 1.0, np.max(excess)
+
+
+# moduli from 1e-12 to 1e6 at random phases, on grids of DENSE_HALF_STEP_MAX_POINTS
+# points: the local steps' complex exponential against amplitude times cos + i sin
+EXP_FORM_MODULI = np.logspace(-12, 6, 4 * DENSE_HALF_STEP_MAX_POINTS)
+
+
+def exp_form_fields():
+    grid = make_grid(DENSE_HALF_STEP_MAX_POINTS, TWO_PI)
+    angles = np.random.default_rng(5).uniform(0.0, TWO_PI, EXP_FORM_MODULI.size)
+    values = EXP_FORM_MODULI * np.exp(1j * angles)
+    return [Field(grid, chunk) for chunk in values.reshape(-1, grid.n_points)]
+
+
+class TestLocalStepExpForm:
+    # 5e-324: -1/(2 sigma) overflows, and the step keeps the amplitude and phase
+    @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-12, 1.0, 1e3])
+    @pytest.mark.parametrize("xi", [0.0, 5e-322, 1.0])
+    def test_cgpe_matches_amplitude_and_cos_sin(self, xi, sigma):
+        p = CgpeParams(xi=xi, sigma=sigma)
+        for dt in (1e-3, 0.1):
+            for u in exp_form_fields():
+                ref, phase = cgpe_local_step_cos_sin(u, dt, p)
+                assert_near_cos_sin_form(cgpe_local_step(u, dt, p).values, ref, u.values, phase)
+
+    # x = 2 (n - alpha) dt at R = dt = 1: -50, -40, -1, 0, 1 and 40 at alpha = 25;
+    # -2e-300 and 2e-300 at alpha = 1e-300; -1e-321 at alpha = 5e-322
+    @pytest.mark.parametrize("alpha, levels", [
+        (25.0, [0.0, 5.0, 24.5, 25.0, 25.5, 45.0]),
+        (1e-300, [0.0, 2e-300]),
+        (5e-322, [0.0]),
+    ], ids=["large_and_zero", "tiny", "subnormal"])
+    def test_ep_matches_amplitude_and_cos_sin(self, alpha, levels):
+        for u in exp_form_fields():
+            p = EpParams(g=1.0, lam=0.5, R=1.0, alpha=alpha, beta=1.0, pump=real_constant(u.grid, 1.0))
+            for level in levels:
+                n = real_constant(u.grid, level)
+                ref, phase = ep_local_u_update_cos_sin(u, n, 1.0, p)
+                assert_near_cos_sin_form(_ep_local_u_update(u, n, 1.0, p).values, ref, u.values, phase)
 
 
 class TestCgpeLocalStep:

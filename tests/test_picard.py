@@ -377,6 +377,12 @@ class TestContractionReport:
         assert not np.any(report.ratios == 0.0)
         assert measured_contraction_rate(history) == np.inf
 
+    @pytest.mark.parametrize("diffs", [[1.0, 0.5], [1e-13, 1e-14, 1e-15]], ids=["two_sweeps", "at_floor"])
+    def test_rate_without_a_qualifying_ratio_is_nan(self, diffs):
+        # no ratio past the first, or none above the noise floor: not measured, not 0
+        history = IterateHistory(final=None, diffs=diffs, initial_norm=1.0, converged=True, diverged=False)
+        assert np.isnan(measured_contraction_rate(history))
+
     def test_identical_iterates_contract_with_ratio_zero(self):
         history = IterateHistory(
             final=None, diffs=[0.0, 0.0], initial_norm=0.0, converged=True, diverged=False

@@ -44,8 +44,7 @@ def problem(model, n_points, lam=1.0, t0=0.0):
     t = t0 / lam**2
     if model == "cgpe":
         return CgpeState(u=u, t=t), CgpeParams(xi=1.3 * lam**2, sigma=0.7), DT / lam**2
-    sites = np.arange(n_points) * (TWO_PI / n_points)  # the lam = 1 sites, unscaled
-    pump = Field(grid, lam**4 * 1.2 * smooth_bump((sites - 3.0) / 0.6))
+    pump = Field(grid, lam**4 * 1.2 * smooth_bump((lam * grid.x - 3.0) / 0.6))
     n = Field(grid, lam**2 * rng.uniform(0.0, 0.5, n_points))
     params = EpParams(g=1.0, lam=0.5, R=1.0, alpha=0.5 * lam**2, beta=1.3 * lam**2, pump=pump)
     return EpState(u=u, n=n, t=t), params, DT / lam**2
