@@ -50,8 +50,8 @@ BLOWUP_MASS_FACTOR = 1e6
 # The same bound has the local flows multiply u by one complex exponential
 # per site, for the same reason: below it a step's cost is per-call
 # overhead, and complex exp takes the fewest calls.  Above it they keep
-# _rotate's amplitude and tan form, whose one real transcendental is the
-# cheaper arithmetic, so every grid above it keeps the arithmetic it had.
+# the amplitude and _rotate's tan form: there one real transcendental is
+# the cheaper arithmetic, and every grid above it keeps the bits it had.
 DENSE_HALF_STEP_MAX_POINTS = 64
 
 
