@@ -45,7 +45,6 @@ from .picard import (
     TimeMesh,
     contraction_report,
     existence_time_bracket,
-    measured_contraction_rate,
     picard_cgpe,
     picard_ep,
 )
@@ -53,8 +52,8 @@ from .spacetime import (
     DISPERSIONS,
     SpaceTimeField,
     default_trilinear_params,
+    l4_ratio_max,
     l4_strichartz_ratio,
-    random_spacetime_field,
     trilinear_ratio_scan,
     xsb_norm,
     ys_norm,
@@ -204,12 +203,11 @@ def cmd_picard(args) -> int:
     with output_lock(out_dir), np.errstate(over="ignore", invalid="ignore"):
         history = run_at(args.delta)
         report = contraction_report(history)
-        rate = measured_contraction_rate(history)
         payload = dict(
             model=config.model, delta=args.delta, n_nodes=args.n_nodes, s=args.s,
             iterations=len(history.diffs), converged=report.converged, diverged=history.diverged,
             final_residual=_finite_or_none(report.final_residual),
-            ratios=[_finite_or_none(float(r)) for r in report.ratios], rate=_finite_or_none(rate),
+            ratios=[_finite_or_none(float(r)) for r in report.ratios], rate=_finite_or_none(report.rate),
             norm_note="distances are sup-over-nodes Sobolev norms; any "
             "window-based space-time norms are restricted-norm surrogates")
         del history  # the bracket needs only its verdict, not its iterate
@@ -229,7 +227,7 @@ def cmd_picard(args) -> int:
         write_json(os.path.join(out_dir, "picard_report.json"), payload)
         print(f"picard: {'converged' if report.converged else 'not converged'} "
               f"in {payload['iterations']} sweeps, final residual {report.final_residual:.3e}, "
-              + ("rate not measured" if np.isnan(rate) else f"rate {rate:.3e}"))
+              + ("rate not measured" if np.isnan(report.rate) else f"rate {report.rate:.3e}"))
     if payload.get("bracket_error"):
         raise RuntimeError(payload["bracket_error"])
     if args.assert_ and not report.converged:
@@ -265,6 +263,10 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
     if len(loaded) >= 8:
         times = np.array([header["time"] for _, _, header in loaded])
         spacing = np.diff(times)
+        if not np.all(spacing > 0):
+            i = int(np.argmin(spacing > 0))
+            raise ValueError(f"--checkpoints: space-time norms need strictly increasing times, "
+                             f"got t = {times[i + 1]:.6g} after t = {times[i]:.6g}")
         if not np.allclose(spacing, spacing[0], rtol=1e-8):
             raise ValueError("--checkpoints: space-time norms need uniformly spaced checkpoints")
         grids = {(u.grid.n_points, u.grid.length) for _, u, _ in loaded}
@@ -292,13 +294,8 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
 def _norms_l4_scan(args, out_dir: str) -> int:
     rows = []
     for grid, n_time in args.l4_scan:
-        n_points = grid.n_points
-        best = 0.0
-        for sample in range(args.samples):
-            f = random_spacetime_field(grid, n_time, 2.0 * np.pi, n_points // 4, n_time // 4,
-                                       np.random.default_rng([args.seed, sample]))
-            best = max(best, l4_strichartz_ratio(f))
-        rows.append((n_points, n_time, args.samples, args.seed, best))
+        rngs = (np.random.default_rng([args.seed, sample]) for sample in range(args.samples))
+        rows.append((grid.n_points, n_time, args.samples, args.seed, l4_ratio_max(grid, n_time, rngs)))
     _write_tables(out_dir, [("l4_scan.csv", ["n_points", "n_time", "samples", "seed", "max_ratio"],
                              rows, f"wrote quartic-ratio scan over {len(rows)} lattices")])
     return 0
@@ -404,15 +401,8 @@ def _trilinear_params(v: _Validator, obj: dict, where: str, key: str):
         v.fail(f"{key}: {err}")
 
 
-def _out_dir(v: _Validator, obj: dict, where: str, key: str):
-    """--out, refused when empty: the empty path would stand for ./plsim-out."""
-    if not obj[key]:
-        return v.fail(f"{key}: must not be empty")
-    return obj[key]
-
-
 _SCANS = ("l4_scan", "trilinear_scan")
-_OUT = {"bound": _out_dir}
+_OUT = {"bound": _Validator.path}
 _SEED = {"type": int, "bound": partial(_Validator.integer, minimum=0),
          "help": "override a random initial seed"}
 _ASSERT = {"action": "store_true", "default": False, "dest": "assert_"}

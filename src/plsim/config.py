@@ -142,6 +142,16 @@ class _Validator:
             return None
         return value
 
+    def path(self, obj, where, key):
+        """An output directory (None when absent or null), refused when empty:
+        a command would take the empty path for its default directory."""
+        value, at = obj.get(key), f"{where}.{key}" if where else key
+        if value is not None and not isinstance(value, str):
+            return self.fail(f"{at}: expected a path string, got {value!r}")
+        if value == "":
+            return self.fail(f"{at}: must not be empty")
+        return value
+
 
 def _validate_profile(val, where, presets: dict, v: _Validator) -> dict | None:
     """Validate a preset dict like {"kind": "bump", ...} against the declared presets."""
@@ -318,9 +328,7 @@ def parse_config(text: str) -> RunConfig:
         v.warnings.append("ep_lyapunov: with 2 * alpha == beta the Lyapunov bound holds with "
                           "equality, so the check reads the O(dt^2) splitting error and may fail")
 
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        v.fail(f"output: expected a path string, got {output!r}")
+    output = v.path(doc, "", "output")
 
     if v.violations:
         raise ConfigError(v.violations)

@@ -38,7 +38,6 @@ __all__ = [
     "picard_cgpe",
     "picard_ep",
     "contraction_report",
-    "measured_contraction_rate",
     "existence_time_bracket",
 ]
 
@@ -91,6 +90,7 @@ class ContractionReport:
     ratios: np.ndarray
     converged: bool
     final_residual: float
+    rate: float
 
 
 def _diverging(diffs: list[float]) -> bool:
@@ -295,11 +295,21 @@ def picard_ep(
 
 
 def contraction_report(history: IterateHistory) -> ContractionReport:
-    """Ratios of successive iterate distances and the convergence verdict.
+    """Ratios of successive iterate distances, the measured contraction
+    rate, and the convergence verdict.
 
     Two zero distances (iterates that stopped changing) give a ratio of 0; a
     ratio against a distance that overflowed is not finite.  A history that
     diverged on its first sweep is reported with no ratios.
+
+    The rate is the largest ratio past the first, which is taken against the
+    distance from the free evolution that starts the iteration, among those
+    whose two distances both exceed the rounding floor 1e-12 (1 +
+    initial_norm): below it a ratio carries no contraction information.
+    When no ratio qualifies (too few sweeps, or distances at rounding level
+    from the start) the rate was not measured and is NaN, since 0.0 would
+    claim perfect contraction.  A last distance that is not finite (the
+    iterates overflowed) gives a rate of inf.
     """
     if len(history.diffs) < 2 and not history.diverged:
         raise ValueError("need at least 2 iterate distances to report contraction")
@@ -307,32 +317,15 @@ def contraction_report(history: IterateHistory) -> ContractionReport:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = diffs[1:] / diffs[:-1]
     ratios[(diffs[1:] == 0.0) & (diffs[:-1] == 0.0)] = 0.0
+    above = diffs > 1e-12 * (1.0 + history.initial_norm)
+    measured = ratios[1:][above[1:-1] & above[2:]]
+    if not np.isfinite(diffs[-1]):
+        rate = np.inf
+    else:
+        rate = float(measured.max()) if measured.size else np.nan
     return ContractionReport(
-        ratios=ratios, converged=history.converged, final_residual=float(diffs[-1])
+        ratios=ratios, converged=history.converged, final_residual=float(diffs[-1]), rate=rate
     )
-
-
-def measured_contraction_rate(history: IterateHistory) -> float:
-    """Largest ratio of successive distances, ignoring the noise floor.
-
-    The first ratio, taken against the distance from the free evolution
-    that starts the iteration, is skipped.  Ratios whose denominator has
-    already collapsed to rounding level carry no contraction information
-    and are excluded.  When no ratio remains (too few sweeps, or distances
-    at rounding level from the start) the rate was not measured, and NaN
-    is returned: 0.0 would claim perfect contraction.  A last distance that
-    is not finite (the iterates overflowed) gives inf.
-    """
-    diffs = history.diffs
-    if diffs and not np.isfinite(diffs[-1]):
-        return float("inf")
-    floor = 1e-12 * (1.0 + history.initial_norm)
-    rates = [
-        diffs[m + 1] / diffs[m]
-        for m in range(1, len(diffs) - 1)
-        if diffs[m] > floor and diffs[m + 1] > floor
-    ]
-    return max(rates) if rates else float("nan")
 
 
 def existence_time_bracket(converges, delta0: float) -> tuple[float, float]:

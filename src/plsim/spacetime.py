@@ -37,6 +37,7 @@ __all__ = [
     "default_trilinear_params",
     "constrained_pair_sum",
     "trilinear_form",
+    "l4_ratio_max",
     "trilinear_ratio_scan",
     "bracket_pair_integral",
 ]
@@ -375,6 +376,17 @@ class ScanRow:
     seed: int
     ratio: float
     admissible: bool
+
+
+def l4_ratio_max(grid: Grid1D, n_time: int, rngs) -> float:
+    """Ensemble maximum of l4_strichartz_ratio: one random_spacetime_field
+    per generator of ``rngs``, over a 2 pi span, band-limited to |k index|
+    <= N/4 and |tau index| <= n_time/4."""
+    best = 0.0
+    for rng in rngs:
+        f = random_spacetime_field(grid, n_time, 2.0 * np.pi, grid.n_points // 4, n_time // 4, rng)
+        best = max(best, l4_strichartz_ratio(f))
+    return best
 
 
 def trilinear_ratio_scan(

@@ -24,7 +24,6 @@ from plsim.picard import (
     TimeMesh,
     contraction_report,
     existence_time_bracket,
-    measured_contraction_rate,
     picard_cgpe,
     picard_ep,
 )
@@ -631,11 +630,19 @@ class TestPicard:
         report = json.loads((out / "picard_report.json").read_text())
         assert report["bracket"] == {"delta_ok": ok, "delta_fail": fail}
         assert report["iterations"] == len(base.diffs)
-        assert report["rate"] == measured_contraction_rate(base)
+        assert report["rate"] == contraction_report(base).rate
 
 
 def with_a_gap(paths, tmp_path):
     return paths[:4] + paths[5:]  # still 8 checkpoints, one interval twice as long
+
+
+def repeated(paths, tmp_path):
+    return [paths[0]] * 8  # uniform spacing, of zero
+
+
+def reversed_in_time(paths, tmp_path):
+    return paths[::-1]  # uniform spacing, negative
 
 
 def on_two_grids(paths, tmp_path):
@@ -678,8 +685,12 @@ class TestNorms:
         (["--b", "200"], "--s, --b: a space-time norm overflows at s = 0, b = 200", None),
         ([], "--checkpoints: space-time norms need uniformly spaced checkpoints", with_a_gap),
         ([], "--checkpoints: not all on one grid", on_two_grids),
+        ([], "--checkpoints: space-time norms need strictly increasing times, got t = 0 after t = 0",
+         repeated),
+        ([], "--checkpoints: space-time norms need strictly increasing times, "
+             "got t = 0.007 after t = 0.008", reversed_in_time),
     ], ids=["nan_s", "infinite_b", "huge_s", "overflowing_s", "overflowing_b", "non_uniform",
-            "two_grids"])
+            "two_grids", "repeated", "reversed"])
     def test_checkpoint_input_it_cannot_compute_exits_2(self, tmp_path, capsys, argv, message, pick):
         # rejected before any table is written, under warnings-as-errors too
         _, paths = self.make_checkpoints(tmp_path)
@@ -691,7 +702,7 @@ class TestNorms:
             warnings.simplefilter("error")
             assert main(["norms", "--checkpoints", *paths, "--out", str(out), *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--s", "-1e-3"), ("--b", "-1e308")])
     def test_negative_value_after_a_space_reads_as_joined(self, tmp_path, flag, value):
@@ -886,13 +897,25 @@ def test_refused_argument_names_its_option_and_makes_no_directory(
     assert set(tmp_path.iterdir()) == made
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "out"]], ids=["config_output", "out_given"])
+@pytest.mark.parametrize("command", [["run"], ["picard"], ["check", "--csv", "d.csv"]],
+                         ids=["run", "picard", "check"])
+def test_empty_config_output_exits_2_and_makes_no_directory(tmp_path, monkeypatch, capsys, command, out):
+    # the empty path would stand for ./plsim-out; it is refused like an empty --out
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, cgpe_doc(checks=[], output=""), name="c.json")
+    made = set(tmp_path.iterdir())
+    assert main([*command, "--config", "c.json", *out]) == 2
+    assert capsys.readouterr().err == "error: --config: invalid configuration: output: must not be empty\n"
+    assert set(tmp_path.iterdir()) == made
+
+
 # a value just outside, and one on, the bound of each option whose bound is
 # one of cli's own readers (the others are derived from the table below)
 OWN_READER_EDGES = {
     "--l4-scan": [("16:7", "16:8"), ("1024:1025", "1024:1024"), ("5:8", "4:8")],
     "--trilinear-scan": [("3", "4"), ("1025", "1024")],
     "--eps": [("0", "5e-324"), ("0.08333333333333333", "0.08333333333333331")],
-    "--out": [("", "out")],
 }
 # the argv that reaches each norms mode's options
 MODE_ARGV = {"checkpoints": ["--checkpoints", "a.ckpt"], "l4_scan": ["--l4-scan", "16:16"],
@@ -911,6 +934,8 @@ def bound_edges():
                 edges = [("x", choice) for choice in spec["choices"]]
             elif bound is _Validator.number:
                 edges = [("nan", largest), ("inf", largest), ("-inf", f"-{largest}")]
+            elif bound is _Validator.path:
+                edges = [("", "out")]
             elif bound is None:
                 continue
             elif bound.func is _Validator.integer:

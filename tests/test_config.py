@@ -95,6 +95,20 @@ class TestViolations:
             parse(doc)
         assert excinfo.value.violations == violations
 
+    @pytest.mark.parametrize("output, violation", [
+        ("", "output: must not be empty"),
+        (5, "output: expected a path string, got 5"),
+        (["out"], "output: expected a path string, got ['out']"),
+    ], ids=["empty", "number", "list"])
+    def test_output_must_be_a_path_that_is_not_empty(self, output, violation):
+        # the empty path would stand for the default directory, ./plsim-out
+        with pytest.raises(ConfigError) as excinfo:
+            parse({"model": "cgpe", "output": output})
+        assert excinfo.value.violations == [violation]
+
+    def test_null_output_is_no_output(self):
+        assert parse({"model": "cgpe", "output": None}).output is None
+
     def test_missing_model(self):
         with pytest.raises(ConfigError, match="model"):
             parse({"dt": 1e-3})
