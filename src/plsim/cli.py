@@ -215,7 +215,7 @@ def cmd_picard(args) -> int:
             def converges(delta: float) -> bool:
                 if delta == args.delta:  # solved above
                     return report.converged
-                return contraction_report(run_at(delta)).converged
+                return run_at(delta).converged
 
             try:
                 ok, fail = existence_time_bracket(converges, args.delta)
@@ -272,6 +272,12 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         grids = {(u.grid.n_points, u.grid.length) for _, u, _ in loaded}
         if len(grids) != 1:
             raise ValueError("--checkpoints: not all on one grid")
+        digest = loaded[0][2].get("config_hash")
+        for path, _, header in loaded[1:]:
+            if header.get("config_hash") != digest:
+                raise ValueError(f"--checkpoints: space-time norms need the checkpoints of one run, "
+                                 f"but {path} has config hash {header.get('config_hash')!r} "
+                                 f"and {loaded[0][0]} has {digest!r}")
         values = np.stack([u.values for _, u, _ in loaded])
         t_span = float(spacing[0] * len(loaded))
         f = SpaceTimeField(loaded[0][1].grid, t_span, values)

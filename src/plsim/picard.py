@@ -229,8 +229,9 @@ def picard_cgpe(
         step = np.subtract(new[1], current[1], out=scratch)
         return float(np.max(hs_norm_spectral(step, grid, s, work=real_work)))
 
+    initial_norm = float(hs_norm_spectral(u0_hat, grid, s))
     history = _iterate(
-        (np.fft.ifft(free_hat, axis=-1), free_hat), sweep, distance, hs_norm(u0, s), max_iter
+        (np.fft.ifft(free_hat, axis=-1), free_hat), sweep, distance, initial_norm, max_iter
     )
     return replace(history, final=history.final[0])
 
@@ -288,7 +289,7 @@ def picard_ep(
         return float(np.max(du) + np.max(dn))
 
     free = (np.fft.ifft(np.multiply(prop, u0_hat, out=hat), axis=-1), free_n)
-    initial_norm = hs_norm(u0, 0.0) + hs_norm(n0, 0.0)
+    initial_norm = float(hs_norm_spectral(u0_hat, grid, 0.0)) + hs_norm(n0, 0.0)
     history = _iterate(free, sweep, distance, initial_norm, max_iter)
     final_u, final_n = history.final
     return replace(history, final=(final_u, final_n.copy()))  # not a view into the workspace

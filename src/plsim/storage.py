@@ -2,9 +2,9 @@
 
 Checkpoint layout: the magic bytes ``PLSIM1``, a little-endian uint32
 header length, a UTF-8 JSON header (format version, producing config hash,
-time, grid geometry), then the payload as little-endian float64: one
-(re, im) pair per grid point for the condensate, followed by one float per
-point for the reservoir when present.  Every payload value is finite.
+time, grid geometry), then the payload: the samples' own little-endian
+bytes, the condensate as complex128 and the reservoir, when present, as
+float64.  Every payload value is finite; a read returns the written bits.
 
 All writers are deterministic: identical inputs produce byte-identical
 files (floats are serialized with shortest round-trip repr).  Checkpoints
@@ -47,6 +47,10 @@ class CheckpointError(ValueError):
 
 
 def write_checkpoint(path, u: Field, n: Field | None, time: float, config_hash: str) -> None:
+    if n is not None:
+        if n.grid != u.grid:
+            raise ValueError("u and n must share a grid")
+        n = real_field(n, "n")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
@@ -56,18 +60,13 @@ def write_checkpoint(path, u: Field, n: Field | None, time: float, config_hash: 
         "has_reservoir": n is not None,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = np.empty(2 * u.grid.n_points + (u.grid.n_points if n is not None else 0))
-    payload[0 : 2 * u.grid.n_points : 2] = u.values.real
-    payload[1 : 2 * u.grid.n_points : 2] = u.values.imag
-    if n is not None:
-        if n.grid != u.grid:
-            raise ValueError("u and n must share a grid")
-        payload[2 * u.grid.n_points :] = real_field(n, "n").values
     with _replacing(path) as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(np.array(len(header_bytes), dtype="<u4").tobytes())
         handle.write(header_bytes)
-        handle.write(payload.astype("<f8").tobytes())
+        handle.write(np.ascontiguousarray(u.values, dtype="<c16"))
+        if n is not None:
+            handle.write(np.ascontiguousarray(n.values, dtype="<f8"))
 
 
 @contextmanager
@@ -105,7 +104,7 @@ def read_checkpoint(path) -> tuple[Field, Field | None, dict]:
     if not np.all(np.isfinite(payload)):
         raise CheckpointError(f"{path}: payload holds non-finite values")
     grid = make_grid(n_points, header["length"])
-    u = Field(grid, payload[0 : 2 * n_points : 2] + 1j * payload[1 : 2 * n_points : 2])
+    u = Field(grid, payload[: 2 * n_points].view("<c16").copy())
     n = Field(grid, payload[2 * n_points :].copy()) if header["has_reservoir"] else None
     return u, n, header
 

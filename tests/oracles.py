@@ -14,8 +14,12 @@ column at a time; and scipy's adaptive quadrature of the bracket
 pair integral, against which the fixed double-exponential rule is checked.
 Also the columns of a diagnostics series and the writer of a whole
 series, which the tests use to compare rows and make CSV fixtures: a run
-appends its rows one at a time instead.
+appends its rows one at a time instead; and the checkpoint writer that
+interleaves the condensate's real and imaginary parts into a float64
+payload, where the package writes the samples' own complex128 bytes.
 """
+
+import json
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from plsim.integrators import (
 )
 from plsim.models import CgpeParams, EpParams, _local_flow_factors
 from plsim.spacetime import SpaceTimeField
-from plsim.storage import DiagnosticsAppender
+from plsim.storage import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DiagnosticsAppender
 
 
 def bracket_pair_integral_quad(s: float, a_plus: float, a_minus: float) -> float:
@@ -279,3 +283,22 @@ def write_diagnostics_csv(path, d: DiagnosticsSeries) -> None:
     with DiagnosticsAppender(path, d.has_reservoir) as table:
         for row in zip(*diagnostics_columns(d)):
             table.append(row)
+
+
+def write_checkpoint_interleaved(path, u: Field, n: Field | None, time: float, config_hash: str) -> None:
+    """A checkpoint whose payload is built as float64: u's real parts at the
+    even places, its imaginary parts at the odd ones, then n."""
+    header = {"format_version": CHECKPOINT_VERSION, "config_hash": config_hash, "time": time,
+              "n_points": u.grid.n_points, "length": u.grid.length, "has_reservoir": n is not None}
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    n_points = u.grid.n_points
+    payload = np.empty(2 * n_points + (n_points if n is not None else 0))
+    payload[0 : 2 * n_points : 2] = u.values.real
+    payload[1 : 2 * n_points : 2] = u.values.imag
+    if n is not None:
+        payload[2 * n_points :] = n.values.real
+    with open(path, "wb") as handle:
+        handle.write(CHECKPOINT_MAGIC)
+        handle.write(np.array(len(header_bytes), dtype="<u4").tobytes())
+        handle.write(header_bytes)
+        handle.write(payload.astype("<f8").tobytes())

@@ -704,6 +704,33 @@ class TestNorms:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_checkpoints_of_two_runs_get_no_spacetime_norms(self, tmp_path, capsys, count):
+        # state_0..3 of one run, then state_4.. of a run from other initial data
+        runs = []
+        for amplitude in (0.8, 0.6):
+            doc = cgpe_doc(checks=[], checkpoint_every=1, t_end=0.008, dt=1e-3,
+                           initial={"u": {"kind": "gaussian", "amplitude": amplitude, "width": 0.5}})
+            out = tmp_path / f"run-{amplitude}"
+            config = write_config(tmp_path, doc, name=f"{amplitude}.json")
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+            meta = json.loads((out / "run_meta.json").read_text())
+            runs.append((meta["config_hash"], [str(out / "checkpoints" / n) for n in meta["checkpoints"]]))
+        (first_hash, first), (second_hash, second) = runs
+        paths = first[:4] + second[4:count]
+        capsys.readouterr()
+        out = tmp_path / "n"
+        if count < 8:  # spatial norms only, which one run does not bind
+            assert main(["norms", "--checkpoints", *paths, "--out", str(out)]) == 0
+            assert len((out / "spatial_norms.csv").read_text().splitlines()) == 1 + count
+            assert not (out / "spacetime_norms.csv").exists()
+            return
+        assert main(["norms", "--checkpoints", *paths, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --checkpoints: space-time norms need the checkpoints of one run, "
+            f"but {paths[4]} has config hash {second_hash!r} and {paths[0]} has {first_hash!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--s", "-1e-3"), ("--b", "-1e308")])
     def test_negative_value_after_a_space_reads_as_joined(self, tmp_path, flag, value):
         _, paths = self.make_checkpoints(tmp_path)

@@ -19,7 +19,7 @@ from plsim.storage import (
     write_json,
 )
 
-from oracles import write_diagnostics_csv
+from oracles import write_checkpoint_interleaved, write_diagnostics_csv
 
 
 def random_field(grid, seed):
@@ -61,6 +61,31 @@ class TestCheckpoints:
             u2, n2, header = read_checkpoint(first)
             write_checkpoint(second, u2, n2, header["time"], header["config_hash"])
             assert first.read_bytes() == second.read_bytes()
+
+    def test_signed_zeros_read_back_and_write_the_same_bytes(self, tmp_path):
+        grid = make_grid(8, 2.0)
+        u = random_field(grid, 9).values
+        u[1], u[2], u[3] = complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0)
+        for n in (None, Field(grid, np.array([-0.0, 0.0, 1.0, -0.0, 2.0, 0.0, -0.0, 3.0]))):
+            first, second = tmp_path / "z1.ckpt", tmp_path / "z2.ckpt"
+            write_checkpoint(first, Field(grid, u), n, 0.5, "h")
+            u2, n2, header = read_checkpoint(first)
+            np.testing.assert_array_equal(np.signbit(u2.values.real), np.signbit(u.real))
+            np.testing.assert_array_equal(np.signbit(u2.values.imag), np.signbit(u.imag))
+            if n is not None:
+                np.testing.assert_array_equal(np.signbit(n2.values), np.signbit(n.values))
+            write_checkpoint(second, u2, n2, header["time"], header["config_hash"])
+            assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("reservoir", [False, True])
+    def test_bytes_equal_the_interleaved_float64_payload(self, tmp_path, seed, reservoir):
+        grid = make_grid(64, 3.0)
+        u = random_field(grid, seed)
+        n = Field(grid, np.random.default_rng(seed + 100).uniform(0.0, 2.0, 64)) if reservoir else None
+        write_checkpoint(tmp_path / "new.ckpt", u, n, 0.125 * seed, "abc")
+        write_checkpoint_interleaved(tmp_path / "old.ckpt", u, n, 0.125 * seed, "abc")
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
 
     def test_reservoir_read_back_steps_and_writes_again(self, tmp_path):
         grid = make_grid(16, 2 * np.pi)
