@@ -35,8 +35,8 @@ from .config import (
     _Validator,
     build_run,
     config_hash,
-    initial_seed,
     load_config,
+    with_seed,
 )
 from .diagnostics import COLUMNS, DiagnosticsSeries
 from .grid import hs_norm, make_grid, memo
@@ -114,12 +114,9 @@ def _run_checks(names, diagnostics, params, domain_measure: float, partial: bool
 
 
 def cmd_run(args) -> int:
-    config = _under("--config", load_config, args.config)
+    config = _under("--seed", with_seed, _under("--config", load_config, args.config), args.seed)
     out_dir = args.out or config.output or "plsim-out"
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    seed = _under("--seed", initial_seed, config, args.seed)
-    grid, params, initial = build_run(config, args.seed)
+    grid, params, initial = build_run(config)
 
     digest = config_hash(config)
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -146,6 +143,8 @@ def cmd_run(args) -> int:
         first = _under("--config", next, samples)
     rows = array("d")
     blow_up = None
+    # the config's warnings, once its input is accepted: a refused call prints one line
+    sys.stderr.writelines(f"warning: {warning}\n" for warning in config.warnings)
     with output_lock(out_dir):
         os.makedirs(ckpt_dir, exist_ok=True)
         try:
@@ -170,23 +169,22 @@ def cmd_run(args) -> int:
         reports = _run_checks(config.checks, diagnostics, params, grid.length, partial)
         write_json(os.path.join(out_dir, "reports.json"), reports)
         write_json(os.path.join(out_dir, "run_meta.json"), dict(
-            version=__version__, config_hash=digest, model=config.model, seed=seed, steps=steps,
-            blow_up_time=blow_up, checkpoints=saved, warnings=list(config.warnings)))
+            version=__version__, config_hash=digest, model=config.model, seed=config.initial_u.get("seed"),
+            steps=steps, blow_up_time=blow_up, checkpoints=saved, warnings=list(config.warnings)))
 
     return 0 if (all(r["passed"] for r in reports) and not partial) else 1
 
 
 def cmd_picard(args) -> int:
-    config = _under("--config", load_config, args.config)
-    # the two bounds that depend on the config; check_options applied the rest
+    config = _under("--seed", with_seed, _under("--config", load_config, args.config), args.seed)
+    # the other two bounds that depend on the config; check_options applied the rest
     if config.model == "ep" and args.s != 0.0:
         raise ValueError("--s: applies to the cgpe model only; ep distances are plain L2")
     if args.n_nodes * config.n_points > MAX_N_POINTS:
         raise ValueError(f"--n-nodes: {args.n_nodes} nodes x {config.n_points} points exceeds "
                          f"{MAX_N_POINTS} lattice points")
     out_dir = args.out or config.output or "plsim-out"
-    _under("--seed", initial_seed, config, args.seed)
-    _, params, initial = build_run(config, args.seed)
+    _, params, initial = build_run(config)
     with np.errstate(over="ignore", invalid="ignore"):
         initial_norm = hs_norm(initial.u, args.s)
     if not np.isfinite(initial_norm):  # <k>^(2s) overflows: every distance would too
@@ -198,6 +196,7 @@ def cmd_picard(args) -> int:
             return picard_ep(initial.u, initial.n, mesh, params, args.max_iter)
         return picard_cgpe(initial.u, mesh, params, s=args.s, max_iter=args.max_iter)
 
+    sys.stderr.writelines(f"warning: {warning}\n" for warning in config.warnings)
     # an iterate that overflows is divergence, which the history records;
     # the warnings on the way there say nothing more
     with output_lock(out_dir), np.errstate(over="ignore", invalid="ignore"):
@@ -272,11 +271,11 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
         grids = {(u.grid.n_points, u.grid.length) for _, u, _ in loaded}
         if len(grids) != 1:
             raise ValueError("--checkpoints: not all on one grid")
-        digest = loaded[0][2].get("config_hash")
+        digest = loaded[0][2]["config_hash"]
         for path, _, header in loaded[1:]:
-            if header.get("config_hash") != digest:
+            if header["config_hash"] != digest:
                 raise ValueError(f"--checkpoints: space-time norms need the checkpoints of one run, "
-                                 f"but {path} has config hash {header.get('config_hash')!r} "
+                                 f"but {path} has config hash {header['config_hash']!r} "
                                  f"and {loaded[0][0]} has {digest!r}")
         values = np.stack([u.values for _, u, _ in loaded])
         t_span = float(spacing[0] * len(loaded))
@@ -347,6 +346,7 @@ def cmd_check(args) -> int:
     grid, params, _ = build_run(config)
     # a check the rows cannot feed is refused before the output directory is made
     reports = _under("--csv", _run_checks, config.checks, diagnostics, params, grid.length, partial)
+    sys.stderr.writelines(f"warning: {warning}\n" for warning in config.warnings)
     with output_lock(out_dir):
         write_json(os.path.join(out_dir, "reports.json"), reports)
     return 0 if (all(r["passed"] for r in reports) and not partial) else 1

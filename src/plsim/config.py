@@ -8,8 +8,8 @@ a time.
 
 The pump and initial data are given as presets (constant level, compact
 smooth bump, flat/gaussian/seeded-random profiles) so that a document
-fully determines a run; the seed of random initial data is recorded in
-the run outputs.
+fully determines a run, the seed of random initial data included:
+``with_seed`` (``--seed``) replaces it, so a config's hash names that data.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -28,7 +28,7 @@ from .integrators import CgpeState, EpState, step_count
 from .models import CgpeParams, EpParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "canonical_json",
-           "config_hash", "build_run"]
+           "config_hash", "with_seed", "build_run"]
 
 # The most work one document may ask for.  A 2**20-point grid already
 # holds 16 MiB per complex field, and 10**9 steps take about 6 hours at
@@ -197,26 +197,25 @@ _CADENCE_KEYS = {"sample_every": partial(_Validator.integer, default=1, minimum=
 # builds its samples on a grid.  A pump or reservoir density is a real
 # profile; the condensate has presets of its own.
 _DENSITY_PRESETS = {
-    "zero": ({}, lambda spec, grid, seed: np.zeros(grid.n_points)),
+    "zero": ({}, lambda spec, grid: np.zeros(grid.n_points)),
     "constant": ({"level": partial(_Validator.number, nonnegative=True)},
-                 lambda spec, grid, seed: np.full(grid.n_points, spec["level"])),
+                 lambda spec, grid: np.full(grid.n_points, spec["level"])),
     "bump": ({"center": _Validator.number,
               "width": partial(_Validator.number, positive=True),
               "height": partial(_Validator.number, nonnegative=True)},
-             lambda spec, grid, seed:
-                 spec["height"] * smooth_bump((grid.x - spec["center"]) / spec["width"])),
+             lambda spec, grid: spec["height"] * smooth_bump((grid.x - spec["center"]) / spec["width"])),
 }
 _CONDENSATE_PRESETS = {
     "flat": ({"rho": partial(_Validator.number, default=1.0, nonnegative=True),
               "theta": partial(_Validator.number, default=0.0)},
-             lambda spec, grid, seed: np.full(grid.n_points, spec["rho"] * np.exp(1j * spec["theta"]))),
+             lambda spec, grid: np.full(grid.n_points, spec["rho"] * np.exp(1j * spec["theta"]))),
     "gaussian": ({"amplitude": partial(_Validator.number, default=1.0),
                   "width": partial(_Validator.number, default=0.5, positive=True)},
-                 lambda spec, grid, seed: gaussian(grid, spec["amplitude"], spec["width"]).values),
+                 lambda spec, grid: gaussian(grid, spec["amplitude"], spec["width"]).values),
     "random": ({"seed": partial(_Validator.integer, default=0, minimum=0),
                 "band": partial(_Validator.integer, default=4, minimum=0)},
-               lambda spec, grid, seed:
-                   random_band_limited(grid, spec["band"], np.random.default_rng(seed)).values),
+               lambda spec, grid:
+                   random_band_limited(grid, spec["band"], np.random.default_rng(spec["seed"])).values),
 }
 
 
@@ -347,29 +346,27 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def initial_seed(config: RunConfig, seed_override: int | None = None) -> int | None:
-    """The seed that draws random initial data (the override, else the
-    config's own), or None when the initial data is not random."""
-    spec = config.initial_u
-    if spec["kind"] != "random":
-        if seed_override is not None:
-            raise ValueError(f"a seed applies to random initial data only, not to "
-                             f"initial.u kind {spec['kind']!r}")
-        return None
-    return spec["seed"] if seed_override is None else seed_override
+def with_seed(config: RunConfig, seed: int | None) -> RunConfig:
+    """config with seed drawing its random initial data (config itself when
+    seed is None); initial data that is not random takes no seed."""
+    if seed is None:
+        return config
+    if config.initial_u["kind"] != "random":
+        raise ValueError(f"a seed applies to random initial data only, not to "
+                         f"initial.u kind {config.initial_u['kind']!r}")
+    return replace(config, initial_u={**config.initial_u, "seed": seed})
 
 
-def _samples(presets: dict, spec: dict, grid: Grid1D, seed: int | None = None) -> Field:
+def _samples(presets: dict, spec: dict, grid: Grid1D) -> Field:
     if spec["kind"] not in presets:
         raise ValueError(f"unsupported preset kind {spec['kind']!r}")
-    return Field(grid, presets[spec["kind"]][1](spec, grid, seed))
+    return Field(grid, presets[spec["kind"]][1](spec, grid))
 
 
-def build_run(config: RunConfig, seed_override: int | None = None):
-    """The (grid, params, initial state) a config describes; seed_override
-    replaces the seed of random initial data (see initial_seed)."""
+def build_run(config: RunConfig):
+    """The (grid, params, initial state) a config describes."""
     grid = make_grid(config.n_points, config.length)
-    u0 = _samples(_CONDENSATE_PRESETS, config.initial_u, grid, initial_seed(config, seed_override))
+    u0 = _samples(_CONDENSATE_PRESETS, config.initial_u, grid)
     if config.model == "cgpe":
         return grid, CgpeParams(**config.params), CgpeState(u=u0)
     p = config.params

@@ -125,7 +125,7 @@ def _check_header(path, header) -> None:
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
     n_points, length = header.get("n_points"), header.get("length")
-    has_reservoir, time = header.get("has_reservoir"), header.get("time")
+    has_reservoir, time, digest = header.get("has_reservoir"), header.get("time"), header.get("config_hash")
     if not (_finite_number(n_points) and isinstance(n_points, int)
             and n_points >= 4 and n_points % 2 == 0):
         raise CheckpointError(f"{path}: n_points must be an even integer >= 4, got {n_points!r}")
@@ -135,6 +135,8 @@ def _check_header(path, header) -> None:
         raise CheckpointError(f"{path}: has_reservoir must be a boolean, got {has_reservoir!r}")
     if not _finite_number(time):
         raise CheckpointError(f"{path}: time must be a finite number, got {time!r}")
+    if not (isinstance(digest, str) and digest):
+        raise CheckpointError(f"{path}: config_hash must be a non-empty string, got {digest!r}")
 
 
 def write_csv(path, header, rows) -> None:

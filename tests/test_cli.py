@@ -15,7 +15,7 @@ import pytest
 import plsim.cli
 from plsim.checks import f1_residual
 from plsim.cli import main
-from plsim.config import _Validator, build_run, load_config
+from plsim.config import _Validator, build_run, config_hash, load_config, with_seed
 from plsim.diagnostics import DiagnosticsSeries
 from plsim.grid import Field, make_grid
 from plsim.integrators import iter_samples
@@ -160,9 +160,17 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(out1), "--seed", "99"]) == 0
         assert main(["run", "--config", config, "--out", str(out2)]) == 0
         # the recorded seed is the one that drew the data: the override,
-        # else the config's own
-        assert json.loads((out1 / "run_meta.json").read_text())["seed"] == 99
-        assert json.loads((out2 / "run_meta.json").read_text())["seed"] == 1
+        # else the config's own; the hash, in the metadata and in every
+        # checkpoint header, is that of the config with that seed
+        meta1 = json.loads((out1 / "run_meta.json").read_text())
+        meta2 = json.loads((out2 / "run_meta.json").read_text())
+        assert (meta1["seed"], meta2["seed"]) == (99, 1)
+        assert meta1["config_hash"] == config_hash(with_seed(load_config(config), 99))
+        assert meta2["config_hash"] == config_hash(load_config(config))
+        assert meta1["config_hash"] != meta2["config_hash"]
+        for out, meta in ((out1, meta1), (out2, meta2)):
+            for name in meta["checkpoints"]:
+                assert read_checkpoint(out / "checkpoints" / name)[2]["config_hash"] == meta["config_hash"]
         a = read_diagnostics_csv(out1 / "diagnostics.csv")
         b = read_diagnostics_csv(out2 / "diagnostics.csv")
         assert np.max(np.abs(a.mass - b.mass)) > 0
@@ -704,32 +712,50 @@ class TestNorms:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("count", [8, 7])
-    def test_checkpoints_of_two_runs_get_no_spacetime_norms(self, tmp_path, capsys, count):
-        # state_0..3 of one run, then state_4.. of a run from other initial data
-        runs = []
-        for amplitude in (0.8, 0.6):
-            doc = cgpe_doc(checks=[], checkpoint_every=1, t_end=0.008, dt=1e-3,
-                           initial={"u": {"kind": "gaussian", "amplitude": amplitude, "width": 0.5}})
-            out = tmp_path / f"run-{amplitude}"
-            config = write_config(tmp_path, doc, name=f"{amplitude}.json")
-            assert main(["run", "--config", config, "--out", str(out)]) == 0
+    @staticmethod
+    def spliced_checkpoints(tmp_path, runs, count=8):
+        """state_0..3 of the first of two runs, each (doc, extra run options),
+        then state_4..count-1 of the second, with the two runs' hashes."""
+        hashes, paths = [], []
+        for i, (doc, argv) in enumerate(runs):
+            out = tmp_path / f"run-{i}"
+            config = write_config(tmp_path, doc, name=f"{i}.json")
+            assert main(["run", "--config", config, "--out", str(out), *argv]) == 0
             meta = json.loads((out / "run_meta.json").read_text())
-            runs.append((meta["config_hash"], [str(out / "checkpoints" / n) for n in meta["checkpoints"]]))
-        (first_hash, first), (second_hash, second) = runs
-        paths = first[:4] + second[4:count]
+            hashes.append(meta["config_hash"])
+            paths.append([str(out / "checkpoints" / n) for n in meta["checkpoints"]])
+        return hashes, paths[0][:4] + paths[1][4:count]
+
+    def assert_one_run_refused(self, capsys, tmp_path, hashes, paths):
         capsys.readouterr()
         out = tmp_path / "n"
+        assert main(["norms", "--checkpoints", *paths, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --checkpoints: space-time norms need the checkpoints of one run, "
+            f"but {paths[4]} has config hash {hashes[1]!r} and {paths[0]} has {hashes[0]!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_checkpoints_of_two_runs_get_no_spacetime_norms(self, tmp_path, capsys, count):
+        # the second run starts from other initial data
+        hashes, paths = self.spliced_checkpoints(tmp_path, [
+            (cgpe_doc(checks=[], checkpoint_every=1, t_end=0.008, dt=1e-3,
+                      initial={"u": {"kind": "gaussian", "amplitude": amplitude, "width": 0.5}}), [])
+            for amplitude in (0.8, 0.6)], count)
         if count < 8:  # spatial norms only, which one run does not bind
+            out = tmp_path / "n"
             assert main(["norms", "--checkpoints", *paths, "--out", str(out)]) == 0
             assert len((out / "spatial_norms.csv").read_text().splitlines()) == 1 + count
             assert not (out / "spacetime_norms.csv").exists()
             return
-        assert main(["norms", "--checkpoints", *paths, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: --checkpoints: space-time norms need the checkpoints of one run, "
-            f"but {paths[4]} has config hash {second_hash!r} and {paths[0]} has {first_hash!r}\n")
-        assert not out.exists()
+        self.assert_one_run_refused(capsys, tmp_path, hashes, paths)
+
+    def test_checkpoints_of_two_seeds_get_no_spacetime_norms(self, tmp_path, capsys):
+        # one config of random data, drawn by --seed 1 and by --seed 2
+        doc = cgpe_doc(checks=[], checkpoint_every=1, t_end=0.008, dt=1e-3,
+                       initial={"u": {"kind": "random", "seed": 0, "band": 4}})
+        hashes, paths = self.spliced_checkpoints(tmp_path, [(doc, ["--seed", "1"]), (doc, ["--seed", "2"])])
+        self.assert_one_run_refused(capsys, tmp_path, hashes, paths)
 
     @pytest.mark.parametrize("flag, value", [("--s", "-1e-3"), ("--b", "-1e308")])
     def test_negative_value_after_a_space_reads_as_joined(self, tmp_path, flag, value):
@@ -838,6 +864,9 @@ class TestNorms:
             ("has_reservoir", 1),
             ("time", "0.5"),
             (None, [1, 2]),  # JSON, but not an object
+            ("config_hash", MISSING),
+            ("config_hash", 5),
+            ("config_hash", ""),
         ],
     )
     def test_malformed_checkpoint_header_rejected(self, tmp_path, key, value):
@@ -1151,3 +1180,38 @@ class TestCheck:
             "check", "--csv", str(empty), "--config", config, "--out", str(tmp_path / "r"),
         ])
         assert code == 2
+
+
+class TestConfigWarnings:
+    WARNING = ("warning: ep_lyapunov: with 2 * alpha == beta the Lyapunov bound holds with "
+               "equality, so the check reads the O(dt^2) splitting error and may fail\n")
+
+    @staticmethod
+    def warned_doc():
+        return ep_doc(params={"alpha": 0.5, "beta": 1.0, "lambda": 0.5}, checks=["ep_lyapunov"])
+
+    def test_every_command_that_loads_the_config_prints_its_warnings(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.warned_doc())
+        run = tmp_path / "run"
+        for argv in (["run", "--out", str(run)],
+                     ["check", "--csv", str(run / "diagnostics.csv"), "--out", str(tmp_path / "check")],
+                     ["picard", "--n-nodes", "9", "--out", str(tmp_path / "picard")]):
+            assert main([*argv, "--config", config]) == 0
+            assert capsys.readouterr().err == self.WARNING, argv[0]
+
+    @pytest.mark.parametrize("argv, initial_u", [
+        (["run", "--seed", "7"], {"kind": "gaussian"}),
+        (["picard", "--s", "1"], None),
+        (["check", "--csv", "missing.csv"], None),
+    ], ids=["run", "picard", "check"])
+    def test_a_refused_command_prints_its_error_alone(self, tmp_path, monkeypatch, capsys, argv,
+                                                     initial_u):
+        monkeypatch.chdir(tmp_path)
+        doc = self.warned_doc()
+        if initial_u is not None:
+            doc["initial"]["u"] = initial_u
+        out = tmp_path / "out"
+        assert main([*argv, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()

@@ -21,6 +21,7 @@ from plsim.config import (
     config_hash,
     load_config,
     parse_config,
+    with_seed,
 )
 from plsim.grid import random_band_limited, smooth_bump
 from plsim.integrators import CgpeState, EpState, step_count
@@ -256,13 +257,14 @@ class TestBuilders:
         a = build_run(config)[2].u
         b = build_run(config)[2].u
         np.testing.assert_array_equal(a.values, b.values)
-        c = build_run(config, seed_override=12)[2].u
+        c = build_run(with_seed(config, 12))[2].u
         assert np.max(np.abs(a.values - c.values)) > 0
 
     def test_seed_needs_random_initial_data(self):
         config = parse({"model": "cgpe", "initial": {"u": {"kind": "gaussian"}}})
+        assert with_seed(config, None) is config
         with pytest.raises(ValueError, match="random initial data only"):
-            build_run(config, seed_override=7)
+            with_seed(config, 7)
 
     def test_unknown_kind_on_a_hand_built_config(self):
         config = parse({"model": "ep"})
@@ -303,6 +305,13 @@ class TestHashing:
         else:
             text = json.dumps(doc)
         assert config_hash(parse_config(text)) == digest
+
+    @given(seed=st.integers(min_value=0))
+    def test_hash_covers_the_seed_that_draws_the_data(self, seed):
+        config = parse({"model": "cgpe", "initial": {"u": {"kind": "random", "seed": 11}}})
+        assert config_hash(with_seed(config, None)) == config_hash(config)
+        assert (config_hash(with_seed(config, seed)) == config_hash(config)) == (seed == 11)
+        assert config_hash(with_seed(config, 11)) == config_hash(config)
 
     def test_hash_leaves_out_output_and_key_order(self):
         doc = {"model": "cgpe", "params": {"sigma": 2.0, "xi": 0.5}}

@@ -1,4 +1,5 @@
-"""Symmetries as the steppers' oracle: translation, reflection and gauge.
+"""Symmetries as the steppers' oracle: translation, reflection, gauge and
+time reversal.
 
 Both models commute with a translation of x, the reflection x -> -x and
 the gauge u -> e^{i theta} u; the two-field model does once its reservoir
@@ -10,6 +11,10 @@ Rounding does not commute with the transforms, so 200 steps of the
 transformed state equal the transformed 200 steps to a relative 1e-12,
 not bit for bit.  A multiplier odd in k, exp(-i k|k| dt / 2), breaks the
 reflection; power-of-two scaling cannot see it, since k|k| scales as k^2.
+
+A Strang step is time-symmetric: each of its substeps is an exact flow,
+and they are applied in a palindromic order, so the step of -h undoes the
+step of h, S(-h) S(h) = id, up to rounding.
 """
 
 from dataclasses import replace
@@ -23,6 +28,10 @@ from plsim.integrators import (
     DENSE_HALF_STEP_MAX_POINTS,
     CgpeState,
     EpState,
+    _ep_local_u_update,
+    cgpe_local_step,
+    dispersion_half_step,
+    reservoir_exact_update,
     strang_step_cgpe,
     strang_step_ep,
 )
@@ -101,3 +110,32 @@ def test_symmetry_commutes_with_the_steps(model, n_points, symmetry):
     if model == "ep":
         assert relative_difference(got.n.values, on_real(want.n.values)) <= RTOL
     assert got.t == want.t
+
+
+def substep_strang_step(state, h, params):
+    """One Strang step of h, of either sign, composed from the substeps:
+    strang_step_cgpe and strang_step_ep refuse a negative step."""
+    u = dispersion_half_step(state.u, h)
+    if isinstance(state, CgpeState):
+        return CgpeState(u=dispersion_half_step(cgpe_local_step(u, h, params), h), t=state.t + h)
+    n = reservoir_exact_update(state.n, u, 0.5 * h, params)
+    u = _ep_local_u_update(u, n, h, params)
+    n = reservoir_exact_update(n, u, 0.5 * h, params)
+    return EpState(u=dispersion_half_step(u, h), n=n, t=state.t + h)
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-2])
+@pytest.mark.parametrize("n_points", SIZES)
+@pytest.mark.parametrize("model", ["cgpe", "ep"])
+def test_a_step_back_undoes_a_step(model, n_points, h):
+    state, params = problem(model, n_points)
+    forward = substep_strang_step(state, h, params)
+    # the composed step is the stepper's, and it moves the state
+    stepper = strang_step_cgpe if model == "cgpe" else strang_step_ep
+    np.testing.assert_array_equal(forward.u.values, stepper(state, h, params).u.values)
+    assert relative_difference(forward.u.values, state.u.values) > 1e-4
+    back = substep_strang_step(forward, -h, params)
+    assert relative_difference(back.u.values, state.u.values) <= 1e-13
+    if model == "ep":
+        np.testing.assert_array_equal(forward.n.values, stepper(state, h, params).n.values)
+        assert relative_difference(back.n.values, state.n.values) <= 1e-13
