@@ -16,9 +16,10 @@ import numpy as np
 
 from .checks import (
     abs_set_envelope,
+    absorbing_radius,
     ep_lyapunov,
     mass_balance_residual,
-    relaxation_envelope,
+    mass_envelope,
     reservoir_bounds,
     reservoir_sq_bound,
 )
@@ -75,13 +76,12 @@ def criterion_2_absorbing_set() -> CriterionResult:
     start = time.perf_counter()
     grid = make_grid(256, TWO_PI)
     p = CgpeParams(1.0, 1.0)
-    radius = 2.0 * p.xi / p.sigma * TWO_PI  # = 4 pi
+    radius = absorbing_radius(p, TWO_PI)  # = 4 pi
     u0 = gaussian(grid, 1.0)
     scale = np.sqrt(10.0 * radius / (np.sum(np.abs(u0.values) ** 2) * grid.dx))
     traj = integrate(CgpeState(u=u0.with_values(scale * u0.values)), 1e-3, 6.0, sample_every=5, params=p)
     d = traj.diagnostics
-    envelope = relaxation_envelope(d.times, d.mass[0], radius, 2.0 * p.xi)
-    env_margin = float(np.min(envelope + 1e-8 - d.mass))
+    env_margin = float(np.min(mass_envelope(d, p, TWO_PI) + 1e-8 - d.mass))
     tail = d.mass[d.times >= 5.0 / (2.0 * p.xi)]
     tail_max = float(np.max(tail))
     elapsed = time.perf_counter() - start

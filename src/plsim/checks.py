@@ -43,7 +43,9 @@ __all__ = [
     "reservoir_bounds",
     "relaxation_envelope",
     "reservoir_sq_bound",
-    "CHECKS_BY_MODEL",
+    "absorbing_radius",
+    "mass_envelope",
+    "CHECKS",
     "run_check",
 ]
 
@@ -74,6 +76,17 @@ def reservoir_sq_bound(d: DiagnosticsSeries, p: EpParams) -> np.ndarray:
     return relaxation_envelope(tau, float(d.n_sq_integral[0]), pump_sq / p.beta**2, p.beta)
 
 
+def absorbing_radius(p: CgpeParams, domain_measure: float) -> float:
+    """Large-time limit of the mass envelope, the radius of the absorbing set."""
+    return 2.0 * p.xi / p.sigma * domain_measure
+
+
+def mass_envelope(d: DiagnosticsSeries, p: CgpeParams, domain_measure: float) -> np.ndarray:
+    """Decay envelope of the recorded run's mass at each of its samples."""
+    tau = d.times - d.times[0]
+    return relaxation_envelope(tau, float(d.mass[0]), absorbing_radius(p, domain_measure), 2.0 * p.xi)
+
+
 def mass_balance_residual(d: DiagnosticsSeries, p: CgpeParams, stride: int = 1) -> np.ndarray:
     """d/dt mass - 2 xi mass + 2 sigma (quartic integral) on every stride-th sample.
 
@@ -85,18 +98,13 @@ def mass_balance_residual(d: DiagnosticsSeries, p: CgpeParams, stride: int = 1) 
     return dm - 2.0 * p.xi * mass + 2.0 * p.sigma * d.l4_fourth[::stride]
 
 
-def _report(name, margins, tolerances, times):
+def _report(name, margins, tolerances, times, binding=lambda margins, tolerances: margins):
+    """Report at the sample where binding(margins, tolerances) is least: by default the least margin."""
     tolerances = np.asarray(tolerances, dtype=float)
     margins = np.asarray(margins, dtype=float)
-    worst = int(np.argmin(margins))
-    passed = bool(np.all(margins >= -tolerances))
-    return CheckReport(
-        name=name,
-        passed=passed,
-        worst_margin=float(margins[worst]),
-        location=float(times[worst]),
-        tolerance=float(tolerances[worst]),
-    )
+    worst = int(np.argmin(binding(margins, tolerances)))
+    return CheckReport(name, bool(np.all(margins >= -tolerances)), float(margins[worst]),
+                       float(times[worst]), float(tolerances[worst]))
 
 
 def f1_residual(d: DiagnosticsSeries, p: CgpeParams) -> CheckReport:
@@ -110,29 +118,21 @@ def f1_residual(d: DiagnosticsSeries, p: CgpeParams) -> CheckReport:
     if len(d) < 3:
         raise ValueError("need at least 3 samples for a time derivative")
     spacing = np.diff(d.times)
-    h = float(spacing[0])
-    if not np.allclose(spacing, h, rtol=1e-8):
+    if not np.allclose(spacing, spacing[0], rtol=1e-8):
         raise ValueError("mass-balance residual requires uniform sampling")
 
-    res = mass_balance_residual(d, p)
-    floor = 1e-9 * (1.0 + float(np.max(d.mass)))
+    tol = 1e-9 * (1.0 + float(np.max(d.mass)))  # the rounding floor
     if len(d) >= 7:
-        coarse = mass_balance_residual(d, p, stride=2)
-        tol = 0.5 * float(np.max(np.abs(coarse))) + floor
-    else:
-        tol = floor
-    margins = -np.abs(res)
-    return _report("f1_residual", margins, np.full(len(d), tol), d.times)
+        tol += 0.5 * float(np.max(np.abs(mass_balance_residual(d, p, stride=2))))
+    return _report("f1_residual", -np.abs(mass_balance_residual(d, p)), np.full(len(d), tol), d.times)
 
 
 def abs_set_envelope(d: DiagnosticsSeries, p: CgpeParams, domain_measure: float) -> CheckReport:
     """Mass under the exponential decay envelope at every sample."""
-    tau = d.times - d.times[0]
-    radius = 2.0 * p.xi / p.sigma * domain_measure  # of the absorbing set
-    envelope = relaxation_envelope(tau, float(d.mass[0]), radius, 2.0 * p.xi)
-    margins = envelope - d.mass
-    tolerances = 1e-8 * (1.0 + envelope)
-    return _report("abs_set", margins, tolerances, d.times)
+    if domain_measure is None:
+        raise ValueError("abs_set needs the domain measure")
+    envelope = mass_envelope(d, p, domain_measure)
+    return _report("abs_set", envelope - d.mass, 1e-8 * (1.0 + envelope), d.times)
 
 
 def ep_lyapunov(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
@@ -150,9 +150,7 @@ def ep_lyapunov(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
     values = 0.5 * d.mass + d.n_integral
     tau = d.times - d.times[0]
     envelope = relaxation_envelope(tau, float(values[0]), source / gamma, gamma)
-    margins = envelope - values
-    tolerances = 1e-8 * (1.0 + np.abs(envelope))
-    return _report("ep_lyapunov", margins, tolerances, d.times)
+    return _report("ep_lyapunov", envelope - values, 1e-8 * (1.0 + np.abs(envelope)), d.times)
 
 
 def reservoir_bounds(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
@@ -165,44 +163,24 @@ def reservoir_bounds(d: DiagnosticsSeries, p: EpParams) -> CheckReport:
     if d.n_min is None or d.n_sq_integral is None:
         raise ValueError("reservoir check needs n_min and n_sq_integral diagnostics")
     bound = reservoir_sq_bound(d, p)
-
-    pos_margins = d.n_min.copy()
-    pos_tol = np.full(len(d), 1e-12)
-    mom_margins = bound - d.n_sq_integral
-    mom_tol = 1e-8 * (1.0 + bound)
-
-    margins = np.concatenate([pos_margins, mom_margins])
-    tolerances = np.concatenate([pos_tol, mom_tol])
-    times = np.concatenate([d.times, d.times])
-    binding = int(np.argmin(margins / tolerances))
-    return CheckReport(
-        name="reservoir_bounds",
-        passed=bool(np.all(margins >= -tolerances)),
-        worst_margin=float(margins[binding]),
-        location=float(times[binding]),
-        tolerance=float(tolerances[binding]),
-    )
+    # nonnegativity, then the second moment
+    margins = np.concatenate([d.n_min, bound - d.n_sq_integral])
+    tolerances = np.concatenate([np.full(len(d), 1e-12), 1e-8 * (1.0 + bound)])
+    return _report("reservoir_bounds", margins, tolerances, np.concatenate([d.times, d.times]), np.divide)
 
 
-# the checks whose hypotheses each model satisfies, in report order
-CHECKS_BY_MODEL = {
-    "cgpe": ("f1_residual", "abs_set"),
-    "ep": ("ep_lyapunov", "reservoir_bounds"),
+# Every check by name: the model whose hypotheses it needs, and its evaluator over
+# (series, params, domain measure), which looks its check up by name when called.
+CHECKS = {
+    "f1_residual": ("cgpe", lambda d, p, measure: f1_residual(d, p)),
+    "abs_set": ("cgpe", lambda d, p, measure: abs_set_envelope(d, p, measure)),
+    "ep_lyapunov": ("ep", lambda d, p, measure: ep_lyapunov(d, p)),
+    "reservoir_bounds": ("ep", lambda d, p, measure: reservoir_bounds(d, p)),
 }
 
 
-def run_check(
-    name: str, d: DiagnosticsSeries, params, domain_measure: float | None = None
-) -> CheckReport:
-    """Dispatch a named check against a diagnostics series."""
-    if name == "f1_residual":
-        return f1_residual(d, params)
-    if name == "abs_set":
-        if domain_measure is None:
-            raise ValueError("abs_set needs the domain measure")
-        return abs_set_envelope(d, params, domain_measure)
-    if name == "ep_lyapunov":
-        return ep_lyapunov(d, params)
-    if name == "reservoir_bounds":
-        return reservoir_bounds(d, params)
-    raise ValueError(f"unknown check {name!r}, expected one of {sum(CHECKS_BY_MODEL.values(), ())}")
+def run_check(name: str, d: DiagnosticsSeries, params, domain_measure: float | None = None) -> CheckReport:
+    """Evaluate the named check of CHECKS against a diagnostics series."""
+    if not (isinstance(name, str) and name in CHECKS):
+        raise ValueError(f"unknown check {name!r}, expected one of {tuple(CHECKS)}")
+    return CHECKS[name][1](d, params, domain_measure)

@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from array import array
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain
 
@@ -38,7 +39,7 @@ from .config import (
     load_config,
     with_seed,
 )
-from .diagnostics import COLUMNS, DiagnosticsSeries
+from .diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from .grid import hs_norm, make_grid, memo
 from .integrators import BlowUpError, EpState, iter_samples, step_count
 from .picard import (
@@ -85,15 +86,14 @@ def _under(option: str, read, *args):
         raise ValueError(f"{option}: {err}") from None
 
 
-def _run_checks(names, diagnostics, params, domain_measure: float, partial: bool) -> list[dict]:
-    """Run the named checks, print one line each, and return their reports,
-    for reports.json.
+def _run_checks(names, diagnostics, params, domain_measure: float, partial: bool):
+    """Judge every named check: their reports, for reports.json, and their verdict
+    lines, for the caller to print once nothing can refuse the call.
 
     On a partial series (a run that blew up) a check that cannot be
     evaluated is recorded as failed with its reason; otherwise that is an
-    input error and raises.
-    """
-    reports = []
+    input error and raises."""
+    reports, verdicts = [], []
     for name in names:
         try:
             # a series near the float range overflows into a non-finite
@@ -104,28 +104,37 @@ def _run_checks(names, diagnostics, params, domain_measure: float, partial: bool
             if not partial:
                 raise
             reports.append({"name": name, "passed": False, "reason": str(err)})
-            print(f"check {name}: FAIL (not evaluable on the partial series: {err})")
+            verdicts.append(f"check {name}: FAIL (not evaluable on the partial series: {err})\n")
             continue
         reports.append({key: _finite_or_none(value) if isinstance(value, float) else value
                         for key, value in report.to_dict().items()})
-        print(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
-              f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})")
-    return reports
+        verdicts.append(f"check {report.name}: {'pass' if report.passed else 'FAIL'} "
+                        f"(worst margin {report.worst_margin:.3e} at t = {report.location:.4g})\n")
+    return reports, verdicts
+
+
+@contextmanager
+def _output(args, config=None):
+    """The locked output directory, --out, else the config's output, else ./plsim-out, entered
+    once the input is accepted; the config's warnings go to stderr once the lock is taken, so a
+    refused call, the lock's refusal too, prints one line."""
+    out_dir = args.out or getattr(config, "output", None) or "plsim-out"
+    with output_lock(out_dir):
+        sys.stderr.writelines(f"warning: {warning}\n" for warning in getattr(config, "warnings", ()))
+        yield out_dir
 
 
 def cmd_run(args) -> int:
     config = _under("--seed", with_seed, _under("--config", load_config, args.config), args.seed)
-    out_dir = args.out or config.output or "plsim-out"
     grid, params, initial = build_run(config)
 
     digest = config_hash(config)
-    ckpt_dir = os.path.join(out_dir, "checkpoints")
     saved = []
 
     def due(index: int) -> bool:
         return config.checkpoint_every > 0 and index % config.checkpoint_every == 0
 
-    def save(index: int, state) -> None:
+    def save(index: int, state) -> None:  # into ckpt_dir, made under the output lock
         path = os.path.join(ckpt_dir, f"state_{index:07d}.ckpt")
         n = state.n if isinstance(state, EpState) else None
         write_checkpoint(path, state.u, n, state.t, digest)
@@ -143,9 +152,8 @@ def cmd_run(args) -> int:
         first = _under("--config", next, samples)
     rows = array("d")
     blow_up = None
-    # the config's warnings, once its input is accepted: a refused call prints one line
-    sys.stderr.writelines(f"warning: {warning}\n" for warning in config.warnings)
-    with output_lock(out_dir):
+    with _output(args, config) as out_dir:
+        ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
         try:
             with (
@@ -166,12 +174,12 @@ def cmd_run(args) -> int:
 
         diagnostics = DiagnosticsSeries.from_rows(np.reshape(rows, (index + 1, -1)))
         partial = blow_up is not None
-        reports = _run_checks(config.checks, diagnostics, params, grid.length, partial)
+        reports, verdicts = _run_checks(config.checks, diagnostics, params, grid.length, partial)
         write_json(os.path.join(out_dir, "reports.json"), reports)
         write_json(os.path.join(out_dir, "run_meta.json"), dict(
             version=__version__, config_hash=digest, model=config.model, seed=config.initial_u.get("seed"),
             steps=steps, blow_up_time=blow_up, checkpoints=saved, warnings=list(config.warnings)))
-
+    sys.stdout.writelines(verdicts)
     return 0 if (all(r["passed"] for r in reports) and not partial) else 1
 
 
@@ -183,7 +191,6 @@ def cmd_picard(args) -> int:
     if args.n_nodes * config.n_points > MAX_N_POINTS:
         raise ValueError(f"--n-nodes: {args.n_nodes} nodes x {config.n_points} points exceeds "
                          f"{MAX_N_POINTS} lattice points")
-    out_dir = args.out or config.output or "plsim-out"
     _, params, initial = build_run(config)
     with np.errstate(over="ignore", invalid="ignore"):
         initial_norm = hs_norm(initial.u, args.s)
@@ -196,10 +203,9 @@ def cmd_picard(args) -> int:
             return picard_ep(initial.u, initial.n, mesh, params, args.max_iter)
         return picard_cgpe(initial.u, mesh, params, s=args.s, max_iter=args.max_iter)
 
-    sys.stderr.writelines(f"warning: {warning}\n" for warning in config.warnings)
     # an iterate that overflows is divergence, which the history records;
     # the warnings on the way there say nothing more
-    with output_lock(out_dir), np.errstate(over="ignore", invalid="ignore"):
+    with _output(args, config) as out_dir, np.errstate(over="ignore", invalid="ignore"):
         history = run_at(args.delta)
         report = contraction_report(history)
         payload = dict(
@@ -234,17 +240,17 @@ def cmd_picard(args) -> int:
     return 0
 
 
-def _write_tables(out_dir: str, tables) -> None:
+def _write_tables(args, tables) -> None:
     """Write each (file name, header, rows, note) table and print its note,
     under the output directory's lock.  A mode calls this once its input is
     checked and every table computed, so a refused one makes no directory."""
-    with output_lock(out_dir):
+    with _output(args) as out_dir:
         for name, header, rows, note in tables:
             write_csv(os.path.join(out_dir, name), header, rows)
             print(note)
 
 
-def _norms_from_checkpoints(args, out_dir: str) -> int:
+def _norms_from_checkpoints(args) -> int:
     loaded = []
     for path in args.checkpoints:
         u, n, header = _under("--checkpoints", read_checkpoint, path)
@@ -292,25 +298,25 @@ def _norms_from_checkpoints(args, out_dir: str) -> int:
               l4_strichartz_ratio(f), "windowed_surrogate")],
             "wrote space-time norms (windowed surrogate of the restricted norms)",
         ))
-    _write_tables(out_dir, tables)
+    _write_tables(args, tables)
     return 0
 
 
-def _norms_l4_scan(args, out_dir: str) -> int:
+def _norms_l4_scan(args) -> int:
     rows = []
     for grid, n_time in args.l4_scan:
         rngs = (np.random.default_rng([args.seed, sample]) for sample in range(args.samples))
         rows.append((grid.n_points, n_time, args.samples, args.seed, l4_ratio_max(grid, n_time, rngs)))
-    _write_tables(out_dir, [("l4_scan.csv", ["n_points", "n_time", "samples", "seed", "max_ratio"],
+    _write_tables(args, [("l4_scan.csv", ["n_points", "n_time", "samples", "seed", "max_ratio"],
                              rows, f"wrote quartic-ratio scan over {len(rows)} lattices")])
     return 0
 
 
-def _norms_trilinear(args, out_dir: str) -> int:
+def _norms_trilinear(args) -> int:
     sizes = args.trilinear_scan
     rows = trilinear_ratio_scan(args.eps, sizes, args.samples, args.seed)
     growth = rows[-1].ratio / rows[0].ratio if rows[0].ratio > 0 else float("inf")
-    _write_tables(out_dir, [("trilinear_scan.csv", ["size", "seed", "ratio", "admissible_flag"],
+    _write_tables(args, [("trilinear_scan.csv", ["size", "seed", "ratio", "admissible_flag"],
                              [(r.size, r.seed, r.ratio, r.admissible) for r in rows],
                              f"wrote trilinear scan; ratio growth {sizes[0]} -> {sizes[-1]}: {growth:.3f}")])
     if growth > 3.0:
@@ -327,15 +333,14 @@ NORMS_MODES = {"checkpoints": _norms_from_checkpoints, "l4_scan": _norms_l4_scan
 
 def cmd_norms(args) -> int:
     mode = next(mode for mode in NORMS_MODES if getattr(args, mode) is not None)
-    return NORMS_MODES[mode](args, args.out or "plsim-out")
+    return NORMS_MODES[mode](args)
 
 
 def cmd_check(args) -> int:
     config = _under("--config", load_config, args.config)
-    out_dir = args.out or config.output or "plsim-out"
     diagnostics = _under("--csv", read_diagnostics_csv, args.csv)
     if diagnostics.has_reservoir != (config.model == "ep"):
-        columns = ", ".join(COLUMNS if diagnostics.has_reservoir else COLUMNS[:3])
+        columns = ", ".join(SERIES_COLUMNS[diagnostics.has_reservoir])
         raise ValueError(f"--csv: {args.csv}: columns {columns} do not match the {config.model} model")
     # rows that stop before t_end are those of a run that blew up
     partial = bool(np.rint(diagnostics.times[-1] / config.dt)
@@ -344,11 +349,11 @@ def cmd_check(args) -> int:
         print(f"{args.csv} stops before t_end = {config.t_end:.6g}: checking the rows of a "
               "run that blew up", file=sys.stderr)
     grid, params, _ = build_run(config)
-    # a check the rows cannot feed is refused before the output directory is made
-    reports = _under("--csv", _run_checks, config.checks, diagnostics, params, grid.length, partial)
-    sys.stderr.writelines(f"warning: {warning}\n" for warning in config.warnings)
-    with output_lock(out_dir):
+    # a check the rows cannot feed is refused before any verdict or output
+    reports, verdicts = _under("--csv", _run_checks, config.checks, diagnostics, params, grid.length, partial)
+    with _output(args, config) as out_dir:
         write_json(os.path.join(out_dir, "reports.json"), reports)
+    sys.stdout.writelines(verdicts)
     return 0 if (all(r["passed"] for r in reports) and not partial) else 1
 
 

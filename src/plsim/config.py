@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .checks import CHECKS_BY_MODEL
+from .checks import CHECKS
 from .grid import Field, Grid1D, gaussian, make_grid, random_band_limited, smooth_bump
 from .integrators import CgpeState, EpState, step_count
 from .models import CgpeParams, EpParams
@@ -303,12 +303,16 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(checks_doc, list):
         v.fail("checks: expected a list of check names")
     else:
-        allowed = CHECKS_BY_MODEL[model]
+        # a list, not the table: an entry that is itself a list or a dict is refused as unknown
+        allowed = sorted(name for name, (owner, _) in CHECKS.items() if owner == model)
         for name in checks_doc:
             if name not in allowed:
-                v.fail(f"checks: {name!r} is not a known check for model {model} {sorted(allowed)}")
-            else:
+                v.fail(f"checks: {name!r} is not a known check for model {model} {allowed}")
+            elif name not in checks:
                 checks.append(name)
+        for name in checks:  # one violation however often a name is repeated
+            if checks_doc.count(name) > 1:
+                v.fail(f"checks: {name!r} is named more than once")
     # the residual check differentiates in time, so every sample interval,
     # the last one included, must be the same, and there must be three samples
     if "f1_residual" in checks and n_steps and sample_every:

@@ -6,11 +6,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["COLUMNS", "DiagnosticsSeries"]
+__all__ = ["SERIES_COLUMNS", "COLUMNS", "DiagnosticsSeries"]
 
-# Table layout of a series: the first three columns always, the reservoir
-# columns only for the condensate-reservoir model.
-COLUMNS = ("t", "mass", "l4_fourth", "n_integral", "n_sq_integral", "n_min")
+# The table layout of each kind of series, by whether it holds the reservoir (a
+# condensate-reservoir series does); COLUMNS is the whole layout.
+SERIES_COLUMNS = {
+    False: ("t", "mass", "l4_fourth"),
+    True: ("t", "mass", "l4_fourth", "n_integral", "n_sq_integral", "n_min"),
+}
+COLUMNS = SERIES_COLUMNS[True]
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,11 @@ class DiagnosticsSeries:
 
     @classmethod
     def from_rows(cls, rows) -> DiagnosticsSeries:
-        """Series from rows in COLUMNS order, of 3 or of all 6 columns."""
+        """Series from rows of one kind of series' SERIES_COLUMNS, in that order."""
         data = np.asarray(rows, dtype=float)
-        if data.ndim != 2 or data.shape[1] not in (3, len(COLUMNS)):
-            raise ValueError(f"rows must have 3 or {len(COLUMNS)} columns, got shape {data.shape}")
+        widths = [len(columns) for columns in SERIES_COLUMNS.values()]
+        if data.ndim != 2 or data.shape[1] not in widths:
+            raise ValueError(f"rows must have {' or '.join(map(str, widths))} columns, got shape {data.shape}")
         return cls(*data.T)
 
     @property

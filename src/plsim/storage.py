@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .diagnostics import COLUMNS, DiagnosticsSeries
+from .diagnostics import SERIES_COLUMNS, DiagnosticsSeries
 from .grid import Field, make_grid, real_field
 
 __all__ = [
@@ -160,9 +160,8 @@ def _line(row) -> str:
 
 
 class DiagnosticsAppender:
-    """diagnostics.csv written as the rows come: the header of COLUMNS on
-    opening (the reservoir columns when has_reservoir), then one line per
-    appended row.
+    """diagnostics.csv written as the rows come: the header of
+    SERIES_COLUMNS[has_reservoir] on opening, then one line per appended row.
 
     The file is line-buffered and each line is one write, so a killed
     writer leaves whole rows only.  Use as a context manager.
@@ -170,7 +169,7 @@ class DiagnosticsAppender:
 
     def __init__(self, path, has_reservoir: bool) -> None:
         self._handle = open(path, "w", encoding="utf-8", newline="\n", buffering=1)
-        self._handle.write(",".join(COLUMNS if has_reservoir else COLUMNS[:3]) + "\n")
+        self._handle.write(",".join(SERIES_COLUMNS[has_reservoir]) + "\n")
 
     def append(self, row) -> None:
         """Write one row of values in header order."""
@@ -191,7 +190,7 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
             lines = [(number, line.strip()) for number, line in enumerate(handle, start=2)]
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
-    if header not in (list(COLUMNS[:3]), list(COLUMNS)):
+    if tuple(header) not in SERIES_COLUMNS.values():
         raise ValueError(f"{path}: unexpected columns {header}")
     rows = []
     for number, line in lines:

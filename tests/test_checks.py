@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plsim.checks import (
+    CHECKS,
     abs_set_envelope,
     ep_lyapunov,
     f1_residual,
@@ -297,6 +298,20 @@ class TestReservoirBounds:
         assert not report.passed
         assert report.location == pytest.approx(times[5])
 
+    def test_reported_sample_is_furthest_past_its_own_tolerance(self):
+        # a second-moment margin of -1e-9 is the least margin but within its
+        # 1e-8 (1 + bound) tolerance; a minimum of -1e-11 is ten times its 1e-12
+        grid = make_grid(16, TWO_PI)
+        p = EpParams(g=1, lam=1, R=1, alpha=0.5, beta=1.0, pump=Field(grid, np.zeros(16)))
+        times = np.linspace(0.0, 1.0, 11)
+        n_min, n_sq = np.zeros(11), np.zeros(11)
+        n_min[3], n_sq[7] = -1e-11, 1e-9
+        d = DiagnosticsSeries(times=times, mass=np.zeros(11), l4_fourth=np.zeros(11),
+                              n_integral=np.zeros(11), n_sq_integral=n_sq, n_min=n_min)
+        report = reservoir_bounds(d, p)
+        assert not report.passed
+        assert (report.worst_margin, report.location, report.tolerance) == (-1e-11, times[3], 1e-12)
+
     def test_missing_diagnostics_rejected(self):
         grid = make_grid(16, TWO_PI)
         pump = constant_field(grid, 1.0)
@@ -321,8 +336,26 @@ class TestReportStructure:
         assert run_check("abs_set", d, p, domain_measure=TWO_PI).name == "abs_set"
         with pytest.raises(ValueError):
             run_check("abs_set", d, p)  # missing measure
-        with pytest.raises(ValueError, match="unknown check"):
-            run_check("nope", d, p)
+        for name in ("nope", ["abs_set"], {"abs_set": 1}):  # a name that is no string is unknown too
+            with pytest.raises(ValueError, match="unknown check"):
+                run_check(name, d, p)
+
+    def test_check_table_evaluates_each_check_of_its_model(self):
+        grid = make_grid(16, TWO_PI)
+        times = np.linspace(0.0, 1.0, 11)
+        cgpe = CgpeParams(1.0, 1.0)
+        ep = EpParams(g=1, lam=1, R=1, alpha=0.5, beta=1.5, pump=constant_field(grid, 0.9))
+        d_ep = decaying_reservoir_series(2.0, 1.5, 1.5, times)
+        d_cgpe = flat_logistic_series(cgpe, 0.7, times)
+        direct = {"f1_residual": f1_residual(d_cgpe, cgpe),
+                  "abs_set": abs_set_envelope(d_cgpe, cgpe, TWO_PI),
+                  "ep_lyapunov": ep_lyapunov(d_ep, ep),
+                  "reservoir_bounds": reservoir_bounds(d_ep, ep)}
+        assert {name: model for name, (model, _) in CHECKS.items()} == {
+            "f1_residual": "cgpe", "abs_set": "cgpe", "ep_lyapunov": "ep", "reservoir_bounds": "ep"}
+        for name, (model, _) in CHECKS.items():
+            d, p = (d_cgpe, cgpe) if model == "cgpe" else (d_ep, ep)
+            assert run_check(name, d, p, domain_measure=TWO_PI) == direct[name]
 
     def test_report_serializes(self):
         p = CgpeParams(1.0, 1.0)

@@ -1163,14 +1163,17 @@ class TestCheck:
         assert not out.exists()
 
     def test_csv_a_configured_check_cannot_read_exits_2_before_any_output(self, tmp_path, capsys):
-        # two rows that reach t_end: f1_residual needs three
-        config = write_config(tmp_path, cgpe_doc(t_end=0.004, checks=["f1_residual"]))
+        # two rows that reach t_end: f1_residual needs three; a check judged
+        # before it prints no verdict either
         csv = tmp_path / "two.csv"
         csv.write_text("t,mass,l4_fourth\n0.0,1.0,1.0\n0.004,1.0,1.0\n")
-        out = tmp_path / "r"
-        assert main(["check", "--csv", str(csv), "--config", config, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --csv: need at least 3 samples for a time derivative\n"
-        assert not out.exists()
+        for checks in (["f1_residual"], ["abs_set", "f1_residual"]):
+            config = write_config(tmp_path, cgpe_doc(t_end=0.004, checks=checks))
+            out = tmp_path / "r"
+            assert main(["check", "--csv", str(csv), "--config", config, "--out", str(out)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: --csv: need at least 3 samples for a time derivative\n")
+            assert not out.exists()
 
     def test_header_only_csv_exits_2(self, tmp_path):
         config = write_config(tmp_path, cgpe_doc())
@@ -1215,3 +1218,19 @@ class TestConfigWarnings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run"], ["check", "--csv", "diagnostics.csv"], ["picard"]],
+                             ids=["run", "check", "picard"])
+    def test_a_command_refused_by_the_output_lock_prints_its_error_alone(self, tmp_path, monkeypatch,
+                                                                        capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, self.warned_doc())
+        assert main(["run", "--config", config, "--out", "."]) == 0
+        capsys.readouterr()
+        out = tmp_path / "held"
+        out.mkdir()
+        (out / ".plsim.lock").write_text(str(os.getpid()))  # held by a running process
+        assert main([*argv, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: output directory {out} is locked by another run "
+                                           f"(remove {out / '.plsim.lock'} if stale)\n")
+        assert sorted(p.name for p in out.iterdir()) == [".plsim.lock"]

@@ -163,6 +163,14 @@ class TestViolations:
         with pytest.raises(ConfigError, match="not a known check"):
             parse({"model": "cgpe", "checks": ["ep_lyapunov"]})
 
+    @pytest.mark.parametrize("checks", [["abs_set", "abs_set", "f1_residual"],
+                                        ["abs_set", "f1_residual", "abs_set", "abs_set"]])
+    def test_check_named_twice_is_one_violation_naming_it(self, checks):
+        with pytest.raises(ConfigError) as excinfo:
+            parse({"model": "cgpe", "grid": {"n_points": 16}, "dt": 1e-3, "t_end": 0.004,
+                   "checks": checks})
+        assert excinfo.value.violations == ["checks: 'abs_set' is named more than once"]
+
     def test_pump_on_cgpe_rejected(self):
         with pytest.raises(ConfigError, match="pump"):
             parse({"model": "cgpe", "pump": {"kind": "zero"}})
@@ -434,9 +442,12 @@ class TestFuzz:
             '{"model": "cgpe", "initial": {"n": {"kind": "zero"}}}',
             '[{"model": "cgpe"}]',
             '{"model": "cgpe", "grid": {"n_points": 64}, "initial": {"u": {"kind": "random", "band": 40}}}',
+            '{"model": "cgpe", "grid": {"n_points": 16}, "dt": 1e-3, "t_end": 0.004, '
+            '"checks": ["abs_set", "abs_set", "f1_residual"]}',
         ],
         ids=["deep", "long_int", "huge_int", "list_kind", "nan", "minus_inf", "odd_n_points",
-             "schema_version_2", "reservoir_on_cgpe", "top_level_array", "band_beyond_grid"],
+             "schema_version_2", "reservoir_on_cgpe", "top_level_array", "band_beyond_grid",
+             "check_named_twice"],
     )
     def test_malformed_document_is_a_config_error(self, tmp_path, capsys, text):
         with pytest.raises(ConfigError) as excinfo:
